@@ -261,20 +261,42 @@ def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
 
 def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
                        tol: float = 1e-12) -> np.ndarray:
-    """Boolean array: does segment [P_i, Q_i] come within tol of the crack."""
+    """Boolean array: does segment [P_i, Q_i] come within tol of the crack.
+
+    Sort-and-sweep broad phase (Ericson, Real-Time Collision Detection,
+    ch. 7): the distance kernels run only on pairs whose boxes, the
+    query's inflated by tol, overlap.  A pair within tol always passes, so
+    the answer equals the all-pairs one while the cost follows the queries
+    near each simplex rather than queries x simplices.
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     hit = np.zeros(P.shape[0], dtype=bool)
+    lo = np.minimum(P, Q) - tol
+    hi = np.maximum(P, Q) + tol
+    # Lattice batches arrive sorted in x; the stable sort takes them in linear time.
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo_x = lo[order, 0]
+    # Running max of the high x in sorted order: every query before the
+    # first index where it reaches a simplex's low x ends left of it.
+    reach_x = np.maximum.accumulate(hi[order, 0])
+    s_lo = crack.simplices.min(axis=1)
+    s_hi = crack.simplices.max(axis=1)
     for k in range(crack.m):
-        todo = ~hit
-        if not np.any(todo):
-            break
+        i0 = np.searchsorted(reach_x, s_lo[k, 0], side="left")
+        i1 = np.searchsorted(lo_x, s_hi[k, 0], side="right")
+        idx = order[i0:i1]
+        near = (~hit[idx] & np.all(lo[idx] <= s_hi[k], axis=1)
+                & np.all(hi[idx] >= s_lo[k], axis=1))
+        idx = idx[near]
+        if idx.size == 0:
+            continue
         if crack.n == 2:
-            d = _seg_seg_dist(P[todo], Q[todo], crack.simplices[k, 0],
+            d = _seg_seg_dist(P[idx], Q[idx], crack.simplices[k, 0],
                               crack.simplices[k, 1])
         else:
-            d = _seg_tri_dist(P[todo], Q[todo], crack.simplices[k])
-        hit[todo] = d <= tol
+            d = _seg_tri_dist(P[idx], Q[idx], crack.simplices[k])
+        hit[idx] = d <= tol
     return hit
 
 
@@ -282,7 +304,7 @@ def segment_hits_crack(p, q, crack: CrackSurface, tol: float = 1e-12) -> bool:
     """True iff the closed segment [p, q] intersects the crack (within tol)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if np.allclose(p, q):
+    if np.array_equal(p, q):
         raise ValueError("degenerate query segment")
     return bool(segments_hit_crack(p[None, :], q[None, :], crack, tol)[0])
 
@@ -364,14 +386,14 @@ def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None) -> CubeClassif
     if crack is None or crack.m == 0:
         return CubeClassification(grid, crack, bad, zmin)
     tol = 1e-9 * grid.h
-    Z = grid.cube_indices()
-    flat_bad = np.zeros(Z.shape[0], dtype=bool)
+    corners = grid.corner(grid.cube_indices())
+    flat_bad = np.zeros(corners.shape[0], dtype=bool)
     for e, etas in _badcube_cases(grid.n):
         for eta in etas:
             todo = ~flat_bad
             if not np.any(todo):
                 break
-            C = grid.corner(Z[todo]) + grid.h * eta
+            C = corners[todo] + grid.h * eta
             flat_bad[todo] |= segments_hit_crack(C, C + grid.h * e, crack, tol)
     bad[:] = flat_bad.reshape(shape)
     return CubeClassification(grid, crack, bad, zmin)

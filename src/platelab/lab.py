@@ -10,7 +10,6 @@ import csv
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,13 +376,3 @@ def write_csv(rows: list, path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def parallel_rows(fn, items, max_workers=None) -> list:
-    """Evaluate fn over items, respecting PLATE_LAB_THREADS; order preserved."""
-    if max_workers is None:
-        max_workers = int(os.environ.get("PLATE_LAB_THREADS", "1"))
-    if max_workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as ex:
-        return list(ex.map(fn, items))

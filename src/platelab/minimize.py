@@ -29,7 +29,6 @@ class SolverConfig:
     cg_tol: float = 1e-10
     cg_max_iter: int = 500
     altmin_max_rounds: int = 6
-    activation_rule: str = "cell_energy_release"
     seed: int = 0
 
     def __post_init__(self):

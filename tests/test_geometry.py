@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from platelab.geometry import (CrackSurface, ShiftedGrid, axis_plane_crack,
+from platelab.geometry import (CrackSurface, ShiftedGrid, _seg_seg_dist,
+                               _seg_tri_dist, axis_plane_crack,
                                bad_cube_boundary_measure, classify_cubes,
                                direction_set, discrete_jump_energy,
                                in_half_neighborhood, projection_measure,
-                               segment_hits_crack)
+                               segment_hits_crack, segments_hit_crack)
 
 VERT = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
 
@@ -150,6 +153,8 @@ def test_segment_hits_crack_examples():
     assert not segment_hits_crack((0.1, 0.3), (0.2, 0.3), VERT)
     # coplanar: segment lying inside the crack line
     assert segment_hits_crack((0.5, 0.2), (0.5, 0.7), VERT)
+    # short segments far from the origin are not degenerate
+    assert not segment_hits_crack((999.9995, 0.5), (1000.0005, 0.5), VERT)
     with pytest.raises(ValueError):
         segment_hits_crack((0.5, 0.5), (0.5, 0.5), VERT)
 
@@ -169,6 +174,75 @@ def test_in_half_neighborhood():
     assert in_half_neighborhood((0.45, 0.3), (1, 0), 0.1, VERT)
     assert not in_half_neighborhood((0.6, 0.3), (1, 0), 0.1, VERT)
     assert not in_half_neighborhood((0.45, 0.3), (0, 1), 0.1, VERT)
+    # a step of 1e-6 across the crack is a valid query
+    assert in_half_neighborhood((0.5 - 5e-7, 0.3), (1, 0), 1e-6, VERT)
+
+
+def _all_pairs_hits(P, Q, crack, tol):
+    """Reference: the distance kernel on every (query, simplex) pair."""
+    hit = np.zeros(len(P), dtype=bool)
+    for s in crack.simplices:
+        d = _seg_seg_dist(P, Q, s[0], s[1]) if crack.n == 2 else _seg_tri_dist(P, Q, s)
+        hit |= d <= tol
+    return hit
+
+
+@st.composite
+def _lattice_scene(draw):
+    """A crack and query segments on the lattice h*Z^n, h dyadic.
+
+    Small integer coordinates make touching endpoints, lattice points on
+    the crack and collinear or coplanar pairs common; dyadic h keeps the
+    kernels' arithmetic exact enough that no distance lands near tol
+    except by the deliberate sub-tol shifts.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    h = 2.0 ** -draw(st.integers(0, 6))
+    ints = st.integers(0, 4)
+    simplices = []
+    for _ in range(draw(st.integers(1, 4))):
+        verts = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                       min_size=n, max_size=n)), dtype=float)
+        if n == 3 and draw(st.booleans()):
+            verts[:, draw(st.integers(0, 2))] = draw(ints)  # axis-aligned plane
+        simplices.append(verts)
+    simplices = np.array(simplices)
+    try:
+        crack = CrackSurface(h * simplices)
+    except ValueError:  # a degenerate simplex
+        assume(False)
+    tol = draw(st.sampled_from([1e-12, 1e-9 * h]))
+    dirs = direction_set(n)
+    P, Q = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        e = dirs[draw(st.integers(0, len(dirs) - 1))] * draw(st.sampled_from([-1, 1]))
+        L = draw(st.integers(1, 8))  # up to twice the crack's extent
+        anchor = draw(st.sampled_from(["free", "start", "end"]))
+        if anchor == "free":
+            p = np.array(draw(st.lists(st.integers(-2, 6), min_size=n, max_size=n)))
+        else:
+            v = simplices[draw(st.integers(0, len(simplices) - 1)),
+                          draw(st.integers(0, n - 1))]
+            p = v if anchor == "start" else v - L * e
+        # near misses: shift the whole segment off the lattice by a few tol
+        shift = np.zeros(n)
+        shift[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, 0.5, -0.5, 3.0]))
+        P.append(h * p + tol * shift)
+        Q.append(h * (p + L * e) + tol * shift)
+    return np.array(P), np.array(Q), crack, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_scene())
+def test_segments_hit_crack_matches_all_pairs(scene):
+    P, Q, crack, tol = scene
+    assert np.array_equal(segments_hit_crack(P, Q, crack, tol),
+                          _all_pairs_hits(P, Q, crack, tol))
+    one = segments_hit_crack(P[:1], Q[:1], crack, tol)
+    assert one.shape == (1,) and one[0] == _all_pairs_hits(P[:1], Q[:1], crack, tol)[0]
+    none = segments_hit_crack(np.empty((0, crack.n)), np.empty((0, crack.n)),
+                              crack, tol)
+    assert none.shape == (0,) and none.dtype == bool
 
 
 # ---------------------------------------------------------------------------

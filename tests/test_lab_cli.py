@@ -121,11 +121,6 @@ def test_write_csv_deterministic(tmp_path):
         lab.write_csv([], tmp_path / "empty.csv")
 
 
-def test_parallel_rows_preserves_order():
-    out = lab.parallel_rows(lambda x: x * x, [3, 1, 2], max_workers=2)
-    assert out == [9, 1, 4]
-
-
 # ---------------------------------------------------------------------------
 # command line
 
