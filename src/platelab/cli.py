@@ -17,6 +17,18 @@ from .geometry import CrackSurface
 from .minimize import SolverConfig
 
 
+# flags each subcommand reads; any other flag given is an error
+_FLAGS = {
+    "classify": ("seed", "h", "crack"),
+    "jump-energy": ("seed", "h", "crack"),
+    "approximate": ("h", "crack"),
+    "recover": ("rho", "datum"),
+    "liminf": ("rho", "datum"),
+    "minimize": ("datum",),
+    "sweep": ("rho", "datum"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="platelab",
@@ -43,6 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args) -> lab.ExperimentConfig:
+    for flag in ("seed", "h", "rho", "crack", "datum"):
+        if getattr(args, flag) is not None and flag not in _FLAGS[args.command]:
+            raise ValueError(f"--{flag} is not used by {args.command}")
     mapping = {}
     if args.config:
         if not os.path.exists(args.config):
@@ -110,7 +125,7 @@ def _dispatch(cfg: lab.ExperimentConfig) -> list:
         return lab.liminf_probe(family, s, cfg.lame, cfg.rho_list)
     if cfg.experiment == "minimize":
         g = stretch_datum(cfg.stretch, cfg.n)
-        scfg = SolverConfig(seed=cfg.seed)
+        scfg = SolverConfig()
         s, cracks, e, trace = lab.minimize_limit(cfg.plan, cfg.omega_lo,
                                                  cfg.omega_hi, g, cfg.lame, scfg)
         cracked = any(np.any(c) for c in cracks.broken) or bool(cracks.released)
@@ -119,7 +134,7 @@ def _dispatch(cfg: lab.ExperimentConfig) -> list:
                  "cracked": int(cracked), "rounds": len(trace)}]
     if cfg.experiment == "sweep":
         g = stretch_datum(cfg.stretch, cfg.n)
-        scfg = SolverConfig(seed=cfg.seed)
+        scfg = SolverConfig()
         return lab.minima_sweep(g, cfg.lame, cfg.rho_list, cfg.plan,
                                 cfg.omega_lo, cfg.omega_hi,
                                 layers=cfg.layers, cfg=scfg)

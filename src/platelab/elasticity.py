@@ -33,7 +33,7 @@ def _check_sym(E: np.ndarray, dim: int) -> np.ndarray:
     E = np.asarray(E, dtype=float)
     if E.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {E.shape}")
-    if not np.array_equal(E, E.T):
+    if not (E == E.T).all():
         raise ValueError("matrix is not exactly symmetric")
     return E
 
@@ -47,7 +47,8 @@ def apply_C(p: LameParams, E: np.ndarray) -> np.ndarray:
 def quadratic_form_C(p: LameParams, E: np.ndarray) -> float:
     """C E . E = lam * tr(E)^2 + 2 mu * |E|^2."""
     E = _check_sym(E, p.n)
-    return p.lam * np.trace(E) ** 2 + 2.0 * p.mu * float(np.sum(E * E))
+    tr = E.trace()
+    return p.lam * (tr * tr) + 2.0 * p.mu * float((E * E).sum())
 
 
 def quadratic_form_C0(p: LameParams, E: np.ndarray) -> float:
@@ -57,7 +58,27 @@ def quadratic_form_C0(p: LameParams, E: np.ndarray) -> float:
     """
     E = _check_sym(E, p.n - 1)
     coeff = 2.0 * p.lam * p.mu / (p.lam + 2.0 * p.mu)
-    return coeff * np.trace(E) ** 2 + 2.0 * p.mu * float(np.sum(E * E))
+    tr = E.trace()
+    return coeff * (tr * tr) + 2.0 * p.mu * float((E * E).sum())
+
+
+def form_matrix(dim: int, f) -> np.ndarray:
+    """Matrix Q of a quadratic form f on dim x dim matrices, by polarization.
+
+    f takes any dim x dim matrix (symmetrize inside f to apply a form on
+    symmetric matrices); Q is in flattened coordinates, f(D) = vec(D).Q vec(D).
+    """
+    k = dim * dim
+    basis = [np.zeros((dim, dim)) for _ in range(k)]
+    for i in range(k):
+        basis[i].flat[i] = 1.0
+    Q = np.empty((k, k))
+    fs = [f(B) for B in basis]
+    for a in range(k):
+        for b in range(a, k):
+            fab = f(basis[a] + basis[b])
+            Q[a, b] = Q[b, a] = 0.5 * (fab - fs[a] - fs[b])
+    return Q
 
 
 def _embed(E: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import (LameParams, phi_rho, quadratic_form_C,
+from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
                          quadratic_form_C0, validate_lame)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, cell_derivative,
                              cell_strains, kl_lift)
@@ -32,32 +32,10 @@ class EnergyBreakdown:
                 "penalty": self.boundary_penalty, "total": self.total}
 
 
-def _quadratic_cell_matrix(p: LameParams, form) -> np.ndarray:
-    """Matrix Q of the quadratic form form(E) on symmetric dim x dim matrices,
-    expressed in flattened full-matrix coordinates: form(E) = vec(E).Q vec(E)."""
-    dim = p.n if form is quadratic_form_C else p.n - 1
-    basis = []
-    for i in range(dim):
-        for j in range(dim):
-            B = np.zeros((dim, dim))
-            B[i, j] = 0.5
-            B[j, i] += 0.5
-            basis.append(B)
-    k = len(basis)
-    Q = np.empty((k, k))
-    for a in range(k):
-        fa = form(p, basis[a])
-        for b in range(a, k):
-            fab = form(p, basis[a] + basis[b])
-            fb = form(p, basis[b])
-            Q[a, b] = Q[b, a] = 0.5 * (fab - fa - fb)
-    return Q
-
-
 def _bulk_sum(p: LameParams, strains: np.ndarray, form, cell_volume: float) -> float:
     dim = strains.shape[-1]
     flat = strains.reshape(-1, dim * dim)
-    Q = _quadratic_cell_matrix(p, form)
+    Q = form_matrix(dim, lambda D: form(p, 0.5 * (D + D.T)))
     vals = np.einsum("ki,ij,kj->k", flat, Q, flat)
     return 0.5 * cell_volume * float(np.sum(vals))
 
@@ -140,7 +118,6 @@ def limit_state_strains(s: KLState):
     """
     m = s.n - 1
     h = s.plan_h
-    ebar = np.zeros(tuple(s.plan_shape) + (m, m))
     D = np.zeros(tuple(s.plan_shape) + (m, m))
     for c in range(m):
         for a in range(m):

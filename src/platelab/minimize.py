@@ -1,10 +1,10 @@
 """Alternating minimization of the penalized plate energies.
 
 At fixed crack the bulk term is a convex quadratic in the cell values and
-is minimized by a preconditioned conjugate-gradient solve (sparse direct
-fallback).  Crack activation sweeps full vertical face columns (plus
-boundary-side releases) and keeps the best strict improvement, which for
-the n = 2 scenarios amounts to an exhaustive column search.
+is minimized by one sparse LU solve.  Crack activation sweeps full vertical
+face columns (plus boundary-side releases) and keeps the best strict
+improvement, which for the n = 2 scenarios amounts to an exhaustive column
+search.  One greedy search loop serves the rescaled and the limit problem.
 """
 
 from __future__ import annotations
@@ -16,26 +16,25 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .elasticity import (LameParams, quadratic_form_C, quadratic_form_C0,
-                         rescale_strain)
+from .elasticity import (LameParams, form_matrix, quadratic_form_C,
+                         quadratic_form_C0, rescale_strain)
 from .energy import (BoundaryDatum, EnergyBreakdown, boundary_penalty,
                      limit_energy, penalized_energies)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _empty_breaks,
                              _face_blocked, reduced_gradient)
 
 
+# relative slack of the strict-descent test of the greedy crack search
+_DESCENT_SLACK = 1e-10
+
+
 @dataclass
 class SolverConfig:
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 500
     altmin_max_rounds: int = 6
-    seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.cg_tol < 1.0:
-            raise ValueError("cg_tol must lie in (0,1)")
-        if self.cg_max_iter <= 0 or self.altmin_max_rounds <= 0:
-            raise ValueError("iteration caps must be positive")
+        if self.altmin_max_rounds <= 0:
+            raise ValueError("altmin_max_rounds must be positive")
 
 
 @dataclass
@@ -56,21 +55,6 @@ def empty_cracks(shape: tuple) -> CrackIndicator:
 
 # ---------------------------------------------------------------------------
 # quadratic assembly
-
-
-def _form_matrix(dim: int, f) -> np.ndarray:
-    """Matrix of the quadratic form f on flattened dim x dim matrices."""
-    k = dim * dim
-    basis = [np.zeros((dim, dim)) for _ in range(k)]
-    for i in range(k):
-        basis[i].flat[i] = 1.0
-    Q = np.empty((k, k))
-    fs = [f(B) for B in basis]
-    for a in range(k):
-        for b in range(a, k):
-            fab = f(basis[a] + basis[b])
-            Q[a, b] = Q[b, a] = 0.5 * (fab - fs[a] - fs[b])
-    return Q
 
 
 def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
@@ -144,10 +128,12 @@ def _connected_components(shape: tuple, broken: list):
     return labels
 
 
-def _solve_constrained(K, rhs_full, fixed_mask, fixed_vals, cfg: SolverConfig,
-                       labels_per_dof=None):
-    """Minimize 1/2 x.Kx with x = fixed_vals on fixed dofs; gauge floating parts."""
-    ndof = K.shape[0]
+def _solve_constrained(K, rhs_full, fixed_mask, fixed_vals, labels_per_dof=None):
+    """Minimize 1/2 x.Kx with x = fixed_vals on fixed dofs; gauge floating parts.
+
+    The reduced system on the free dofs is solved by a sparse LU
+    factorization (``scipy.sparse.linalg.splu``).
+    """
     x = np.array(fixed_vals, dtype=float)
     free = ~fixed_mask
     Kff = K[free][:, free].tocsr()
@@ -164,20 +150,7 @@ def _solve_constrained(K, rhs_full, fixed_mask, fixed_vals, cfg: SolverConfig,
             d = Kff.diagonal()
             kappa = 1e-8 * max(float(d.max()), 1.0)
             Kff = Kff + sp.diags(np.where(floating, kappa, 0.0))
-    if Kff.shape[0] <= 3000:  # small systems: factorization beats iteration
-        sol = spla.splu(Kff.tocsc()).solve(b)
-        x[free] = sol
-        return x
-    d = Kff.diagonal()
-    d = np.where(d > 0.0, d, 1.0)
-    M = spla.LinearOperator(Kff.shape, matvec=lambda v: v / d)
-    try:
-        sol, info = spla.cg(Kff, b, rtol=cfg.cg_tol, maxiter=cfg.cg_max_iter, M=M)
-    except TypeError:  # older scipy spells the relative tolerance "tol"
-        sol, info = spla.cg(Kff, b, tol=cfg.cg_tol, maxiter=cfg.cg_max_iter, M=M)
-    if info != 0 or not np.all(np.isfinite(sol)):
-        sol = spla.splu(Kff.tocsc()).solve(b)
-    x[free] = sol
+    x[free] = spla.splu(Kff.tocsc()).solve(b)
     return x
 
 
@@ -193,7 +166,7 @@ def _datum_values(grid: PlateGrid, g: BoundaryDatum) -> np.ndarray:
     return vals.reshape(grid.shape + (grid.n,))
 
 
-def _lateral_cell_mask(shape: tuple, plan_nd: int, axis: int, side: int):
+def _lateral_cell_mask(shape: tuple, axis: int, side: int):
     m = np.zeros(shape, dtype=bool)
     sl = [slice(None)] * len(shape)
     sl[axis] = 0 if side == 0 else shape[axis] - 1
@@ -212,7 +185,7 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
     def f(D):
         return quadratic_form_C(p, rescale_strain(0.5 * (D + D.T), rho))
 
-    Q = _form_matrix(n, f)
+    Q = form_matrix(n, f)
     K = _stiffness(G, Q, grid.cell_volume, ncell)
 
     gv = _datum_values(grid, g)
@@ -221,14 +194,14 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
         for side in (0, 1):
             if (axis, side) in cracks.released:
                 continue
-            fixed_cells |= _lateral_cell_mask(shape, n - 1, axis, side)
+            fixed_cells |= _lateral_cell_mask(shape, axis, side)
     fixed_mask = np.repeat(fixed_cells.ravel(), n)
     fixed_vals = gv.reshape(-1)
 
     labels_cell = _connected_components(shape, cracks.broken)
     labels_dof = np.repeat(labels_cell, n)
     x = _solve_constrained(K, np.zeros(K.shape[0]), fixed_mask, fixed_vals,
-                           cfg, labels_dof)
+                           labels_dof)
     return PlateField(grid, x.reshape(shape + (n,)),
                       [b.copy() for b in cracks.broken])
 
@@ -244,10 +217,48 @@ def _column_candidates(plan_shape: tuple):
     return out
 
 
-def _rescaled_total(grid, cracks, g, p, rho, cfg):
-    u = elastic_solve(grid, cracks, g, p, rho, cfg)
-    e = penalized_energies(u, p, g, rho)
-    return u, e
+def _greedy_search(total, cracks: CrackIndicator, plan_shape: tuple,
+                   column_area, rounds: int):
+    """Greedy crack activation from `cracks` by strict descent of `total`.
+
+    total(cracks) -> (state, EnergyBreakdown) solves at fixed crack;
+    column_area[axis] is the surface a new face column along that axis adds,
+    used to skip columns whose surface alone cannot descend.  Each round
+    tries every unbroken interior column and every unreleased side, and
+    keeps the best one if it lowers the total; at most `rounds` rounds.
+
+    Returns (state, cracks, EnergyBreakdown, energy_trace).
+    """
+    state, e = total(cracks)
+    trace = [e.total]
+    for _ in range(rounds):
+        floor = trace[-1] - _DESCENT_SLACK * max(1.0, trace[-1])
+        candidates = []
+        for axis, idx in _column_candidates(plan_shape):
+            if np.all(cracks.broken[axis][idx]):
+                continue
+            if e.surface + column_area[axis] >= floor:
+                continue  # candidate total >= candidate surface
+            cand = cracks.copy()
+            cand.broken[axis][idx] = True
+            candidates.append(cand)
+        for axis in range(len(plan_shape)):
+            for side in (0, 1):
+                if (axis, side) in cracks.released:
+                    continue
+                cand = cracks.copy()
+                cand.released.add((axis, side))
+                candidates.append(cand)
+        best = None
+        for cand in candidates:
+            sc, ec = total(cand)
+            if best is None or ec.total < best[2].total:
+                best = (cand, sc, ec)
+        if best is None or best[2].total >= floor:
+            break
+        cracks, state, e = best
+        trace.append(e.total)
+    return state, cracks, e, trace
 
 
 def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
@@ -256,40 +267,15 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
 
     Returns (field, cracks, EnergyBreakdown, energy_trace).
     """
-    n = grid.n
-    cracks = empty_cracks(grid.shape)
-    u, e = _rescaled_total(grid, cracks, g, p, rho, cfg)
-    trace = [e.total]
-    sp_grid = grid.spacings
-    for _ in range(cfg.altmin_max_rounds):
-        best = None
-        for axis, idx in _column_candidates(grid.plan_shape):
-            if np.all(cracks.broken[axis][idx]):
-                continue
-            # a vertical column adds grid.layers faces of this area (weight 1)
-            added = grid.layers * float(np.prod(np.delete(sp_grid, axis)))
-            # candidate total >= candidate surface: prune hopeless columns
-            if e.surface + added >= trace[-1] - cfg.cg_tol * max(1.0, trace[-1]):
-                continue
-            cand = cracks.copy()
-            cand.broken[axis][idx] = True
-            uc, ec = _rescaled_total(grid, cand, g, p, rho, cfg)
-            if best is None or ec.total < best[2].total:
-                best = (cand, uc, ec)
-        for axis in range(n - 1):
-            for side in (0, 1):
-                if (axis, side) in cracks.released:
-                    continue
-                cand = cracks.copy()
-                cand.released.add((axis, side))
-                uc, ec = _rescaled_total(grid, cand, g, p, rho, cfg)
-                if best is None or ec.total < best[2].total:
-                    best = (cand, uc, ec)
-        if best is None or best[2].total >= trace[-1] - cfg.cg_tol * max(1.0, trace[-1]):
-            break
-        cracks, u, e = best
-        trace.append(e.total)
-    return u, cracks, e, trace
+    def total(c):
+        u = elastic_solve(grid, c, g, p, rho, cfg)
+        return u, penalized_energies(u, p, g, rho)
+
+    # a vertical column adds grid.layers faces of this area (weight 1)
+    column_area = [grid.layers * float(np.prod(np.delete(grid.spacings, a)))
+                   for a in range(grid.n - 1)]
+    return _greedy_search(total, empty_cracks(grid.shape), grid.plan_shape,
+                          column_area, cfg.altmin_max_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +347,7 @@ def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
 
 
 def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
-                   g: BoundaryDatum, p: LameParams, cfg: SolverConfig) -> KLState:
+                   g: BoundaryDatum, p: LameParams) -> KLState:
     nd = len(plan_shape)
     n = nd + 1
     plan_h = (np.asarray(omega_hi, float) - np.asarray(omega_lo, float)) / np.asarray(plan_shape)
@@ -378,26 +364,25 @@ def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
         for side in (0, 1):
             if (axis, side) in cracks.released:
                 continue
-            fixed_cells |= _lateral_cell_mask(plan_shape, nd, axis, side)
+            fixed_cells |= _lateral_cell_mask(plan_shape, axis, side)
     labels = _connected_components(plan_shape, cracks.broken)
+    Q = form_matrix(nd, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
 
     # membrane solve for ubar
     Gm = _derivative_operator(plan_shape, plan_h, cracks.broken, nd)
-    Qm = _form_matrix(nd, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
-    Km = _stiffness(Gm, Qm, area, ncell)
+    Km = _stiffness(Gm, Q, area, ncell)
     gub = np.atleast_2d(np.asarray(g.ubar(Xp), dtype=float))
     fixed_m = np.repeat(fixed_cells.ravel(), nd)
     ub = _solve_constrained(Km, np.zeros(Km.shape[0]), fixed_m,
-                            gub.reshape(-1), cfg, np.repeat(labels, nd))
+                            gub.reshape(-1), np.repeat(labels, nd))
     ubar = ub.reshape(plan_shape + (nd,))
 
     # bending solve for un (weight 1/12 from the thickness integral)
     B = _hessian_operator(plan_shape, plan_h, cracks.broken)
-    Qb = _form_matrix(nd, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
-    Kb = _stiffness(B, Qb, area / 12.0, ncell)
+    Kb = _stiffness(B, Q, area / 12.0, ncell)
     gun = np.asarray(g.un(Xp), dtype=float).reshape(-1)
     un = _solve_constrained(Kb, np.zeros(Kb.shape[0]), fixed_cells.ravel(),
-                            gun, cfg, labels)
+                            gun, labels)
     un = un.reshape(plan_shape)
 
     grad_un = reduced_gradient(un, plan_h, cracks.broken)
@@ -412,43 +397,15 @@ def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,
     Returns (KLState, cracks, EnergyBreakdown, energy_trace).
     """
     plan_shape = tuple(plan_shape)
-    cracks = empty_cracks(plan_shape)
 
     def total(c):
-        s = _reduced_solve(plan_shape, omega_lo, omega_hi, c, g, p, cfg)
+        s = _reduced_solve(plan_shape, omega_lo, omega_hi, c, g, p)
         e = limit_energy(s, p)
         pen = boundary_penalty(s, g)
         return s, EnergyBreakdown(e.bulk, e.surface, pen)
 
-    s, e = total(cracks)
-    trace = [e.total]
-    nd = len(plan_shape)
+    # crack column measure: 1 for n=2, face length for n=3
     plan_h = (np.asarray(omega_hi, float) - np.asarray(omega_lo, float)) / np.asarray(plan_shape)
-    for _ in range(cfg.altmin_max_rounds):
-        best = None
-        for axis, idx in _column_candidates(plan_shape):
-            if cracks.broken[axis][idx]:
-                continue
-            # crack column measure: 1 for n=2, face length for n=3
-            added = float(np.prod(np.delete(plan_h, axis))) if nd > 1 else 1.0
-            if e.surface + added >= trace[-1] - cfg.cg_tol * max(1.0, trace[-1]):
-                continue
-            cand = cracks.copy()
-            cand.broken[axis][idx] = True
-            sc, ec = total(cand)
-            if best is None or ec.total < best[2].total:
-                best = (cand, sc, ec)
-        for axis in range(nd):
-            for side in (0, 1):
-                if (axis, side) in cracks.released:
-                    continue
-                cand = cracks.copy()
-                cand.released.add((axis, side))
-                sc, ec = total(cand)
-                if best is None or ec.total < best[2].total:
-                    best = (cand, sc, ec)
-        if best is None or best[2].total >= trace[-1] - cfg.cg_tol * max(1.0, trace[-1]):
-            break
-        cracks, s, e = best
-        trace.append(e.total)
-    return s, cracks, e, trace
+    column_area = [float(np.prod(np.delete(plan_h, a))) for a in range(len(plan_shape))]
+    return _greedy_search(total, empty_cracks(plan_shape), plan_shape,
+                          column_area, cfg.altmin_max_rounds)

@@ -140,6 +140,24 @@ def test_cli_rejects_unknown_datum(capsys):
     assert run_cli(["minimize", "--datum", "shear:0.5"]) == 1
 
 
+_IGNORED_FLAGS = (
+    [(cmd, "--seed", "3") for cmd in
+     ("approximate", "recover", "liminf", "minimize", "sweep")]
+    + [(cmd, flag, value) for cmd in ("recover", "liminf", "minimize", "sweep")
+       for flag, value in (("--h", "0.0625"), ("--crack", "crack.txt"))]
+    + [(cmd, "--rho", "0.1") for cmd in
+       ("classify", "jump-energy", "approximate", "minimize")]
+    + [(cmd, "--datum", "stretch:0.5") for cmd in
+       ("classify", "jump-energy", "approximate")])
+
+
+@pytest.mark.parametrize("command,flag,value", _IGNORED_FLAGS)
+def test_cli_rejects_flag_the_subcommand_ignores(command, flag, value, capsys):
+    assert run_cli([command, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and command in err
+
+
 def test_cli_classify_writes_csv(tmp_path, capsys):
     crack_path = tmp_path / "crack.txt"
     axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)

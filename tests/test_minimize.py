@@ -13,10 +13,6 @@ P2 = LameParams(1.0, 1.0, 2)
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(cg_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(cg_max_iter=0)
-    with pytest.raises(ValueError):
         SolverConfig(altmin_max_rounds=0)
 
 
@@ -79,6 +75,26 @@ def test_minimize_limit_supercritical_bar():
     assert e.total == pytest.approx(1.0, rel=0.02)
     # energy trace decreases strictly at each accepted activation
     assert all(trace[i + 1] < trace[i] for i in range(len(trace) - 1))
+
+
+def test_minimize_limit_plate_trace_and_round_cap():
+    # n = 3 on a 4 x 4 plan: the second round breaks the face next to the
+    # first one; with one round allowed the search stops at the cap
+    g = stretch_datum(1.5, 3)
+    p3 = LameParams(1.0, 1.0, 3)
+    s, cracks, e, trace = minimize_limit((4, 4), (0.0, 0.0), (1.0, 1.0), g, p3,
+                                         SolverConfig(altmin_max_rounds=1))
+    assert trace == pytest.approx([2.876396056834725, 2.597733740491489],
+                                  rel=1e-12)
+    assert np.argwhere(cracks.broken[0]).tolist() == [[1, 1]]
+    assert not np.any(cracks.broken[1]) and not cracks.released
+    s, cracks, e, trace = minimize_limit((4, 4), (0.0, 0.0), (1.0, 1.0), g, p3,
+                                         SolverConfig())
+    assert trace == pytest.approx([2.876396056834725, 2.597733740491489,
+                                   2.3151364171450415], rel=1e-12)
+    assert e.total == trace[-1]
+    assert np.argwhere(cracks.broken[0]).tolist() == [[1, 1], [1, 2]]
+    assert not np.any(cracks.broken[1]) and not cracks.released
 
 
 def test_alternate_minimize_subcritical():
