@@ -10,6 +10,7 @@ search.  One greedy search loop serves the rescaled and the limit problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +59,8 @@ def empty_cracks(shape: tuple) -> CrackIndicator:
 
 
 def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
-    """Sparse map from cell dofs to per-cell derivative matrices D[m, a].
+    """Stencil triplets (rows, cols, vals) of the map from cell dofs to
+    per-cell derivative matrices D[m, a].
 
     Row ordering: cell * (ncomp*nd) + m*nd + a; forward quotients with
     backward fallback at blocked plus-faces, zero when isolated.
@@ -92,15 +94,7 @@ def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
             rows.append(rbase.ravel()[idx])
             cols.append(minus.ravel()[idx] * ncomp + m)
             data.append(np.full(idx.size, -1.0 / h))
-    G = sp.csr_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ncell * ncomp * nd, ncell * ncomp))
-    return G
-
-
-def _stiffness(G, Q: np.ndarray, cell_volume: float, ncell: int):
-    W = sp.kron(sp.identity(ncell, format="csr"), sp.csr_matrix(Q))
-    return (G.T @ (W @ G)) * cell_volume
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
 
 def _connected_components(shape: tuple, broken: list):
@@ -128,29 +122,75 @@ def _connected_components(shape: tuple, broken: list):
     return labels
 
 
-def _solve_constrained(K, rhs_full, fixed_mask, fixed_vals, labels_per_dof=None):
-    """Minimize 1/2 x.Kx with x = fixed_vals on fixed dofs; gauge floating parts.
+def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):
+    """Free block Kff and load b = -K_free,fixed x_fixed of the bulk quadratic.
 
-    The reduced system on the free dofs is solved by a sparse LU
-    factorization (``scipy.sparse.linalg.splu``).
+    K = weight * S^T (I kron Q) S for the stencil triplets S = (rows, cols,
+    vals) with row = cell * len(Q) + alpha, assembled cell by cell:
+    K[i, j] += weight * S[c alpha, i] Q[alpha, beta] S[c beta, j] over all
+    pairs of a cell's entries (cells padded to the widest stencil).  Only
+    pairs with a free row are kept; K itself is never formed.
     """
-    x = np.array(fixed_vals, dtype=float)
+    rows, cols, vals = stencil
+    cell, alpha = np.divmod(rows, len(Q))
+    order = np.argsort(cell, kind="stable")
+    cell, alpha, cols, vals = cell[order], alpha[order], cols[order], vals[order]
+    counts = np.bincount(cell, minlength=1)
+    slot = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pad = (counts.size, int(counts.max()))
+    A = np.zeros(pad, dtype=int)
+    J = np.zeros(pad, dtype=int)
+    V = np.zeros(pad)
+    A[cell, slot], J[cell, slot], V[cell, slot] = alpha, cols, vals
+    pair = (weight * V[:, :, None]) * Q[A[:, :, None], A[:, None, :]] * V[:, None, :]
+    i = np.broadcast_to(J[:, :, None], pair.shape)
+    j = np.broadcast_to(J[:, None, :], pair.shape)
+
     free = ~fixed_mask
-    Kff = K[free][:, free].tocsr()
-    b = -(K[free][:, fixed_mask] @ fixed_vals[fixed_mask]) + rhs_full[free]
+    keep = free[i] & (pair != 0.0)
+    i, j, pair = i[keep], j[keep], pair[keep]
+    index = np.cumsum(free) - 1  # free dof number of each free dof
+    nfree = int(np.count_nonzero(free))
+    to_free = free[j]
+    Kff = sp.csc_matrix((pair[to_free], (index[i[to_free]], index[j[to_free]])),
+                        shape=(nfree, nfree))
+    to_fixed = ~to_free
+    b = -np.bincount(index[i[to_fixed]],
+                     weights=pair[to_fixed] * fixed_vals[j[to_fixed]],
+                     minlength=nfree)
+    return Kff, b
+
+
+def _solve_constrained(Kff, b, floating):
+    """Solve Kff y = b for the free dofs; gauge floating components.
+
+    A small diagonal shift on the `floating` free dofs (components with no
+    fixed dof) removes their null space; every Kff is then symmetric
+    positive definite and is factored by a symmetric-mode sparse LU
+    (``scipy.sparse.linalg.splu``, minimum degree on A^T + A, diagonal
+    pivots).  An exactly singular Kff raises RuntimeError.
+    """
     if not np.any(b):  # zero data: the zero field is the (gauged) minimizer
-        x[free] = 0.0
-        return x
-    # gauge floating connected components (no fixed dof)
-    if labels_per_dof is not None:
-        lab = labels_per_dof[free]
-        anchored = set(np.unique(labels_per_dof[fixed_mask]))
-        floating = ~np.isin(lab, list(anchored)) if anchored else np.ones(lab.size, bool)
-        if np.any(floating):
-            d = Kff.diagonal()
-            kappa = 1e-8 * max(float(d.max()), 1.0)
-            Kff = Kff + sp.diags(np.where(floating, kappa, 0.0))
-    x[free] = spla.splu(Kff.tocsc()).solve(b)
+        return np.zeros(b.size)
+    if np.any(floating):
+        kappa = 1e-8 * max(float(Kff.diagonal().max()), 1.0)
+        Kff = Kff + sp.diags(np.where(floating, kappa, 0.0))
+    lu = spla.splu(Kff.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    return lu.solve(b)
+
+
+def _fixed_crack_solve(stencil, Q: np.ndarray, weight: float, fixed_mask,
+                       fixed_vals, labels):
+    """Minimize the bulk quadratic with x = fixed_vals on the fixed dofs.
+
+    labels: connected-component label of each dof, for the gauge.
+    """
+    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals)
+    anchored = np.zeros(labels.max() + 1, dtype=bool)
+    anchored[labels[fixed_mask]] = True
+    x = np.array(fixed_vals, dtype=float)
+    x[~fixed_mask] = _solve_constrained(Kff, b, ~anchored[labels[~fixed_mask]])
     return x
 
 
@@ -174,20 +214,24 @@ def _lateral_cell_mask(shape: tuple, axis: int, side: int):
     return m
 
 
+@lru_cache(maxsize=8)
+def _film_form(n: int, p: LameParams, rho: float) -> np.ndarray:
+    """Read-only Q of the rescaled density on derivative matrices.
+
+    Cached because the crack search calls `elastic_solve` once per candidate
+    with the same (n, p, rho).
+    """
+    Q = form_matrix(n, lambda D: quadratic_form_C(p, rescale_strain(0.5 * (D + D.T), rho)))
+    Q.flags.writeable = False
+    return Q
+
+
 def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
-                  p: LameParams, rho: float, cfg: SolverConfig) -> PlateField:
+                  p: LameParams, rho: float) -> PlateField:
     """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased sides."""
     n = grid.n
     shape = grid.shape
-    ncell = int(np.prod(shape))
     G = _derivative_operator(shape, grid.spacings, cracks.broken, n)
-
-    def f(D):
-        return quadratic_form_C(p, rescale_strain(0.5 * (D + D.T), rho))
-
-    Q = form_matrix(n, f)
-    K = _stiffness(G, Q, grid.cell_volume, ncell)
-
     gv = _datum_values(grid, g)
     fixed_cells = np.zeros(shape, dtype=bool)
     for axis in range(n - 1):
@@ -195,13 +239,10 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
             if (axis, side) in cracks.released:
                 continue
             fixed_cells |= _lateral_cell_mask(shape, axis, side)
-    fixed_mask = np.repeat(fixed_cells.ravel(), n)
-    fixed_vals = gv.reshape(-1)
-
-    labels_cell = _connected_components(shape, cracks.broken)
-    labels_dof = np.repeat(labels_cell, n)
-    x = _solve_constrained(K, np.zeros(K.shape[0]), fixed_mask, fixed_vals,
-                           labels_dof)
+    labels = _connected_components(shape, cracks.broken)
+    x = _fixed_crack_solve(G, _film_form(n, p, rho), grid.cell_volume,
+                           np.repeat(fixed_cells.ravel(), n), gv.reshape(-1),
+                           np.repeat(labels, n))
     return PlateField(grid, x.reshape(shape + (n,)),
                       [b.copy() for b in cracks.broken])
 
@@ -268,7 +309,7 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
     Returns (field, cracks, EnergyBreakdown, energy_trace).
     """
     def total(c):
-        u = elastic_solve(grid, c, g, p, rho, cfg)
+        u = elastic_solve(grid, c, g, p, rho)
         return u, penalized_energies(u, p, g, rho)
 
     # a vertical column adds grid.layers faces of this area (weight 1)
@@ -283,7 +324,8 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
 
 
 def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
-    """Sparse map from un dofs to per-cell Hessian entries H[a, b].
+    """Stencil triplets (rows, cols, vals) of the map from un dofs to
+    per-cell Hessian entries H[a, b], row cell * nd*nd + a*nd + b.
 
     Centered second differences where both faces are open, one-sided shifted
     stencils otherwise, zero rows where no admissible stencil exists.
@@ -337,22 +379,18 @@ def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
                                    (mp, -0.25)):
                         add(r_ab.ravel()[idx], arr.ravel()[idx],
                             np.full(idx.size, w / hab))
-    if rows:
-        B = sp.csr_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(ncell * nd * nd, ncell))
-    else:
-        B = sp.csr_matrix((ncell * nd * nd, ncell))
-    return B
+    if not rows:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
 
 def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
-                   g: BoundaryDatum, p: LameParams) -> KLState:
+                   g: BoundaryDatum, Q: np.ndarray) -> KLState:
+    """Minimize the bulk of E_0 at fixed cracks; Q is the C0 form matrix."""
     nd = len(plan_shape)
     n = nd + 1
     plan_h = (np.asarray(omega_hi, float) - np.asarray(omega_lo, float)) / np.asarray(plan_shape)
     area = float(np.prod(plan_h))
-    ncell = int(np.prod(plan_shape))
 
     axes = [omega_lo[a] + plan_h[a] * (np.arange(plan_shape[a]) + 0.5)
             for a in range(nd)]
@@ -366,23 +404,18 @@ def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
                 continue
             fixed_cells |= _lateral_cell_mask(plan_shape, axis, side)
     labels = _connected_components(plan_shape, cracks.broken)
-    Q = form_matrix(nd, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
 
     # membrane solve for ubar
     Gm = _derivative_operator(plan_shape, plan_h, cracks.broken, nd)
-    Km = _stiffness(Gm, Q, area, ncell)
     gub = np.atleast_2d(np.asarray(g.ubar(Xp), dtype=float))
-    fixed_m = np.repeat(fixed_cells.ravel(), nd)
-    ub = _solve_constrained(Km, np.zeros(Km.shape[0]), fixed_m,
-                            gub.reshape(-1), np.repeat(labels, nd))
-    ubar = ub.reshape(plan_shape + (nd,))
+    ubar = _fixed_crack_solve(Gm, Q, area, np.repeat(fixed_cells.ravel(), nd),
+                              gub.reshape(-1), np.repeat(labels, nd))
+    ubar = ubar.reshape(plan_shape + (nd,))
 
     # bending solve for un (weight 1/12 from the thickness integral)
     B = _hessian_operator(plan_shape, plan_h, cracks.broken)
-    Kb = _stiffness(B, Q, area / 12.0, ncell)
     gun = np.asarray(g.un(Xp), dtype=float).reshape(-1)
-    un = _solve_constrained(Kb, np.zeros(Kb.shape[0]), fixed_cells.ravel(),
-                            gun, labels)
+    un = _fixed_crack_solve(B, Q, area / 12.0, fixed_cells.ravel(), gun, labels)
     un = un.reshape(plan_shape)
 
     grad_un = reduced_gradient(un, plan_h, cracks.broken)
@@ -397,9 +430,10 @@ def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,
     Returns (KLState, cracks, EnergyBreakdown, energy_trace).
     """
     plan_shape = tuple(plan_shape)
+    Q = form_matrix(len(plan_shape), lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
 
     def total(c):
-        s = _reduced_solve(plan_shape, omega_lo, omega_hi, c, g, p)
+        s = _reduced_solve(plan_shape, omega_lo, omega_hi, c, g, Q)
         e = limit_energy(s, p)
         pen = boundary_penalty(s, g)
         return s, EnergyBreakdown(e.bulk, e.surface, pen)

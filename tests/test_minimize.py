@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platelab.elasticity import LameParams
+from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
+                                 quadratic_form_C0, rescale_strain)
 from platelab.energy import stretch_datum
 from platelab.kirchhoff_love import PlateGrid
-from platelab.minimize import (CrackIndicator, SolverConfig,
+from platelab.minimize import (CrackIndicator, SolverConfig, _derivative_operator,
+                               _hessian_operator, _lateral_cell_mask,
+                               _reduced_system, _solve_constrained,
                                alternate_minimize, elastic_solve,
                                empty_cracks, minimize_limit)
 
@@ -31,8 +36,7 @@ def test_elastic_solve_uncracked_stretch():
     t = 0.5
     grid = PlateGrid(2, (48,), 6, (0.0,), (1.0,))
     g = stretch_datum(t, 2)
-    cfg = SolverConfig()
-    u = elastic_solve(grid, empty_cracks(grid.shape), g, P2, 0.05, cfg)
+    u = elastic_solve(grid, empty_cracks(grid.shape), g, P2, 0.05)
     # datum is clamped on both lateral cell columns
     xs = grid.plan_centers(0)
     assert np.allclose(u.values[0, :, 0], t * xs[0], atol=1e-9)
@@ -47,8 +51,7 @@ def test_elastic_solve_reaches_reduced_energy_density():
     t = 0.5
     grid = PlateGrid(2, (48,), 6, (0.0,), (1.0,))
     g = stretch_datum(t, 2)
-    u = elastic_solve(grid, empty_cracks(grid.shape), g, P2, 0.01,
-                      SolverConfig())
+    u = elastic_solve(grid, empty_cracks(grid.shape), g, P2, 0.01)
     e = rescaled_energy(u, P2, 0.01)
     target = 0.5 * (8.0 / 3.0) * t ** 2
     assert e.bulk == pytest.approx(target, rel=0.03)
@@ -132,10 +135,89 @@ def test_released_side_drops_datum():
     from platelab.energy import boundary_penalty, rescaled_energy
     grid = PlateGrid(2, (24,), 4, (0.0,), (1.0,))
     g = stretch_datum(0.8, 2)
-    cfg = SolverConfig()
     c = CrackIndicator([b.copy() for b in empty_cracks(grid.shape).broken],
                        {(0, 1)})
-    u = elastic_solve(grid, c, g, P2, 0.05, cfg)
+    u = elastic_solve(grid, c, g, P2, 0.05)
     e_rel = rescaled_energy(u, P2, 0.05)
     assert e_rel.bulk == pytest.approx(0.0, abs=1e-8)  # free end: no stretch
     assert boundary_penalty(u, g) > 0.0
+
+
+@st.composite
+def _stencil_case(draw):
+    """A stencil, its form matrix Q and a clamp, for n = 2 or 3.
+
+    "membrane" and "hessian" act on the plan (n - 1 axes), "film" on the
+    full grid (n axes, n components); broken faces and released sides random.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["membrane", "hessian", "film"]))
+    nd = n if kind == "film" else n - 1
+    shape = tuple(draw(st.integers(2, 5 if nd < 3 else 3)) for _ in range(nd))
+    h = [draw(st.sampled_from([0.25, 0.2, 1.0 / 3.0])) for _ in range(nd)]
+    broken = []
+    for a in range(nd):
+        s = list(shape)
+        s[a] -= 1
+        flags = draw(st.lists(st.booleans(), min_size=int(np.prod(s)),
+                              max_size=int(np.prod(s))))
+        broken.append(np.array(flags, dtype=bool).reshape(s))
+    released = draw(st.sets(st.tuples(st.integers(0, n - 2), st.integers(0, 1))))
+    p = LameParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0)), n)
+    if kind == "film":
+        ncomp = n
+        stencil = _derivative_operator(shape, h, broken, n)
+        rho = draw(st.sampled_from([0.05, 0.5]))
+        Q = form_matrix(n, lambda D: quadratic_form_C(
+            p, rescale_strain(0.5 * (D + D.T), rho)))
+    else:
+        ncomp = 1 if kind == "hessian" else nd
+        stencil = (_hessian_operator(shape, h, broken) if kind == "hessian"
+                   else _derivative_operator(shape, h, broken, nd))
+        Q = form_matrix(nd, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
+    fixed_cells = np.zeros(shape, dtype=bool)
+    for axis in range(n - 1):
+        for side in (0, 1):
+            if (axis, side) not in released:
+                fixed_cells |= _lateral_cell_mask(shape, axis, side)
+    fixed_mask = np.repeat(fixed_cells.ravel(), ncomp)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    fixed_vals = rng.standard_normal(fixed_mask.size)
+    weight = float(np.prod(h)) / (12.0 if kind == "hessian" else 1.0)
+    return stencil, Q, weight, fixed_mask, fixed_vals, int(np.prod(shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stencil_case())
+def test_reduced_system_matches_dense_reference(case):
+    # Kff and b = -K_free,fixed x_fixed against K = w S^T (I kron Q) S, dense
+    stencil, Q, weight, fixed_mask, fixed_vals, ncell = case
+    rows, cols, vals = stencil
+    S = np.zeros((ncell * len(Q), fixed_mask.size))
+    np.add.at(S, (rows, cols), vals)
+    K = weight * S.T @ np.kron(np.eye(ncell), Q) @ S
+    free = ~fixed_mask
+    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals)
+    scale = max(np.abs(K).max(), 1.0)
+    assert Kff.shape == (free.sum(), free.sum())
+    np.testing.assert_allclose(Kff.toarray(), K[np.ix_(free, free)],
+                               rtol=1e-12, atol=1e-12 * scale)
+    ref_b = -K[np.ix_(free, fixed_mask)] @ fixed_vals[fixed_mask]
+    np.testing.assert_allclose(b, ref_b, rtol=1e-12,
+                               atol=1e-12 * scale * max(np.abs(fixed_vals).max(), 1.0))
+
+
+def test_exactly_singular_free_block_raises():
+    # four cells on [0, 1], the face between cells 1 and 2 broken and only
+    # cell 0 clamped: cells 2 and 3 float, so the free block is singular
+    shape, h = (4,), [0.25]
+    stencil = _derivative_operator(shape, h, [np.array([False, True, False])], 1)
+    fixed_mask = np.array([True, False, False, False])
+    fixed_vals = np.array([1.0, 0.0, 0.0, 0.0])
+    Kff, b = _reduced_system(stencil, np.eye(1), 0.25, fixed_mask, fixed_vals)
+    assert np.any(b)
+    with pytest.raises(RuntimeError):
+        _solve_constrained(Kff, b, np.zeros(3, dtype=bool))
+    # gauged, the floating cells settle at zero and cell 1 follows cell 0
+    y = _solve_constrained(Kff, b, np.array([False, True, True]))
+    assert np.allclose(y, [1.0, 0.0, 0.0], atol=1e-12)
