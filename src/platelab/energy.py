@@ -8,6 +8,7 @@ areas, weighted by the anisotropic factor phi_rho in the rescaled energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,10 +33,22 @@ class EnergyBreakdown:
                 "penalty": self.boundary_penalty, "total": self.total}
 
 
+@lru_cache(maxsize=8)
+def _form(dim: int, form, p: LameParams) -> np.ndarray:
+    """Read-only Q of form(p, .) on symmetric dim x dim matrices.
+
+    Cached because the crack search evaluates the energy once per candidate
+    with the same (dim, form, p).
+    """
+    Q = form_matrix(dim, lambda D: form(p, 0.5 * (D + D.T)))
+    Q.flags.writeable = False
+    return Q
+
+
 def _bulk_sum(p: LameParams, strains: np.ndarray, form, cell_volume: float) -> float:
     dim = strains.shape[-1]
     flat = strains.reshape(-1, dim * dim)
-    Q = form_matrix(dim, lambda D: form(p, 0.5 * (D + D.T)))
+    Q = _form(dim, form, p)
     vals = np.einsum("ki,ij,kj->k", flat, Q, flat)
     return 0.5 * cell_volume * float(np.sum(vals))
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.ndimage as ndimage
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .elasticity import (LameParams, form_matrix, quadratic_form_C,
@@ -98,28 +98,22 @@ def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
 
 
 def _connected_components(shape: tuple, broken: list):
-    nd = len(shape)
-    ncell = int(np.prod(shape))
-    flat = np.arange(ncell).reshape(shape)
-    rows, cols = [], []
-    for a in range(nd):
-        sl_lo = [slice(None)] * nd
-        sl_lo[a] = slice(0, shape[a] - 1)
-        sl_hi = [slice(None)] * nd
-        sl_hi[a] = slice(1, shape[a])
-        open_face = ~broken[a]
-        lo = flat[tuple(sl_lo)][open_face]
-        hi = flat[tuple(sl_hi)][open_face]
-        rows.append(lo)
-        cols.append(hi)
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = c = np.array([], dtype=int)
-    adj = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(ncell, ncell))
-    ncomp, labels = csgraph.connected_components(adj, directed=False)
-    return labels
+    """Component label (from 0) of each cell, cells joined by unbroken faces.
+
+    Labels one image of 2s - 1 pixels per axis of s cells: cells at even
+    positions, the face between cells k and k + 1 of axis a at position
+    2k + 1 along a (True when unbroken), so under cross connectivity two
+    cells meet exactly through an open face.
+    """
+    cells = tuple(slice(None, None, 2) for _ in shape)
+    image = np.zeros(tuple(2 * s - 1 for s in shape), dtype=bool)
+    image[cells] = True
+    for a, b in enumerate(broken):
+        faces = list(cells)
+        faces[a] = slice(1, None, 2)
+        image[tuple(faces)] = ~b
+    labels, _ = ndimage.label(image)
+    return labels[cells].ravel() - 1
 
 
 def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):
@@ -180,16 +174,20 @@ def _solve_constrained(Kff, b, floating):
     return lu.solve(b)
 
 
-def _fixed_crack_solve(stencil, Q: np.ndarray, weight: float, fixed_mask,
+def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask,
                        fixed_vals, labels):
     """Minimize the bulk quadratic with x = fixed_vals on the fixed dofs.
 
-    labels: connected-component label of each dof, for the gauge.
+    operator() builds the stencil triplets; it is not called when every
+    clamped value is zero, since the zero field is then the (gauged)
+    minimizer.  labels: connected-component label of each dof, for the gauge.
     """
-    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals)
+    x = np.where(fixed_mask, fixed_vals, 0.0)
+    if not np.any(x):
+        return x
+    Kff, b = _reduced_system(operator(), Q, weight, fixed_mask, fixed_vals)
     anchored = np.zeros(labels.max() + 1, dtype=bool)
     anchored[labels[fixed_mask]] = True
-    x = np.array(fixed_vals, dtype=float)
     x[~fixed_mask] = _solve_constrained(Kff, b, ~anchored[labels[~fixed_mask]])
     return x
 
@@ -231,7 +229,6 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
     """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased sides."""
     n = grid.n
     shape = grid.shape
-    G = _derivative_operator(shape, grid.spacings, cracks.broken, n)
     gv = _datum_values(grid, g)
     fixed_cells = np.zeros(shape, dtype=bool)
     for axis in range(n - 1):
@@ -240,9 +237,10 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
                 continue
             fixed_cells |= _lateral_cell_mask(shape, axis, side)
     labels = _connected_components(shape, cracks.broken)
-    x = _fixed_crack_solve(G, _film_form(n, p, rho), grid.cell_volume,
-                           np.repeat(fixed_cells.ravel(), n), gv.reshape(-1),
-                           np.repeat(labels, n))
+    x = _fixed_crack_solve(
+        lambda: _derivative_operator(shape, grid.spacings, cracks.broken, n),
+        _film_form(n, p, rho), grid.cell_volume,
+        np.repeat(fixed_cells.ravel(), n), gv.reshape(-1), np.repeat(labels, n))
     return PlateField(grid, x.reshape(shape + (n,)),
                       [b.copy() for b in cracks.broken])
 
@@ -406,16 +404,18 @@ def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
     labels = _connected_components(plan_shape, cracks.broken)
 
     # membrane solve for ubar
-    Gm = _derivative_operator(plan_shape, plan_h, cracks.broken, nd)
     gub = np.atleast_2d(np.asarray(g.ubar(Xp), dtype=float))
-    ubar = _fixed_crack_solve(Gm, Q, area, np.repeat(fixed_cells.ravel(), nd),
-                              gub.reshape(-1), np.repeat(labels, nd))
+    ubar = _fixed_crack_solve(
+        lambda: _derivative_operator(plan_shape, plan_h, cracks.broken, nd),
+        Q, area, np.repeat(fixed_cells.ravel(), nd), gub.reshape(-1),
+        np.repeat(labels, nd))
     ubar = ubar.reshape(plan_shape + (nd,))
 
     # bending solve for un (weight 1/12 from the thickness integral)
-    B = _hessian_operator(plan_shape, plan_h, cracks.broken)
     gun = np.asarray(g.un(Xp), dtype=float).reshape(-1)
-    un = _fixed_crack_solve(B, Q, area / 12.0, fixed_cells.ravel(), gun, labels)
+    un = _fixed_crack_solve(
+        lambda: _hessian_operator(plan_shape, plan_h, cracks.broken),
+        Q, area / 12.0, fixed_cells.ravel(), gun, labels)
     un = un.reshape(plan_shape)
 
     grad_un = reduced_gradient(un, plan_h, cracks.broken)

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
                                  quadratic_form_C0, rescale_strain)
-from platelab.energy import stretch_datum
+from platelab import minimize
+from platelab.energy import BoundaryDatum, stretch_datum
 from platelab.kirchhoff_love import PlateGrid
-from platelab.minimize import (CrackIndicator, SolverConfig, _derivative_operator,
-                               _hessian_operator, _lateral_cell_mask,
+from platelab.minimize import (CrackIndicator, SolverConfig, _connected_components,
+                               _derivative_operator, _hessian_operator,
+                               _lateral_cell_mask, _reduced_solve,
                                _reduced_system, _solve_constrained,
                                alternate_minimize, elastic_solve,
                                empty_cracks, minimize_limit)
@@ -221,3 +223,101 @@ def test_exactly_singular_free_block_raises():
     # gauged, the floating cells settle at zero and cell 1 follows cell 0
     y = _solve_constrained(Kff, b, np.array([False, True, True]))
     assert np.allclose(y, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def _union_find_labels(shape, broken):
+    """Root of each cell (C order) after joining the cells of every open face."""
+    parent = list(range(int(np.prod(shape))))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in range(len(shape)):
+        for face in zip(*np.nonzero(~broken[a])):
+            lo = np.ravel_multi_index(face, shape)
+            hi = np.ravel_multi_index(tuple(f + (b == a) for b, f in enumerate(face)), shape)
+            parent[root(lo)] = root(hi)
+    return np.array([root(i) for i in range(len(parent))])
+
+
+@st.composite
+def _face_pattern(draw):
+    """A shape of rank 1 to 3 (axes of length 1 allowed) and broken faces:
+    none, all, or a random pattern."""
+    rank = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, {1: 12, 2: 6, 3: 4}[rank])) for _ in range(rank))
+    fill = draw(st.sampled_from(["none", "all", "random"]))
+    broken = []
+    for a in range(rank):
+        s = list(shape)
+        s[a] -= 1
+        size = int(np.prod(s))
+        if fill == "random":
+            flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        else:
+            flags = [fill == "all"] * size
+        broken.append(np.array(flags, dtype=bool).reshape(s))
+    return shape, broken
+
+
+@settings(max_examples=300, deadline=None)
+@given(_face_pattern())
+def test_connected_components_partition(case):
+    # cells i and j share a label exactly when a union-find over the open
+    # faces puts them in one set; the numbering itself is free
+    shape, broken = case
+    labels = _connected_components(shape, broken)
+    ref = _union_find_labels(shape, broken)
+    assert labels.shape == (int(np.prod(shape)),)
+    assert labels.min() == 0
+    assert np.array_equal(labels[:, None] == labels[None, :], ref[:, None] == ref[None, :])
+
+
+def _c0_form(n):
+    p = LameParams(1.0, 1.0, n)
+    return form_matrix(n - 1, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
+
+
+def test_reduced_solve_skips_zero_bending_data(monkeypatch):
+    # a stretch datum clamps un = 0; cracks at faces 2 and 5 leave cells 3-5
+    # floating, yet the bending solve must not even build its stencil
+    def no_stencil(*args):
+        raise AssertionError("_hessian_operator called for zero clamp data")
+
+    monkeypatch.setattr(minimize, "_hessian_operator", no_stencil)
+    broken = np.zeros(7, dtype=bool)
+    broken[[2, 5]] = True
+    s = _reduced_solve((8,), (0.0,), (1.0,), CrackIndicator([broken]),
+                       stretch_datum(1.2, 2), _c0_form(2))
+    assert np.array_equal(s.un, np.zeros(8))
+    assert np.array_equal(s.grad_un, np.zeros((8, 1)))
+    # the membrane solve still runs: the clamped cells carry the stretch
+    assert s.ubar[0, 0] == pytest.approx(1.2 / 16.0)
+    assert s.ubar[-1, 0] == pytest.approx(1.2 * 15.0 / 16.0)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0 / 16.0])
+def test_reduced_solve_runs_bending_for_nonzero_data(monkeypatch, c):
+    # un = (x^2 - c^2) / 2 clamps nonzero values (with c = 1/16 the first
+    # cell's value is zero, the last one's is not): the Hessian stencil is built
+    calls = []
+    hessian = minimize._hessian_operator
+
+    def spy(*args):
+        calls.append(args)
+        return hessian(*args)
+
+    monkeypatch.setattr(minimize, "_hessian_operator", spy)
+    g = BoundaryDatum(lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)),
+                      lambda X: 0.5 * (np.atleast_2d(X)[:, 0] ** 2 - c * c),
+                      lambda X: np.atleast_2d(X)[:, :1].copy(), 2)
+    s = _reduced_solve((8,), (0.0,), (1.0,), empty_cracks((8,)), g, _c0_form(2))
+    assert len(calls) == 1
+    x = (np.arange(8) + 0.5) / 8.0
+    assert s.un[0] == 0.5 * (x[0] ** 2 - c * c)
+    assert s.un[-1] == 0.5 * (x[-1] ** 2 - c * c)
+    assert np.all(s.un[1:-1] > 0.0)
+    assert np.array_equal(s.ubar, np.zeros((8, 1)))
