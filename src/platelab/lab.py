@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,6 @@ def recovery_sweep(s: KLState, p: LameParams, rho_list, layers: int = 32,
     rows = []
     for rho in rho_list:
         scale = smoothing(rho) if smoothing else np.sqrt(rho)
-        t0 = time.perf_counter()
         v = recovery_sequence(s, p, rho, scale, layers)
         e = rescaled_energy(v, p, rho)
         comp = compactness_check(v, p, rho)
@@ -101,7 +99,6 @@ def recovery_sweep(s: KLState, p: LameParams, rho_list, layers: int = 32,
             "bound_an": comp["bound_an"],
             "e_nn_norm": comp["e_nn_norm"],
             "bound_nn": comp["bound_nn"],
-            "wall_time": time.perf_counter() - t0,
         })
     return rows
 
@@ -126,7 +123,6 @@ def minima_sweep(g: BoundaryDatum, p: LameParams, rho_list, plan_shape,
     s0, cracks0, e0, _ = minimize_limit(plan_shape, omega_lo, omega_hi, g, p, cfg)
     rows = []
     for rho in rho_list:
-        t0 = time.perf_counter()
         grid = PlateGrid(s0.n, tuple(plan_shape), layers, omega_lo, omega_hi)
         v, cracks, e, trace = alternate_minimize(grid, g, p, rho, cfg)
         lifted = kl_lift(s0, layers)
@@ -142,7 +138,6 @@ def minima_sweep(g: BoundaryDatum, p: LameParams, rho_list, plan_shape,
             "surface_gap": abs(surf_rho - surf_0),
             "minimizer_distance": dist,
             "rounds": len(trace),
-            "wall_time": time.perf_counter() - t0,
         })
     return rows
 
@@ -159,7 +154,6 @@ def classify_experiment(crack: CrackSurface, h: float, lo, hi, seed: int = 0,
     for k in range(samples):
         y = tuple(rng.random(n)) if k > 0 else (0.0,) * n
         grid = ShiftedGrid(n, h, y, tuple(lo), tuple(hi))
-        t0 = time.perf_counter()
         c = classify_cubes(grid, crack)
         rows.append({
             "h": h,
@@ -167,7 +161,6 @@ def classify_experiment(crack: CrackSurface, h: float, lo, hi, seed: int = 0,
             "num_bad": c.num_bad,
             "boundary_measure": bad_cube_boundary_measure(c),
             "jump_energy": discrete_jump_energy(grid, crack),
-            "wall_time": time.perf_counter() - t0,
         })
     return rows
 

@@ -189,3 +189,20 @@ def test_cli_config_file_roundtrip(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("rho,")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "recover", "sweep"])
+def test_cli_csv_is_byte_identical_across_runs(command, tmp_path):
+    # rows carry no timings, so two runs of one config give the same bytes
+    crack_path = tmp_path / "crack.txt"
+    axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("plan = 16\nlayers = 4\nrho_list = 1e-1\nstretch = 1.2\n")
+    args = {"classify": ["--crack", str(crack_path), "--h", "0.0625"],
+            "recover": ["--config", str(cfg)],
+            "sweep": ["--config", str(cfg)]}[command]
+    outs = [tmp_path / f"run{k}.csv" for k in range(2)]
+    for out in outs:
+        assert run_cli([command, *args, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "wall_time" not in outs[0].read_text().splitlines()[0]

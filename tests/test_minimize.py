@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
                                  quadratic_form_C0, rescale_strain)
 from platelab import minimize
-from platelab.energy import BoundaryDatum, stretch_datum
+from platelab.energy import BoundaryDatum, EnergyBreakdown, stretch_datum
 from platelab.kirchhoff_love import PlateGrid
 from platelab.minimize import (CrackIndicator, SolverConfig, _connected_components,
                                _derivative_operator, _hessian_operator,
@@ -190,20 +190,24 @@ def _stencil_case(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_stencil_case())
-def test_reduced_system_matches_dense_reference(case):
-    # Kff and b = -K_free,fixed x_fixed against K = w S^T (I kron Q) S, dense
+@given(_stencil_case(), st.integers(0, 2 ** 16))
+def test_reduced_system_matches_dense_reference(case, seed):
+    # Kff and b = -K_free,fixed x_fixed against K = w S^T (I kron Q) S, dense;
+    # random free dofs marked floating get the gauge shift on the diagonal
     stencil, Q, weight, fixed_mask, fixed_vals, ncell = case
     rows, cols, vals = stencil
     S = np.zeros((ncell * len(Q), fixed_mask.size))
     np.add.at(S, (rows, cols), vals)
     K = weight * S.T @ np.kron(np.eye(ncell), Q) @ S
     free = ~fixed_mask
-    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals)
+    floating = np.random.default_rng(seed).random(free.sum()) < 0.5
+    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals, floating)
     scale = max(np.abs(K).max(), 1.0)
+    ref = K[np.ix_(free, free)]
+    if floating.any():
+        ref = ref + np.diag(np.where(floating, 1e-8 * max(np.diag(ref).max(), 1.0), 0.0))
     assert Kff.shape == (free.sum(), free.sum())
-    np.testing.assert_allclose(Kff.toarray(), K[np.ix_(free, free)],
-                               rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(Kff.toarray(), ref, rtol=1e-12, atol=1e-12 * scale)
     ref_b = -K[np.ix_(free, fixed_mask)] @ fixed_vals[fixed_mask]
     np.testing.assert_allclose(b, ref_b, rtol=1e-12,
                                atol=1e-12 * scale * max(np.abs(fixed_vals).max(), 1.0))
@@ -216,12 +220,15 @@ def test_exactly_singular_free_block_raises():
     stencil = _derivative_operator(shape, h, [np.array([False, True, False])], 1)
     fixed_mask = np.array([True, False, False, False])
     fixed_vals = np.array([1.0, 0.0, 0.0, 0.0])
-    Kff, b = _reduced_system(stencil, np.eye(1), 0.25, fixed_mask, fixed_vals)
+    Kff, b = _reduced_system(stencil, np.eye(1), 0.25, fixed_mask, fixed_vals,
+                             np.zeros(3, dtype=bool))
     assert np.any(b)
     with pytest.raises(RuntimeError):
-        _solve_constrained(Kff, b, np.zeros(3, dtype=bool))
+        _solve_constrained(Kff, b)
     # gauged, the floating cells settle at zero and cell 1 follows cell 0
-    y = _solve_constrained(Kff, b, np.array([False, True, True]))
+    Kff, b = _reduced_system(stencil, np.eye(1), 0.25, fixed_mask, fixed_vals,
+                             np.array([False, True, True]))
+    y = _solve_constrained(Kff, b)
     assert np.allclose(y, [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -321,3 +328,176 @@ def test_reduced_solve_runs_bending_for_nonzero_data(monkeypatch, c):
     assert s.un[-1] == 0.5 * (x[-1] ** 2 - c * c)
     assert np.all(s.un[1:-1] > 0.0)
     assert np.array_equal(s.ubar, np.zeros((8, 1)))
+
+
+# ---------------------------------------------------------------------------
+# through-cut sweep
+
+
+def _bent_datum(t, a):
+    """ubar = t x, un = a x^2 / 2, grad_un = a x: every film clamp column is
+    a stretch plus a rotation, not a translation."""
+    return BoundaryDatum(lambda X: t * np.atleast_2d(X)[:, :1],
+                         lambda X: 0.5 * a * np.atleast_2d(X)[:, 0] ** 2,
+                         lambda X: a * np.atleast_2d(X)[:, :1], 2)
+
+
+@st.composite
+def _cut_search_case(draw):
+    """A film or limit problem on a 1D plan with random broken columns and
+    released sides, stretch, bending (film only) and Lame constants."""
+    kind = draw(st.sampled_from(["film", "limit"]))
+    N = draw(st.integers(3, 12 if kind == "film" else 40))
+    broken = np.array(draw(st.lists(st.booleans(), min_size=N - 1, max_size=N - 1)))
+    p = LameParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0)), 2)
+    t = draw(st.floats(0.1, 2.0))
+    if kind == "film":
+        grid = PlateGrid(2, (N,), draw(st.integers(1, 6)), (0.0,), (1.0,))
+        problem = minimize._FilmProblem(grid, _bent_datum(t, draw(st.sampled_from([0.0, 0.7]))),
+                                        p, draw(st.sampled_from([0.5, 0.1, 0.05])))
+        cracks = empty_cracks(grid.shape)
+    else:
+        problem = minimize._LimitProblem((N,), (0.0,), (1.0,), stretch_datum(t, 2), p)
+        cracks = empty_cracks((N,))
+    cracks.broken[0][broken] = True
+    cracks.released |= draw(st.sets(st.sampled_from([(0, 0), (0, 1)])))
+    return problem, cracks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cut_search_case())
+def test_score_cuts_matches_per_candidate_solves(case):
+    # every unbroken column's sweep total against its own solve + energy
+    problem, cracks = case
+    scores = problem.score_cuts(cracks)
+    N = problem.plan_shape[0]
+    for k in np.flatnonzero(~cracks.broken[0].reshape(N - 1, -1).all(axis=1)):
+        cand = cracks.copy()
+        cand.broken[0][k] = True
+        total = problem.solve(cand)[1].total
+        assert abs(scores[k] - total) <= max(1e-10 * abs(total), 1e-12 * max(1.0, abs(total)))
+
+
+@pytest.mark.parametrize("released", [set(), {(0, 0)}, {(0, 1)}])
+@pytest.mark.parametrize("prebroken", [[], [0], [3], [0, 3]])
+def test_bent_film_scores_lone_clamp_columns(released, prebroken):
+    # a clamp column left alone keeps its own bulk (0.049 on the left and
+    # 3.969 on the right here); every other piece a cut leaves is zero
+    grid = PlateGrid(2, (5,), 3, (0.0,), (1.0,))
+    problem = minimize._FilmProblem(grid, _bent_datum(1.2, 0.7), P2, 0.1)
+    cracks = empty_cracks(grid.shape)
+    cracks.broken[0][prebroken] = True
+    cracks.released |= released
+    scores = problem.score_cuts(cracks)
+    for k in sorted(set(range(4)) - set(prebroken)):
+        cand = cracks.copy()
+        cand.broken[0][k] = True
+        assert scores[k] == pytest.approx(problem.solve(cand)[1].total, rel=1e-12, abs=1e-12)
+
+
+def test_uniform_stretch_cuts_face_zero_in_both_problems():
+    # every round-1 through-cut leaves two unstrained pieces: all tie at a
+    # total of 1, and the tie goes to the first candidate, face 0
+    grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
+    u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.05,
+                                             SolverConfig())
+    assert np.argwhere(np.all(cracks.broken[0], axis=1)).tolist() == [[0]]
+    assert np.count_nonzero(cracks.broken[0]) == 8 and not cracks.released
+    assert trace[-1] == e.total == pytest.approx(1.0, abs=1e-12)
+    s, cracks, e, trace = minimize_limit((64,), (0.0,), (1.0,), stretch_datum(1.2, 2),
+                                         P2, SolverConfig())
+    assert np.flatnonzero(cracks.broken[0]).tolist() == [0] and not cracks.released
+    assert trace[-1] == e.total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bent_film_cuts_face_one_as_per_candidate_solves_do():
+    # the clamp columns of a bent datum are rigid motions: every cut but the
+    # two next to the sides leaves two unstrained pieces at a total of 1,
+    # and the first of them, face 1, wins
+    grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
+    u, cracks, e, trace = alternate_minimize(grid, _bent_datum(1.2, 0.5), P2, 0.05,
+                                             SolverConfig())
+    assert np.argwhere(np.all(cracks.broken[0], axis=1)).tolist() == [[1]]
+    assert trace[-1] == e.total == pytest.approx(1.0, abs=1e-12)
+
+
+class _NearTieProblem:
+    """Cuts of a 1D plan whose totals differ by less than the tie slack."""
+
+    plan_shape = (5,)
+    column_area = [0.0]
+    scores = np.array([1.0 + 5e-13, 1.0, 1.0 + 1e-13, 2.0])
+    solve_offset = 0.0  # added to the solved total of every cut
+
+    def solve(self, cracks):
+        faces = np.flatnonzero(cracks.broken[0])
+        total = (3.0 if cracks.released else
+                 self.scores[faces].sum() + self.solve_offset if faces.size else 2.0)
+        return None, EnergyBreakdown(total, 0.0)
+
+    def score_cuts(self, cracks):
+        return self.scores
+
+
+def test_greedy_search_breaks_near_ties_by_candidate_order():
+    # face 1 is lowest by 5e-13 relative, a tie: the earlier face 0 wins,
+    # and its solve agrees with its score
+    state, cracks, e, trace = minimize._greedy_search(_NearTieProblem(),
+                                                      empty_cracks((5,)), 1)
+    assert np.flatnonzero(cracks.broken[0]).tolist() == [0]
+    assert trace == [2.0, 1.0 + 5e-13]
+
+
+def test_alternate_minimize_factors_at_most_six_times(monkeypatch):
+    # one initial solve, the round-1 winner's check and two side releases in
+    # each of two rounds; the through-cuts are scored by the sweep
+    calls = []
+    splu = minimize.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(minimize.spla, "splu", counting)
+    grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
+    u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.05,
+                                             SolverConfig())
+    assert len(trace) == 2
+    assert len(calls) <= 6
+
+
+def test_winner_check_rejects_a_score_above_the_solved_field():
+    # a solved field below its score proves the score wrong; a solve above
+    # it is kept with its own total
+    problem = _NearTieProblem()
+    problem.solve_offset = -1e-6
+    with pytest.raises(RuntimeError, match="through-cut scored"):
+        minimize._greedy_search(problem, empty_cracks((5,)), 1)
+    problem.solve_offset = 1e-6
+    state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((5,)), 1)
+    assert np.flatnonzero(cracks.broken[0]).tolist() == [0]
+    assert trace == [2.0, 1.0 + 5e-13 + 1e-6] and e.total == trace[-1]
+
+
+def test_winner_keeps_its_solved_total_at_small_rho():
+    # at rho = 1e-3 the solve of a bent film is off by about 1e-9: the
+    # search returns the solved field with its own total, just above the
+    # exact score of 1 shared by every cut from face 1 to face 29
+    grid = PlateGrid(2, (32,), 8, (0.0,), (1.0,))
+    problem = minimize._FilmProblem(grid, _bent_datum(1.2, 0.5), P2, 1e-3)
+    scores = problem.score_cuts(empty_cracks(grid.shape))
+    assert np.all(scores[1:30] == 1.0)
+    u, cracks, e, trace = alternate_minimize(grid, _bent_datum(1.2, 0.5), P2, 1e-3,
+                                             SolverConfig())
+    assert np.argwhere(np.all(cracks.broken[0], axis=1)).tolist() == [[1]]
+    assert not cracks.released
+    assert trace[-1] == e.total == problem.solve(cracks)[1].total
+    assert 1.0 < e.total < 1.0 + 1e-7
+
+
+def test_limit_sweep_declines_bending_data():
+    # a nonzero un clamp has no sweep blocks: its columns are solved one by one
+    problem = minimize._LimitProblem((8,), (0.0,), (1.0,), _bent_datum(0.5, 1.0), P2)
+    assert problem.score_cuts(empty_cracks((8,))) is None
+    problem = minimize._LimitProblem((8,), (0.0,), (1.0,), stretch_datum(0.5, 2), P2)
+    assert problem.score_cuts(empty_cracks((8,))).shape == (7,)
