@@ -1,8 +1,11 @@
 """Bulk + surface energies: physical, rescaled, limit, and penalized variants.
 
-Bulk terms use midpoint quadrature with the per-cell forward-difference
-strains of :mod:`.kirchhoff_love`; surface terms are sums of broken-face
-areas, weighted by the anisotropic factor phi_rho in the rescaled energy.
+Every bulk term is the quadratic form the solver of :mod:`.minimize`
+minimizes: (1/2) w sum_c d_c . Q d_c, where d = S x are the per-cell rows
+of the stencil triplets S of :mod:`.kirchhoff_love` (`_derivative_operator`
+for displacements, `_hessian_operator` for the deflection) and Q is the
+cached form matrix `_form`.  Surface terms are sums of broken-face areas,
+weighted by the anisotropic factor phi_rho in the rescaled energy.
 """
 
 from __future__ import annotations
@@ -13,9 +16,14 @@ from functools import lru_cache
 import numpy as np
 
 from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
-                         quadratic_form_C0, validate_lame)
-from .kirchhoff_love import (KLState, PlateField, PlateGrid, cell_derivative,
-                             cell_strains, kl_lift)
+                         quadratic_form_C0, rescale_strain, validate_lame)
+from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil,
+                             _derivative_operator, _hessian_operator, cell_strains)
+# unused here; bench/tracer.py wraps these names in this module
+from .kirchhoff_love import cell_derivative, kl_lift  # noqa: F401
+
+# relative tolerance of the trace comparison in `boundary_penalty`
+_TRACE_TOL = 1e-9
 
 
 @dataclass
@@ -34,23 +42,45 @@ class EnergyBreakdown:
 
 
 @lru_cache(maxsize=8)
-def _form(dim: int, form, p: LameParams) -> np.ndarray:
-    """Read-only Q of form(p, .) on symmetric dim x dim matrices.
+def _form(p: LameParams, rho: float | None = None) -> np.ndarray:
+    """Read-only Q of a bulk density on derivative matrices D, f = vec(D).Q vec(D).
 
-    Cached because the crack search evaluates the energy once per candidate
-    with the same (dim, form, p).
+    rho None: the reduced density C0 on (n-1) x (n-1) matrices, for the
+    limit energy.  rho > 0: C of the rescaled strain e^rho on n x n
+    matrices (rho = 1 is the physical density).  Cached because the crack
+    search solves and evaluates once per candidate with the same (p, rho).
     """
-    Q = form_matrix(dim, lambda D: form(p, 0.5 * (D + D.T)))
+    if rho is None:
+        Q = form_matrix(p.n - 1, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
+    else:
+        Q = form_matrix(p.n, lambda D: quadratic_form_C(
+            p, rescale_strain(0.5 * (D + D.T), rho)))
     Q.flags.writeable = False
     return Q
 
 
-def _bulk_sum(p: LameParams, strains: np.ndarray, form, cell_volume: float) -> float:
-    dim = strains.shape[-1]
-    flat = strains.reshape(-1, dim * dim)
-    Q = _form(dim, form, p)
-    vals = np.einsum("ki,ij,kj->k", flat, Q, flat)
-    return 0.5 * cell_volume * float(np.sum(vals))
+def _cell_rows(operator, x: np.ndarray, ncell: int, k: int) -> np.ndarray:
+    """Rows d = S x, shape (ncell, k), of the triplets operator() builds.
+
+    A zero x gives zero rows without building the stencil, as in the
+    solver's zero-data rule.
+    """
+    if not np.any(x):
+        return np.zeros((ncell, k))
+    return _apply_stencil(operator(), x.ravel(), ncell * k).reshape(ncell, k)
+
+
+def _bulk(d: np.ndarray, Q: np.ndarray, weight: float) -> float:
+    """(1/2) weight sum_c d_c . Q d_c over the rows of d."""
+    return 0.5 * weight * float(np.sum(np.einsum("ki,ij,kj->k", d, Q, d)))
+
+
+def _film_bulk(u: PlateField, p: LameParams, rho: float) -> float:
+    """Bulk of E_rho of a film field; rho = 1 gives the physical bulk."""
+    g = u.grid
+    d = _cell_rows(lambda: _derivative_operator(g.shape, g.spacings, u.broken, g.n),
+                   u.values, int(np.prod(g.shape)), g.n * g.n)
+    return _bulk(d, _form(p, rho), g.cell_volume)
 
 
 def _surface_area(u: PlateField, weight=None) -> float:
@@ -68,16 +98,13 @@ def griffith_energy(u: PlateField, p: LameParams) -> EnergyBreakdown:
     """(1/2) int C e(u).e(u) over uncut cells + area of broken faces."""
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
-    E = cell_strains(u, scheme="forward")
-    bulk = _bulk_sum(p, E, quadratic_form_C, u.grid.cell_volume)
-    return EnergyBreakdown(bulk, _surface_area(u))
+    return EnergyBreakdown(_film_bulk(u, p, 1.0), _surface_area(u))
 
 
 def rescaled_strains(v: PlateField, rho: float) -> np.ndarray:
     """Per-cell strains of v with the thin-film scaling applied."""
-    E = cell_strains(v, scheme="forward")
+    E = cell_strains(v)
     n = v.grid.n
-    E = E.copy()
     E[..., : n - 1, n - 1] /= rho
     E[..., n - 1, : n - 1] /= rho
     E[..., n - 1, n - 1] /= rho ** 2
@@ -90,8 +117,7 @@ def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown
         raise ValueError("rho must be positive")
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
-    E = rescaled_strains(v, rho)
-    bulk = _bulk_sum(p, E, quadratic_form_C, v.grid.cell_volume)
+    bulk = _film_bulk(v, p, rho)
     n = v.grid.n
 
     def weight(axis):
@@ -123,50 +149,32 @@ def change_of_variables_check(u: PlateField, p: LameParams, rho: float) -> float
     return abs(F.total - rho * E.total) / F.total
 
 
-def limit_state_strains(s: KLState):
-    """Membrane strain ebar(ubar) and bending Hessian of un, per plan cell.
-
-    ebar by break-aware forward differences; the Hessian by centered second
-    differences with one-sided fallback at crack columns and boundaries.
-    """
-    m = s.n - 1
-    h = s.plan_h
-    D = np.zeros(tuple(s.plan_shape) + (m, m))
-    for c in range(m):
-        for a in range(m):
-            D[..., c, a] = cell_derivative(s.ubar[..., c], a, float(h[a]),
-                                           s.crack_cols[a], "forward")
-    ebar = 0.5 * (D + np.swapaxes(D, -1, -2))
-    hess = np.zeros(tuple(s.plan_shape) + (m, m))
-    for a in range(m):
-        for b in range(m):
-            hess[..., a, b] = cell_derivative(s.grad_un[..., a], b, float(h[b]),
-                                              s.crack_cols[b], "central")
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-    return ebar, hess
-
-
 def limit_energy(s: KLState, p: LameParams, layers: int | None = None) -> EnergyBreakdown:
     """E_0: (1/2) int C_0 (ebar - x_n Hess un) + measure of crack_cols x thickness.
 
-    The thickness integral is done analytically by default (cross term
-    vanishes, int x_n^2 = 1/12); pass `layers` to use midpoint quadrature
-    over that many layers instead.
+    ebar is read through `_derivative_operator` of ubar and Hess un through
+    `_hessian_operator` of un, the solver's own stencils; grad_un is not
+    read.  The thickness integral is done analytically by default (cross
+    term vanishes, int x_n^2 = 1/12), so the bulk is that of the solver's
+    membrane and bending quadratics; pass `layers` to use midpoint
+    quadrature over that many layers instead.
     """
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
-    ebar, hess = limit_state_strains(s)
-    area = float(np.prod(s.plan_h))
+    m = s.n - 1
+    ps, h = tuple(s.plan_shape), s.plan_h
+    ncell = int(np.prod(ps))
+    dm = _cell_rows(lambda: _derivative_operator(ps, h, s.crack_cols, m),
+                    s.ubar, ncell, m * m)
+    dh = _cell_rows(lambda: _hessian_operator(ps, h, s.crack_cols), s.un, ncell, m * m)
+    Q = _form(p)
+    area = float(np.prod(h))
     if layers is None:
-        bulk = (_bulk_sum(p, ebar, quadratic_form_C0, area)
-                + _bulk_sum(p, hess, quadratic_form_C0, area) / 12.0)
+        bulk = _bulk(dm, Q, area) + _bulk(dh, Q, area / 12.0)
     else:
         hz = 1.0 / layers
         z = -0.5 + hz * (np.arange(layers) + 0.5)
-        bulk = 0.0
-        for zk in z:
-            E = ebar - zk * hess
-            bulk += _bulk_sum(p, E, quadratic_form_C0, area * hz)
+        bulk = sum(_bulk(dm - zk * dh, Q, area * hz) for zk in z)
     surface = s.crack_measure() * 1.0  # times unit thickness
     return EnergyBreakdown(bulk, surface)
 
@@ -213,15 +221,6 @@ def stretch_datum(t: float, n: int = 2) -> BoundaryDatum:
     return BoundaryDatum(ubar, un, gz, n)
 
 
-def _lateral_sides(plan_shape):
-    """(axis, side) pairs indexing the lateral boundary of the plan grid."""
-    out = []
-    for a in range(len(plan_shape)):
-        out.append((a, 0))
-        out.append((a, 1))
-    return out
-
-
 def _side_selector(plan_shape, axis, side):
     sl = [slice(None)] * len(plan_shape)
     sl[axis] = 0 if side == 0 else plan_shape[axis] - 1
@@ -233,59 +232,45 @@ def _side_area(plan_h, plan_shape, axis, zthick=1.0):
     return float(np.prod(other)) * zthick if other else zthick
 
 
-def boundary_penalty(obj, g: BoundaryDatum, tol_trace_scale: float = 1e-9,
-                     released=None) -> float:
+def boundary_penalty(obj, g: BoundaryDatum) -> float:
     """Lateral-boundary area where the trace differs from the datum.
 
     obj is a PlateField (compared against the lifted datum layer by layer)
-    or a KLState (compared field by field).  `released` optionally lists
-    (axis, side) pairs to skip (sides whose datum was intentionally dropped
-    are still charged: this function only measures mismatch).
+    or a KLState (compared field by field).  Every side is charged, released
+    or not: this function only measures mismatch.  A value differs when it
+    is off by more than _TRACE_TOL times the field's scale.
     """
-    released = set(released or [])
     if isinstance(obj, PlateField):
         gr = obj.grid
-        n = gr.n
-        z = gr.z_centers()
+        ps, ph, mesh = gr.plan_shape, gr.plan_h, gr.plan_mesh()
         scale = max(1.0, float(np.max(np.abs(obj.values))))
-        tol = tol_trace_scale * scale
-        total = 0.0
-        for axis, side in _lateral_sides(gr.plan_shape):
-            if (axis, side) in released:
-                continue
-            sel = _side_selector(gr.plan_shape, axis, side)
+        z = gr.z_centers()
+
+        def gap(sel, Xp):  # largest gap over layers and components
             vals = obj.values[sel]  # (*other_plan, layers, n)
-            mesh = gr.plan_mesh()
-            Xp = np.stack([m[sel].ravel() for m in mesh], axis=-1)
-            gvals = g.lift(Xp, z).reshape(vals.shape)
-            mism = np.max(np.abs(vals - gvals), axis=(-1, -2)) > tol
-            frac = np.count_nonzero(mism) / mism.size if mism.size else 0.0
-            total += frac * _side_area(gr.plan_h, gr.plan_shape, axis)
-        return total
-    if isinstance(obj, KLState):
+            return np.max(np.abs(vals - g.lift(Xp, z).reshape(vals.shape)), axis=(-1, -2))
+    elif isinstance(obj, KLState):
         s = obj
+        ps, ph, m = tuple(s.plan_shape), s.plan_h, s.n - 1
+        mesh = np.meshgrid(*[np.asarray(s.omega_lo)[a] + ph[a] * (np.arange(ps[a]) + 0.5)
+                             for a in range(m)], indexing="ij")
         scale = s.scale()
-        tol = tol_trace_scale * scale
-        mesh = np.meshgrid(*[np.asarray(s.omega_lo)[a] + s.plan_h[a]
-                             * (np.arange(s.plan_shape[a]) + 0.5)
-                             for a in range(s.n - 1)], indexing="ij")
-        total = 0.0
-        for axis, side in _lateral_sides(tuple(s.plan_shape)):
-            if (axis, side) in released:
-                continue
-            sel = _side_selector(tuple(s.plan_shape), axis, side)
-            Xp = np.stack([m[sel].ravel() for m in mesh], axis=-1)
-            dub = np.atleast_2d(np.asarray(g.ubar(Xp)))
-            dun = np.asarray(g.un(Xp)).reshape(-1)
-            dgz = np.atleast_2d(np.asarray(g.grad_un(Xp)))
-            mub = np.abs(s.ubar[sel].reshape(-1, s.n - 1) - dub).max(axis=1)
-            mun = np.abs(s.un[sel].reshape(-1) - dun)
-            mgz = np.abs(s.grad_un[sel].reshape(-1, s.n - 1) - dgz).max(axis=1)
-            mism = np.maximum(np.maximum(mub, mun), mgz) > tol
+
+        def gap(sel, Xp):  # largest gap over ubar, un and grad_un
+            mub = np.abs(s.ubar[sel].reshape(-1, m) - np.atleast_2d(np.asarray(g.ubar(Xp))))
+            mun = np.abs(s.un[sel].reshape(-1) - np.asarray(g.un(Xp)).reshape(-1))
+            mgz = np.abs(s.grad_un[sel].reshape(-1, m) - np.atleast_2d(np.asarray(g.grad_un(Xp))))
+            return np.maximum(np.maximum(mub.max(axis=1), mun), mgz.max(axis=1))
+    else:
+        raise TypeError("expected PlateField or KLState")
+    total = 0.0
+    for axis in range(len(ps)):
+        for side in (0, 1):
+            sel = _side_selector(ps, axis, side)
+            mism = gap(sel, np.stack([c[sel].ravel() for c in mesh], axis=-1)) > _TRACE_TOL * scale
             frac = np.count_nonzero(mism) / mism.size if mism.size else 0.0
-            total += frac * _side_area(s.plan_h, tuple(s.plan_shape), axis)
-        return total
-    raise TypeError("expected PlateField or KLState")
+            total += frac * _side_area(ph, ps, axis)
+    return total
 
 
 def penalized_energies(obj, p: LameParams, g: BoundaryDatum,

@@ -2,6 +2,9 @@
 
 Displacements live at cell centers of a tensor grid over omega x (z_lo, z_hi);
 cracks are unions of cell faces, encoded by per-axis break-indicator arrays.
+The break-aware stencil triplets `_derivative_operator` and
+`_hessian_operator` are the one discretization that the solver of
+:mod:`.minimize` and the energies of :mod:`.energy` share.
 The thickness layers use a midpoint layout symmetric about z = 0, so the
 x_n-odd part of a lifted field integrates to zero exactly.
 """
@@ -227,13 +230,11 @@ def _face_blocked(shape: tuple, axis: int, broken: np.ndarray | None):
 
 
 def cell_derivative(vals: np.ndarray, axis: int, h: float,
-                    broken: np.ndarray | None, scheme: str = "central") -> np.ndarray:
-    """Per-cell derivative along one axis, one-sided at breaks and boundaries.
+                    broken: np.ndarray | None) -> np.ndarray:
+    """Per-cell central derivative along one axis, one-sided at breaks.
 
-    scheme "central": centered where both neighbor faces are open, one-sided
-    otherwise, zero when the cell is isolated along this axis.
-    scheme "forward": forward quotient where the plus face is open, backward
-    otherwise, zero when isolated.
+    Centered where both neighbor faces are open, forward or backward where
+    only one is, zero when the cell is isolated along this axis.
     """
     bm, bp = _face_blocked(vals.shape, axis, broken)
     plus = np.roll(vals, -1, axis=axis)
@@ -241,25 +242,92 @@ def cell_derivative(vals: np.ndarray, axis: int, h: float,
     fwd = (plus - vals) / h
     bwd = (vals - minus) / h
     cen = (plus - minus) / (2.0 * h)
-    if scheme == "central":
-        out = np.where(~bm & ~bp, cen, np.where(~bp, fwd, np.where(~bm, bwd, 0.0)))
-    elif scheme == "forward":
-        out = np.where(~bp, fwd, np.where(~bm, bwd, 0.0))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return out
+    return np.where(~bm & ~bp, cen, np.where(~bp, fwd, np.where(~bm, bwd, 0.0)))
 
 
-def cell_strains(u: PlateField, scheme: str = "forward") -> np.ndarray:
-    """Per-cell symmetric strain tensors, shape (*shape, n, n)."""
+def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
+    """Stencil triplets (rows, cols, vals) of the map from cell dofs to
+    per-cell derivative matrices D[m, a].
+
+    Row ordering: cell * (ncomp*nd) + m*nd + a; forward quotients with
+    backward fallback at blocked plus-faces, zero when isolated.
+    """
+    nd = len(shape)
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    cell = flat.ravel()
+    rows, cols, data = [], [], []
+    for a in range(nd):
+        bm, bp = _face_blocked(shape, a, broken[a])
+        h = float(spacings[a])
+        plus = np.roll(flat, -1, axis=a).ravel()
+        minus = np.roll(flat, 1, axis=a).ravel()
+        fwd = np.flatnonzero(~bp)  # (v[c+e_a] - v[c]) / h
+        bwd = np.flatnonzero(bp & ~bm)  # (v[c] - v[c-e_a]) / h
+        for m in range(ncomp):
+            r = cell * (ncomp * nd) + m * nd + a
+            for idx, hi, lo in ((fwd, plus, cell), (bwd, cell, minus)):
+                rows += [r[idx], r[idx]]
+                cols += [hi[idx] * ncomp + m, lo[idx] * ncomp + m]
+                data += [np.full(idx.size, 1.0 / h), np.full(idx.size, -1.0 / h)]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+
+
+def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
+    """Stencil triplets (rows, cols, vals) of the map from un dofs to
+    per-cell Hessian entries H[a, b], row cell * nd*nd + a*nd + b.
+
+    Centered second differences where both faces are open, one-sided shifted
+    stencils otherwise, zero rows where no admissible stencil exists.
+    """
+    nd = len(plan_shape)
+    flat = np.arange(int(np.prod(plan_shape))).reshape(plan_shape)
+    cell = flat.ravel()
+    rows, cols, data = [], [], []
+
+    def add(r, mask, points, scale):
+        idx = np.flatnonzero(mask)
+        for at, w in points:
+            rows.append(r[idx])
+            cols.append(at.ravel()[idx])
+            data.append(np.full(idx.size, w / scale))
+
+    for a in range(nd):
+        bm, bp = _face_blocked(plan_shape, a, crack_cols[a])
+        m2, m1, p1, p2 = (np.roll(flat, k, axis=a) for k in (2, 1, -1, -2))
+        centered = ~bm & ~bp
+        # shifted forward: the plus-face of the plus neighbor is open too
+        fwd = ~centered & ~bp & ~np.roll(bp, -1, axis=a)
+        bwd = ~centered & ~fwd & ~bm & ~np.roll(bm, 1, axis=a)
+        r = cell * (nd * nd) + a * nd + a
+        h2 = float(plan_h[a]) ** 2
+        add(r, centered, ((m1, 1.0), (flat, -2.0), (p1, 1.0)), h2)
+        add(r, fwd, ((flat, 1.0), (p1, -2.0), (p2, 1.0)), h2)
+        add(r, bwd, ((flat, 1.0), (m1, -2.0), (m2, 1.0)), h2)
+        for b in range(a + 1, nd):
+            # mixed second differences on cells centered in both axes
+            bmb, bpb = _face_blocked(plan_shape, b, crack_cols[b])
+            corners = [(np.roll(np.roll(flat, -i, axis=a), -j, axis=b), 0.25 * i * j)
+                       for i, j in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+            hab = float(plan_h[a]) * float(plan_h[b])
+            for r_ab in (cell * (nd * nd) + a * nd + b, cell * (nd * nd) + b * nd + a):
+                add(r_ab, centered & ~bmb & ~bpb, corners, hab)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+
+
+def _apply_stencil(stencil, x: np.ndarray, nrows: int) -> np.ndarray:
+    """S x for the stencil triplets S = (rows, cols, vals) with nrows rows."""
+    rows, cols, vals = stencil
+    return np.bincount(rows, weights=vals * x[cols], minlength=nrows)
+
+
+def cell_strains(u: PlateField) -> np.ndarray:
+    """Per-cell symmetric strain tensors, shape (*shape, n, n): the
+    symmetrized derivative matrices D of `_derivative_operator`."""
     g = u.grid
     n = g.n
-    sp = g.spacings
-    D = np.zeros(g.shape + (n, n))  # D[..., m, a] = d u_m / d x_a
-    for m in range(n):
-        for a in range(n):
-            D[..., m, a] = cell_derivative(u.values[..., m], a, sp[a],
-                                           u.broken[a], scheme)
+    D = _apply_stencil(_derivative_operator(g.shape, g.spacings, u.broken, n),
+                       u.values.ravel(), int(np.prod(g.shape)) * n * n)
+    D = D.reshape(g.shape + (n, n))  # D[..., m, a] = d u_m / d x_a
     return 0.5 * (D + np.swapaxes(D, -1, -2))
 
 
@@ -324,7 +392,12 @@ def _near_break_mask(u: PlateField) -> np.ndarray:
     return near
 
 
-def kl_verify(u: PlateField, tol_scale: float = None) -> dict:
+# kl_verify's tolerance on the transverse strains and the thickness variation
+# of u_n, in units of h^2 max(1, max |u|)
+_FD_TOL = 10.0
+
+
+def kl_verify(u: PlateField) -> dict:
     """Structure diagnostics for membership in the reduced (plate) class.
 
     Reports the maximal transverse strain entries |e_{i,n}| on uncut cells,
@@ -336,14 +409,19 @@ def kl_verify(u: PlateField, tol_scale: float = None) -> dict:
     """
     g = u.grid
     n = g.n
-    scale = tol_scale if tol_scale is not None else max(1.0, float(np.max(np.abs(u.values))))
-    E = cell_strains(u, scheme="central")
+    scale = max(1.0, float(np.max(np.abs(u.values))))
+    sp = g.spacings
+
+    def d(m, a):  # central d u_m / d x_a
+        return cell_derivative(u.values[..., m], a, sp[a], u.broken[a])
+
     near = _near_break_mask(u)
     ok = ~near
     max_ein = 0.0
     for i in range(n):
         if np.any(ok):
-            max_ein = max(max_ein, float(np.max(np.abs(E[..., i, n - 1][ok]))))
+            e_in = 0.5 * (d(i, n - 1) + d(n - 1, i))
+            max_ein = max(max_ein, float(np.max(np.abs(e_in[ok]))))
 
     nonvert = u.nonvertical_broken_count()
 
@@ -355,7 +433,6 @@ def kl_verify(u: PlateField, tol_scale: float = None) -> dict:
     un_var = float(np.max(var[~col_cut])) if np.any(~col_cut) else 0.0
 
     # diagonal identity (square cells only)
-    sp = g.spacings
     appgra = None
     if np.all(np.abs(sp - sp[-1]) < 1e-12 * sp[-1]):
         h = sp[-1]
@@ -379,15 +456,11 @@ def kl_verify(u: PlateField, tol_scale: float = None) -> dict:
                 fp = np.roll(np.roll(f, -1, axis=a), -1, axis=n - 1)
                 fm = np.roll(np.roll(f, 1, axis=a), 1, axis=n - 1)
                 dxi = (fp - fm) / (2.0 * np.sqrt(2.0) * h)
-                da_un = cell_derivative(un_arr, a, h, u.broken[a], "central")
-                da_ua = cell_derivative(u.values[..., a], a, h, u.broken[a], "central")
-                dn_ua = cell_derivative(u.values[..., a], n - 1, h,
-                                        u.broken[n - 1], "central")
-                res = da_un - (2.0 * dxi - da_ua - dn_ua)
+                res = d(n - 1, a) - (2.0 * dxi - d(a, a) - d(a, n - 1))
                 appgra = max(appgra, float(np.max(np.abs(res[mask]))))
 
     h_ref = float(np.max(sp))
-    tol_fd = 10.0 * h_ref ** 2 * scale
+    tol_fd = _FD_TOL * h_ref ** 2 * scale
     return {
         "max_e_in": max_ein,
         "nonvertical_broken": nonvert,
@@ -417,6 +490,5 @@ def reduced_gradient(un: np.ndarray, plan_h, crack_cols: list) -> np.ndarray:
     out = np.zeros(un.shape + (nd,))
     for a in range(nd):
         out[..., a] = cell_derivative(un, a, float(plan_h[a]),
-                                      crack_cols[a] if crack_cols else None,
-                                      "central")
+                                      crack_cols[a] if crack_cols else None)
     return out

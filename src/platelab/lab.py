@@ -67,9 +67,9 @@ def recovery_sequence(s: KLState, p: LameParams, rho: float,
     lap_un = np.zeros(tuple(s.plan_shape))
     for a in range(nd):
         div_ubar += cell_derivative(s.ubar[..., a], a, float(ph[a]),
-                                    s.crack_cols[a], "central")
+                                    s.crack_cols[a])
         lap_un += cell_derivative(s.grad_un[..., a], a, float(ph[a]),
-                                  s.crack_cols[a], "central")
+                                  s.crack_cols[a])
     h1 = _compact_smooth(coeff * div_ubar, ph, smoothing_scale)
     h2 = _compact_smooth(coeff * lap_un, ph, smoothing_scale)
 

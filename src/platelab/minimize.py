@@ -14,19 +14,20 @@ for its state, which also checks the score.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.ndimage as ndimage
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elasticity import (LameParams, form_matrix, quadratic_form_C,
-                         quadratic_form_C0, rescale_strain)
-from .energy import (BoundaryDatum, EnergyBreakdown, boundary_penalty,
+from .elasticity import LameParams
+from .energy import (BoundaryDatum, EnergyBreakdown, _form, boundary_penalty,
                      limit_energy, penalized_energies, rescaled_energy)
-from .kirchhoff_love import (KLState, PlateField, PlateGrid, _empty_breaks,
-                             _face_blocked, reduced_gradient)
+from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
+                             _empty_breaks, _hessian_operator, reduced_gradient)
+# unused here; bench/tracer.py wraps these names in this module
+from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
+from .kirchhoff_love import _face_blocked  # noqa: F401
 
 
 # relative slack of the strict-descent test of the greedy crack search
@@ -64,45 +65,6 @@ def empty_cracks(shape: tuple) -> CrackIndicator:
 
 # ---------------------------------------------------------------------------
 # quadratic assembly
-
-
-def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
-    """Stencil triplets (rows, cols, vals) of the map from cell dofs to
-    per-cell derivative matrices D[m, a].
-
-    Row ordering: cell * (ncomp*nd) + m*nd + a; forward quotients with
-    backward fallback at blocked plus-faces, zero when isolated.
-    """
-    nd = len(shape)
-    ncell = int(np.prod(shape))
-    rows, cols, data = [], [], []
-    flat = np.arange(ncell).reshape(shape)
-    for a in range(nd):
-        bm, bp = _face_blocked(shape, a, broken[a])
-        h = float(spacings[a])
-        plus = np.roll(flat, -1, axis=a)
-        minus = np.roll(flat, 1, axis=a)
-        use_f = ~bp
-        use_b = bp & ~bm
-        for m in range(ncomp):
-            rbase = flat * (ncomp * nd) + m * nd + a
-            # forward: (v[c+e_a] - v[c]) / h
-            idx = np.where(use_f.ravel())[0]
-            rows.append(rbase.ravel()[idx])
-            cols.append(plus.ravel()[idx] * ncomp + m)
-            data.append(np.full(idx.size, 1.0 / h))
-            rows.append(rbase.ravel()[idx])
-            cols.append(flat.ravel()[idx] * ncomp + m)
-            data.append(np.full(idx.size, -1.0 / h))
-            # backward: (v[c] - v[c-e_a]) / h
-            idx = np.where(use_b.ravel())[0]
-            rows.append(rbase.ravel()[idx])
-            cols.append(flat.ravel()[idx] * ncomp + m)
-            data.append(np.full(idx.size, 1.0 / h))
-            rows.append(rbase.ravel()[idx])
-            cols.append(minus.ravel()[idx] * ncomp + m)
-            data.append(np.full(idx.size, -1.0 / h))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
 
 def _connected_components(shape: tuple, broken: list):
@@ -264,18 +226,6 @@ def _clamped_cells(shape: tuple, plan_axes: int, released) -> np.ndarray:
     return fixed
 
 
-@lru_cache(maxsize=8)
-def _film_form(n: int, p: LameParams, rho: float) -> np.ndarray:
-    """Read-only Q of the rescaled density on derivative matrices.
-
-    Cached because the crack search calls `elastic_solve` once per solved
-    candidate with the same (n, p, rho).
-    """
-    Q = form_matrix(n, lambda D: quadratic_form_C(p, rescale_strain(0.5 * (D + D.T), rho)))
-    Q.flags.writeable = False
-    return Q
-
-
 def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
                   p: LameParams, rho: float) -> PlateField:
     """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased sides."""
@@ -286,7 +236,7 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
     labels = _connected_components(shape, cracks.broken)
     x = _fixed_crack_solve(
         lambda: _derivative_operator(shape, grid.spacings, cracks.broken, n),
-        _film_form(n, p, rho), grid.cell_volume,
+        _form(p, rho), grid.cell_volume,
         np.repeat(fixed_cells.ravel(), n), gv.reshape(-1), np.repeat(labels, n))
     return PlateField(grid, x.reshape(shape + (n,)),
                       [b.copy() for b in cracks.broken])
@@ -429,67 +379,6 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
 # reduced (limit) problem
 
 
-def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
-    """Stencil triplets (rows, cols, vals) of the map from un dofs to
-    per-cell Hessian entries H[a, b], row cell * nd*nd + a*nd + b.
-
-    Centered second differences where both faces are open, one-sided shifted
-    stencils otherwise, zero rows where no admissible stencil exists.
-    """
-    nd = len(plan_shape)
-    ncell = int(np.prod(plan_shape))
-    flat = np.arange(ncell).reshape(plan_shape)
-    rows, cols, data = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
-
-    for a in range(nd):
-        h2 = float(plan_h[a]) ** 2
-        bm, bp = _face_blocked(plan_shape, a, crack_cols[a])
-        plus = np.roll(flat, -1, axis=a)
-        minus = np.roll(flat, 1, axis=a)
-        plus2 = np.roll(flat, -2, axis=a)
-        minus2 = np.roll(flat, 2, axis=a)
-        bp2 = np.roll(bp, -1, axis=a)  # plus-face of the plus neighbor
-        bm2 = np.roll(bm, 1, axis=a)
-        centered = ~bm & ~bp
-        fwd = ~centered & ~bp & ~bp2
-        bwd = ~centered & ~fwd & ~bm & ~bm2
-        rbase = flat * (nd * nd) + a * nd + a
-        for mask, pts in ((centered, ((minus, 1.0), (flat, -2.0), (plus, 1.0))),
-                          (fwd, ((flat, 1.0), (plus, -2.0), (plus2, 1.0))),
-                          (bwd, ((flat, 1.0), (minus, -2.0), (minus2, 1.0)))):
-            idx = np.where(mask.ravel())[0]
-            if idx.size == 0:
-                continue
-            for arr, w in pts:
-                add(rbase.ravel()[idx], arr.ravel()[idx],
-                    np.full(idx.size, w / h2))
-        for b in range(a + 1, nd):
-            # mixed second differences on cells centered in both axes
-            hab = float(plan_h[a]) * float(plan_h[b])
-            bmb, bpb = _face_blocked(plan_shape, b, crack_cols[b])
-            ok = centered & ~bmb & ~bpb
-            pp = np.roll(np.roll(flat, -1, axis=a), -1, axis=b)
-            pm = np.roll(np.roll(flat, -1, axis=a), 1, axis=b)
-            mp = np.roll(np.roll(flat, 1, axis=a), -1, axis=b)
-            mm = np.roll(np.roll(flat, 1, axis=a), 1, axis=b)
-            idx = np.where(ok.ravel())[0]
-            for r_ab in (flat * (nd * nd) + a * nd + b,
-                         flat * (nd * nd) + b * nd + a):
-                if idx.size:
-                    for arr, w in ((pp, 0.25), (mm, 0.25), (pm, -0.25),
-                                   (mp, -0.25)):
-                        add(r_ab.ravel()[idx], arr.ravel()[idx],
-                            np.full(idx.size, w / hab))
-    if not rows:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
-
-
 def _plan_points(plan_shape, omega_lo, omega_hi):
     """Plan spacings and the plan cell centers, one row per cell (C order)."""
     nd = len(plan_shape)
@@ -536,8 +425,7 @@ class _LimitProblem:
     def __init__(self, plan_shape, omega_lo, omega_hi, g: BoundaryDatum, p: LameParams):
         self.plan_shape = tuple(plan_shape)
         self.omega_lo, self.omega_hi, self.g, self.p = omega_lo, omega_hi, g, p
-        self.Q = form_matrix(len(self.plan_shape),
-                             lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
+        self.Q = _form(p)
         plan_h, self.points = _plan_points(self.plan_shape, omega_lo, omega_hi)
         # crack column measure: 1 for n=2, face length for n=3
         self.column_area = [float(np.prod(np.delete(plan_h, a)))

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from platelab import energy
 from platelab.elasticity import LameParams
-from platelab.energy import (BoundaryDatum, EnergyBreakdown, boundary_penalty,
-                             change_of_variables_check, compactness_check,
-                             griffith_energy, limit_energy, penalized_energies,
-                             rescale_plate_field, rescaled_energy,
-                             rescaled_strains, stretch_datum)
-from platelab.kirchhoff_love import (KLState, PlateField, PlateGrid, kl_lift,
-                                     reduced_gradient)
+from platelab.energy import (BoundaryDatum, EnergyBreakdown, _form,
+                             boundary_penalty, change_of_variables_check,
+                             compactness_check, griffith_energy, limit_energy,
+                             penalized_energies, rescale_plate_field,
+                             rescaled_energy, rescaled_strains, stretch_datum)
+from platelab.kirchhoff_love import (KLState, PlateField, PlateGrid,
+                                     _derivative_operator, _hessian_operator,
+                                     kl_lift, reduced_gradient)
+from platelab.minimize import _reduced_system
 
 P2 = LameParams(1.0, 1.0, 2)
 
@@ -41,7 +45,12 @@ def test_energy_breakdown_total():
 # full tensor density C E . E = 3 t^2, reduced density C0 E . E = (8/3) t^2
 
 
-def test_limit_energy_stretch_closed_form():
+def test_limit_energy_stretch_closed_form(monkeypatch):
+    # un = 0: the bending term is 0 without building the Hessian stencil
+    def no_stencil(*args):
+        raise AssertionError("_hessian_operator called for a zero deflection")
+
+    monkeypatch.setattr(energy, "_hessian_operator", no_stencil)
     t = 0.7
     e = limit_energy(stretch_state(t), P2)
     assert e.surface == 0.0
@@ -49,10 +58,91 @@ def test_limit_energy_stretch_closed_form():
 
 
 def test_limit_energy_bending_closed_form():
-    # pure bending: bulk = (1/2) * (1/12) * C0(1) = (8/3) / 24 = 1/9
+    # pure bending: bulk = (1/2) * (1/12) * C0(1) = (8/3) / 24 = 1/9; the
+    # 3-point stencils (centered inside, shifted one-sided at the two end
+    # cells) are exact on a quadratic, so Hess un = 1 on every cell
     e = limit_energy(bending_state(256), P2)
-    # boundary cells use one-sided Hessian stencils, so allow a small bias
-    assert e.bulk == pytest.approx(1.0 / 9.0, rel=2e-2)
+    assert e.bulk == pytest.approx(1.0 / 9.0, rel=1e-12)
+
+
+def _stiffness(stencil, Q, weight, ndof):
+    """K of the bulk (1/2) x.K x, from the solver's `_reduced_system` with
+    no fixed dofs."""
+    none = np.zeros(ndof, dtype=bool)
+    K, _ = _reduced_system(stencil, Q, weight, none, np.zeros(ndof), none)
+    return K
+
+
+def _assert_bulk_is_quadratic(bulk, parts):
+    """bulk = sum (1/2) x.K x over parts [(K, x)], to 1e-12 of the sum of
+    (1/2)|x|.|K||x| (the size of the rounding of either side)."""
+    exact = sum(0.5 * x @ (K @ x) for K, x in parts)
+    size = sum(0.5 * np.abs(x) @ (abs(K) @ np.abs(x)) for K, x in parts)
+    assert abs(bulk - exact) <= 1e-12 * size, (bulk, exact, size)
+
+
+def test_limit_energy_bending_sees_the_solver_hessian():
+    # un = x^2/2 + 1e-3 (-1)^i on 64 cells: every 3-point second difference
+    # of the oscillation is -+4e-3 / h^2 = -+16.384, so Hess un = 1 -+ 16.384
+    # cell by cell (the ends included) and the bulk is (1 + 16.384^2) / 9.
+    # A difference of the central gradient does not see the oscillation.
+    s = bending_state(64)
+    s.un = s.un + 1e-3 * (-1.0) ** np.arange(64)
+    e = limit_energy(s, P2)
+    assert e.bulk == pytest.approx((1.0 + 16.384 ** 2) / 9.0, rel=1e-12)
+    K = _stiffness(_hessian_operator((64,), s.plan_h, s.crack_cols), _form(P2),
+                   s.plan_h[0] / 12.0, 64)
+    _assert_bulk_is_quadratic(e.bulk, [(K, s.un)])
+
+
+def _random_breaks(draw, shape):
+    out = []
+    for a in range(len(shape)):
+        s = list(shape)
+        s[a] -= 1
+        size = int(np.prod(s))
+        flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        out.append(np.array(flags, dtype=bool).reshape(s))
+    return out
+
+
+@st.composite
+def _bulk_case(draw):
+    """The bulk of a limit state or of a film field (rescaled or physical),
+    n = 2 or 3, random values and broken faces, with the parts [(K, x)] of
+    its solver quadratic."""
+    n = draw(st.sampled_from([2, 3]))
+    p = LameParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0)), n)
+    hi = tuple(draw(st.sampled_from([0.7, 1.0, 1.3])) for _ in range(n - 1))
+    lo = (0.0,) * (n - 1)
+    plan = tuple(draw(st.integers(2, 6 if n == 2 else 4)) for _ in range(n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        m = n - 1
+        s = KLState(n, plan, lo, hi, rng.standard_normal(plan + (m,)),
+                    rng.standard_normal(plan), rng.standard_normal(plan + (m,)),
+                    _random_breaks(draw, plan))
+        area = float(np.prod(s.plan_h))
+        ncell = int(np.prod(plan))
+        Km = _stiffness(_derivative_operator(plan, s.plan_h, s.crack_cols, m),
+                        _form(p), area, ncell * m)
+        Kb = _stiffness(_hessian_operator(plan, s.plan_h, s.crack_cols),
+                        _form(p), area / 12.0, ncell)
+        return limit_energy(s, p).bulk, [(Km, s.ubar.ravel()), (Kb, s.un.ravel())]
+    g = PlateGrid(n, plan, draw(st.integers(2, 4)), lo, hi)
+    v = PlateField(g, rng.standard_normal(g.shape + (n,)), _random_breaks(draw, g.shape))
+    rho = draw(st.one_of(st.none(), st.floats(1e-3, 1.0)))  # None: griffith_energy
+    K = _stiffness(_derivative_operator(g.shape, g.spacings, v.broken, n),
+                   _form(p, 1.0 if rho is None else rho), g.cell_volume, v.values.size)
+    e = griffith_energy(v, p) if rho is None else rescaled_energy(v, p, rho)
+    return e.bulk, [(K, v.values.ravel())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bulk_case())
+def test_reported_bulk_is_the_solver_quadratic(case):
+    bulk, parts = case
+    _assert_bulk_is_quadratic(bulk, parts)
 
 
 def test_limit_energy_layers_quadrature_matches_analytic():
@@ -104,7 +194,7 @@ def test_rescaled_strains_scaling():
     u = PlateField(g, rng.standard_normal((6, 4, 2)))
     rho = 0.2
     from platelab.kirchhoff_love import cell_strains
-    E0 = cell_strains(u, scheme="forward")
+    E0 = cell_strains(u)
     E = rescaled_strains(u, rho)
     assert np.allclose(E[..., 0, 0], E0[..., 0, 0])
     assert np.allclose(E[..., 0, 1], E0[..., 0, 1] / rho)
@@ -141,7 +231,6 @@ def test_boundary_penalty_klstate():
     assert boundary_penalty(s, g) == 0.0
     s.ubar += 1.0  # violate the datum on both lateral sides
     assert boundary_penalty(s, g) == pytest.approx(2.0)
-    assert boundary_penalty(s, g, released={(0, 0)}) == pytest.approx(1.0)
 
 
 def test_boundary_penalty_plate_field():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from platelab.kirchhoff_love import (KLState, PlateField, PlateGrid,
+                                     _apply_stencil, _derivative_operator,
                                      cell_derivative, cell_strains,
                                      extract_psi, jump_decomposition_check,
                                      kl_average, kl_lift, kl_verify,
@@ -101,9 +102,33 @@ def test_klstate_file_roundtrip(tmp_path):
 def test_cell_derivative_exact_on_linear():
     x = 0.1 * (np.arange(10) + 0.5)
     vals = 3.0 * x + 1.0
-    for scheme in ("central", "forward"):
-        d = cell_derivative(vals, 0, 0.1, None, scheme)
-        assert np.allclose(d, 3.0, atol=1e-12)
+    d = cell_derivative(vals, 0, 0.1, None)
+    assert np.allclose(d, 3.0, atol=1e-12)
+
+
+def _forward_derivative(vals, h, broken):
+    """d/dx of 1D cell values through the `_derivative_operator` stencil."""
+    stencil = _derivative_operator(vals.shape, [h], [broken], 1)
+    return _apply_stencil(stencil, vals, vals.size)
+
+
+def test_derivative_operator_exact_on_linear():
+    # forward quotients, backward at the last cell and before a break: every
+    # one of them is exact on each side of the break
+    x = 0.1 * (np.arange(10) + 0.5)
+    broken = np.zeros(9, dtype=bool)
+    broken[4] = True
+    for jump in (0.0, 1.0):
+        vals = 3.0 * x + 1.0 + jump * (np.arange(10) >= 5)
+        assert np.allclose(_forward_derivative(vals, 0.1, broken), 3.0, atol=1e-12)
+
+
+def test_derivative_operator_isolated_cell_zero():
+    vals = np.array([1.0, 5.0, 2.0])
+    d = _forward_derivative(vals, 1.0, np.array([True, True]))
+    assert d[1] == 0.0
+    assert np.array_equal(_forward_derivative(vals, 1.0, np.array([False, True])),
+                          [4.0, 4.0, 0.0])
 
 
 def test_cell_derivative_one_sided_at_break():
@@ -112,7 +137,7 @@ def test_cell_derivative_one_sided_at_break():
     vals[5:] += 1.0  # jump across face between cells 4 and 5
     broken = np.zeros(9, dtype=bool)
     broken[4] = True
-    d = cell_derivative(vals, 0, 0.1, broken, "central")
+    d = cell_derivative(vals, 0, 0.1, broken)
     # the one-sided stencils never straddle the break, so the jump is invisible
     assert np.allclose(d, 1.0, atol=1e-12)
 
@@ -120,13 +145,8 @@ def test_cell_derivative_one_sided_at_break():
 def test_cell_derivative_isolated_cell_zero():
     vals = np.array([1.0, 5.0, 2.0])
     broken = np.array([True, True])
-    d = cell_derivative(vals, 0, 1.0, broken, "forward")
+    d = cell_derivative(vals, 0, 1.0, broken)
     assert d[1] == 0.0
-
-
-def test_cell_derivative_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        cell_derivative(np.zeros(4), 0, 1.0, None, "spectral")
 
 
 def test_cell_strains_affine_displacement():

@@ -191,16 +191,19 @@ def test_cli_config_file_roundtrip(tmp_path):
     assert len(lines) == 2
 
 
-@pytest.mark.parametrize("command", ["classify", "recover", "sweep"])
+@pytest.mark.parametrize("command", ["classify", "jump-energy", "approximate",
+                                     "recover", "liminf", "minimize", "sweep"])
 def test_cli_csv_is_byte_identical_across_runs(command, tmp_path):
     # rows carry no timings, so two runs of one config give the same bytes
     crack_path = tmp_path / "crack.txt"
     axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("plan = 16\nlayers = 4\nrho_list = 1e-1\nstretch = 1.2\n")
-    args = {"classify": ["--crack", str(crack_path), "--h", "0.0625"],
-            "recover": ["--config", str(cfg)],
-            "sweep": ["--config", str(cfg)]}[command]
+    cfg.write_text("plan = 16\nlayers = 4\nrho_list = 1e-1\nstretch = 1.2\n"
+                   "samples = 4\n")
+    crack = ["--crack", str(crack_path), "--h", "0.0625"]
+    args = {"classify": crack,
+            "jump-energy": ["--config", str(cfg), *crack],
+            "approximate": crack}.get(command, ["--config", str(cfg)])
     outs = [tmp_path / f"run{k}.csv" for k in range(2)]
     for out in outs:
         assert run_cli([command, *args, "--out", str(out)]) == 0
