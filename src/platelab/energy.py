@@ -18,7 +18,8 @@ import numpy as np
 from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
                          quadratic_form_C0, rescale_strain, validate_lame)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil,
-                             _derivative_operator, _hessian_operator, cell_strains)
+                             _derivative_operator, _hessian_operator, _side,
+                             cell_strains)
 # unused here; bench/tracer.py wraps these names in this module
 from .kirchhoff_love import cell_derivative, kl_lift  # noqa: F401
 
@@ -75,30 +76,10 @@ def _bulk(d: np.ndarray, Q: np.ndarray, weight: float) -> float:
     return 0.5 * weight * float(np.sum(np.einsum("ki,ij,kj->k", d, Q, d)))
 
 
-def _film_bulk(u: PlateField, p: LameParams, rho: float) -> float:
-    """Bulk of E_rho of a film field; rho = 1 gives the physical bulk."""
-    g = u.grid
-    d = _cell_rows(lambda: _derivative_operator(g.shape, g.spacings, u.broken, g.n),
-                   u.values, int(np.prod(g.shape)), g.n * g.n)
-    return _bulk(d, _form(p, rho), g.cell_volume)
-
-
-def _surface_area(u: PlateField, weight=None) -> float:
-    total = 0.0
-    for a in range(u.grid.n):
-        cnt = np.count_nonzero(u.broken[a])
-        if cnt == 0:
-            continue
-        w = 1.0 if weight is None else weight(a)
-        total += cnt * u.broken_face_area(a) * w
-    return total
-
-
 def griffith_energy(u: PlateField, p: LameParams) -> EnergyBreakdown:
-    """(1/2) int C e(u).e(u) over uncut cells + area of broken faces."""
-    if not validate_lame(p):
-        raise ValueError("invalid Lame parameters")
-    return EnergyBreakdown(_film_bulk(u, p, 1.0), _surface_area(u))
+    """(1/2) int C e(u).e(u) over uncut cells + area of broken faces: E_rho
+    at rho = 1, where e^rho = e and phi_rho = 1."""
+    return rescaled_energy(u, p, 1.0)
 
 
 def rescaled_strains(v: PlateField, rho: float) -> np.ndarray:
@@ -117,15 +98,12 @@ def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown
         raise ValueError("rho must be positive")
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
-    bulk = _film_bulk(v, p, rho)
-    n = v.grid.n
-
-    def weight(axis):
-        nu = np.zeros(n)
-        nu[axis] = 1.0
-        return phi_rho(rho, nu)
-
-    return EnergyBreakdown(bulk, _surface_area(v, weight))
+    g = v.grid
+    d = _cell_rows(lambda: _derivative_operator(g.shape, g.spacings, v.broken, g.n),
+                   v.values, int(np.prod(g.shape)), g.n * g.n)
+    surface = sum(np.count_nonzero(v.broken[a]) * v.broken_face_area(a) * phi_rho(rho, nu)
+                  for a, nu in enumerate(np.eye(g.n)))
+    return EnergyBreakdown(_bulk(d, _form(p, rho), g.cell_volume), float(surface))
 
 
 def rescale_plate_field(u: PlateField, rho: float) -> PlateField:
@@ -189,18 +167,17 @@ class BoundaryDatum:
     n: int = 2
 
     def lift(self, Xp: np.ndarray, z) -> np.ndarray:
-        """Full displacement (ubar - z grad_un, un) at plan points Xp, height z."""
+        """Full displacement (ubar - z grad_un, un) at plan points Xp, height z,
+        shape (len(Xp), *shape(z), n)."""
         Xp = np.atleast_2d(np.asarray(Xp, dtype=float))
-        z = np.asarray(z, dtype=float)
-        ub = np.atleast_2d(np.asarray(self.ubar(Xp), dtype=float))
-        g = np.atleast_2d(np.asarray(self.grad_un(Xp), dtype=float))
-        un = np.asarray(self.un(Xp), dtype=float).reshape(-1)
-        out = np.zeros((Xp.shape[0],) + np.shape(z) + (self.n,))
-        zb = np.asarray(z).reshape((1,) + np.shape(z))
-        for a in range(self.n - 1):
-            out[..., a] = ub[:, a].reshape(-1, *([1] * np.ndim(z))) - zb * g[:, a].reshape(-1, *([1] * np.ndim(z)))
-        out[..., self.n - 1] = un.reshape(-1, *([1] * np.ndim(z)))
-        return out
+        z = np.asarray(z, dtype=float)[..., None]
+        column = (Xp.shape[0],) + (1,) * (z.ndim - 1)  # one plan point per row
+        ub = np.reshape(self.ubar(Xp), column + (self.n - 1,))
+        g = np.reshape(self.grad_un(Xp), column + (self.n - 1,))
+        un = np.reshape(self.un(Xp), column + (1,))
+        membrane = ub - z * g
+        return np.concatenate([membrane, np.broadcast_to(un, membrane.shape[:-1] + (1,))],
+                              axis=-1)
 
 
 def stretch_datum(t: float, n: int = 2) -> BoundaryDatum:
@@ -221,55 +198,39 @@ def stretch_datum(t: float, n: int = 2) -> BoundaryDatum:
     return BoundaryDatum(ubar, un, gz, n)
 
 
-def _side_selector(plan_shape, axis, side):
-    sl = [slice(None)] * len(plan_shape)
-    sl[axis] = 0 if side == 0 else plan_shape[axis] - 1
-    return tuple(sl)
-
-
-def _side_area(plan_h, plan_shape, axis, zthick=1.0):
-    other = [plan_h[a] * plan_shape[a] for a in range(len(plan_shape)) if a != axis]
-    return float(np.prod(other)) * zthick if other else zthick
-
-
 def boundary_penalty(obj, g: BoundaryDatum) -> float:
     """Lateral-boundary area where the trace differs from the datum.
 
-    obj is a PlateField (compared against the lifted datum layer by layer)
-    or a KLState (compared field by field).  Every side is charged, released
-    or not: this function only measures mismatch.  A value differs when it
-    is off by more than _TRACE_TOL times the field's scale.
+    The trace has one row per plan cell: a PlateField's values over all
+    layers against the lifted datum, or a KLState's (ubar, un, grad_un)
+    against the datum's.  Every side is charged, released or not: this
+    function only measures mismatch.  A cell differs when some entry of its
+    row is off by more than _TRACE_TOL times max(1, max |trace|); each side
+    is charged its area times its fraction of differing cells.
     """
     if isinstance(obj, PlateField):
-        gr = obj.grid
-        ps, ph, mesh = gr.plan_shape, gr.plan_h, gr.plan_mesh()
-        scale = max(1.0, float(np.max(np.abs(obj.values))))
-        z = gr.z_centers()
-
-        def gap(sel, Xp):  # largest gap over layers and components
-            vals = obj.values[sel]  # (*other_plan, layers, n)
-            return np.max(np.abs(vals - g.lift(Xp, z).reshape(vals.shape)), axis=(-1, -2))
+        ps, h = obj.grid.plan_shape, obj.grid.plan_h
+        Xp = obj.grid.plan_points().reshape(-1, len(ps))
+        trace = obj.values.reshape(ps + (-1,))
+        datum = g.lift(Xp, obj.grid.z_centers())
     elif isinstance(obj, KLState):
-        s = obj
-        ps, ph, m = tuple(s.plan_shape), s.plan_h, s.n - 1
-        mesh = np.meshgrid(*[np.asarray(s.omega_lo)[a] + ph[a] * (np.arange(ps[a]) + 0.5)
-                             for a in range(m)], indexing="ij")
-        scale = s.scale()
-
-        def gap(sel, Xp):  # largest gap over ubar, un and grad_un
-            mub = np.abs(s.ubar[sel].reshape(-1, m) - np.atleast_2d(np.asarray(g.ubar(Xp))))
-            mun = np.abs(s.un[sel].reshape(-1) - np.asarray(g.un(Xp)).reshape(-1))
-            mgz = np.abs(s.grad_un[sel].reshape(-1, m) - np.atleast_2d(np.asarray(g.grad_un(Xp))))
-            return np.maximum(np.maximum(mub.max(axis=1), mun), mgz.max(axis=1))
+        ps, h = tuple(obj.plan_shape), obj.plan_h
+        Xp = obj.plan_points().reshape(-1, len(ps))
+        trace = np.concatenate([obj.ubar, obj.un[..., None], obj.grad_un], axis=-1)
+        datum = np.concatenate([np.reshape(f(Xp), (len(Xp), -1))
+                                for f in (g.ubar, g.un, g.grad_un)], axis=-1)
     else:
         raise TypeError("expected PlateField or KLState")
+    scale = max(1.0, float(np.max(np.abs(trace))))
+    gap = np.max(np.abs(trace - datum.reshape(trace.shape)), axis=-1)
+    mism = gap > _TRACE_TOL * scale
+    extent = h * np.asarray(ps)
     total = 0.0
     for axis in range(len(ps)):
+        area = float(np.prod(np.delete(extent, axis)))
         for side in (0, 1):
-            sel = _side_selector(ps, axis, side)
-            mism = gap(sel, np.stack([c[sel].ravel() for c in mesh], axis=-1)) > _TRACE_TOL * scale
-            frac = np.count_nonzero(mism) / mism.size if mism.size else 0.0
-            total += frac * _side_area(ph, ps, axis)
+            on_side = mism[_side(ps, axis, side)]
+            total += np.count_nonzero(on_side) / on_side.size * area
     return total
 
 
@@ -280,11 +241,9 @@ def penalized_energies(obj, p: LameParams, g: BoundaryDatum,
         if rho is None:
             raise ValueError("rho required for the rescaled energy")
         e = rescaled_energy(obj, p, rho)
-        pen = boundary_penalty(obj, g)
     else:
         e = limit_energy(obj, p)
-        pen = boundary_penalty(obj, g)
-    return EnergyBreakdown(e.bulk, e.surface, pen)
+    return EnergyBreakdown(e.bulk, e.surface, boundary_penalty(obj, g))
 
 
 def compactness_check(v: PlateField, p: LameParams, rho: float) -> dict:

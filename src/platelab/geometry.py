@@ -185,12 +185,6 @@ def axis_plane_crack(n: int, axis: int, value: float,
 # distance kernels (vectorized over a batch of query segments)
 
 
-def _point_seg_dist(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    t = np.clip((P - a) @ d / (d @ d), 0.0, 1.0)
-    return np.linalg.norm(P - (a + np.outer(t, d)), axis=1)
-
-
 def _seg_seg_dist(P: np.ndarray, Q: np.ndarray,
                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance between batch segments [P_i, Q_i] and the single segment [a, b]."""

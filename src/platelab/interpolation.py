@@ -17,6 +17,10 @@ from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
                        classify_cubes, segments_hit_crack)
 
 
+# lattice points `sample` covers beyond the cube window on each side
+_SAMPLE_MARGIN = 2
+
+
 @dataclass
 class SampledField:
     """Lattice samples v(xi + h y) on an integer index window."""
@@ -37,11 +41,12 @@ class SampledField:
         return self.values[tuple(idx.T)]
 
 
-def sample(v, grid: ShiftedGrid, margin: int = 2) -> SampledField:
-    """Sample v at all lattice points xi + h y covering the grid box plus margin."""
+def sample(v, grid: ShiftedGrid) -> SampledField:
+    """Sample v at all lattice points xi + h y covering the grid box plus
+    _SAMPLE_MARGIN lattice points on each side."""
     zmin, zmax = grid.cube_window()
-    zmin = zmin - margin
-    zmax = zmax + 1 + margin  # cube corners go one past the last cube index
+    zmin = zmin - _SAMPLE_MARGIN
+    zmax = zmax + 1 + _SAMPLE_MARGIN  # cube corners go one past the last cube index
     axes = [np.arange(zmin[i], zmax[i] + 1) for i in range(grid.n)]
     grids = np.meshgrid(*axes, indexing="ij")
     Z = np.stack([g.ravel() for g in grids], axis=-1)
@@ -109,10 +114,6 @@ class DirectionalStrainField:
     zmin: np.ndarray  # first cube index per axis
     values: np.ndarray  # per-cube constants, cutoff already applied
     cutoff: np.ndarray  # bool; False where the lattice point lies in J^{he}
-
-    def value_at_cube(self, z: np.ndarray) -> np.ndarray:
-        idx = np.asarray(z) - self.zmin
-        return self.values[tuple(np.atleast_2d(idx).T)]
 
 
 def directional_strain(s: SampledField, e, crack: CrackSurface | None) -> DirectionalStrainField:
@@ -211,13 +212,18 @@ def strain_bound_check(approx: ApproximantField, ds: DirectionalStrainField,
     return float(np.max(ratio)) if ratio.size else 0.0
 
 
+# random fibers `structure_preservation_check` draws, and points per fiber
+_FIBERS = 20
+_FIBER_SAMPLES = 30
+
+
 def structure_preservation_check(v, approx: ApproximantField, i: int, j: int,
-                                 num_fibers: int = 20, num_samples: int = 30,
                                  rng=None):
     """Check that fibers along axis i of component j stay constant.
 
-    Applies when v . e_j is independent of x_i; fibers whose shadow meets
-    the projection of the bad-cube closure along axis i are skipped.
+    Applies when v . e_j is independent of x_i.  Draws _FIBERS random fibers,
+    each sampled at _FIBER_SAMPLES points; fibers whose shadow meets the
+    projection of the bad-cube closure along axis i are skipped.
     Returns True/False, or None when the precondition on v fails.
     """
     rng = np.random.default_rng(rng)
@@ -242,7 +248,7 @@ def structure_preservation_check(v, approx: ApproximantField, i: int, j: int,
     boxes = approx.classification.bad_boxes()
     others = [a for a in range(n) if a != i]
     ok_count = 0
-    for _ in range(num_fibers):
+    for _ in range(_FIBERS):
         p = lo + (hi - lo) * rng.random(n)
         shadowed = False
         for b in boxes:
@@ -251,8 +257,8 @@ def structure_preservation_check(v, approx: ApproximantField, i: int, j: int,
                 break
         if shadowed:
             continue
-        ts = np.linspace(lo[i], hi[i], num_samples)
-        pts = np.tile(p, (num_samples, 1))
+        ts = np.linspace(lo[i], hi[i], _FIBER_SAMPLES)
+        pts = np.tile(p, (_FIBER_SAMPLES, 1))
         pts[:, i] = ts
         vals = approx(pts)[:, j]
         if np.max(np.abs(vals - vals[0])) > 1e-12 * max(1.0, np.max(np.abs(vals))):

@@ -37,9 +37,10 @@ class PlateGrid:
 
     @property
     def plan_h(self) -> np.ndarray:
-        lo = np.asarray(self.omega_lo, dtype=float)
-        hi = np.asarray(self.omega_hi, dtype=float)
-        return (hi - lo) / np.asarray(self.plan_shape)
+        return _plan_h(self.plan_shape, self.omega_lo, self.omega_hi)
+
+    def plan_points(self) -> np.ndarray:
+        return _plan_points(self.plan_shape, self.omega_lo, self.omega_hi)
 
     @property
     def hz(self) -> float:
@@ -57,16 +58,27 @@ class PlateGrid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
-    def plan_centers(self, axis: int) -> np.ndarray:
-        lo = self.omega_lo[axis]
-        return lo + self.plan_h[axis] * (np.arange(self.plan_shape[axis]) + 0.5)
-
     def z_centers(self) -> np.ndarray:
         return self.z_extent[0] + self.hz * (np.arange(self.layers) + 0.5)
 
-    def plan_mesh(self) -> list:
-        axes = [self.plan_centers(a) for a in range(self.n - 1)]
-        return np.meshgrid(*axes, indexing="ij")
+
+def _plan_h(plan_shape: tuple, lo, hi) -> np.ndarray:
+    """Cell widths of the uniform plan grid of `plan_shape` cells on [lo, hi]."""
+    return (np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float)) / np.asarray(plan_shape)
+
+
+def _plan_points(plan_shape: tuple, lo, hi) -> np.ndarray:
+    """Plan cell centers, shape (*plan_shape, nd)."""
+    h = _plan_h(plan_shape, lo, hi)
+    axes = [lo[a] + h[a] * (np.arange(k) + 0.5) for a, k in enumerate(plan_shape)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _side(shape: tuple, axis: int, side: int) -> tuple:
+    """Index of the cells on the minus (side 0) or plus (side 1) end of `axis`."""
+    sl = [slice(None)] * len(shape)
+    sl[axis] = 0 if side == 0 else shape[axis] - 1
+    return tuple(sl)
 
 
 def _empty_breaks(shape: tuple) -> list:
@@ -136,24 +148,15 @@ class KLState:
 
     @property
     def plan_h(self) -> np.ndarray:
-        lo = np.asarray(self.omega_lo, dtype=float)
-        hi = np.asarray(self.omega_hi, dtype=float)
-        return (hi - lo) / np.asarray(self.plan_shape)
+        return _plan_h(self.plan_shape, self.omega_lo, self.omega_hi)
+
+    def plan_points(self) -> np.ndarray:
+        return _plan_points(self.plan_shape, self.omega_lo, self.omega_hi)
 
     def crack_measure(self) -> float:
         """(n-2)-measure of the crack lines (count for n=2, length for n=3)."""
-        if self.n == 2:
-            return float(sum(np.count_nonzero(c) for c in self.crack_cols))
-        total = 0.0
-        for a in range(2):
-            face_len = self.plan_h[1 - a]
-            total += np.count_nonzero(self.crack_cols[a]) * face_len
-        return float(total)
-
-    def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.ubar))),
-                   float(np.max(np.abs(self.un))),
-                   float(np.max(np.abs(self.grad_un))))
+        return float(sum(np.count_nonzero(c) * np.prod(np.delete(self.plan_h, a))
+                         for a, c in enumerate(self.crack_cols)))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -209,22 +212,15 @@ class KLState:
 
 def _face_blocked(shape: tuple, axis: int, broken: np.ndarray | None):
     """Per-cell flags: is the minus/plus face along `axis` a boundary or break."""
-    N = shape[axis]
-    full = [slice(None)] * len(shape)
     blocked_m = np.zeros(shape, dtype=bool)
     blocked_p = np.zeros(shape, dtype=bool)
-    sl = full.copy()
-    sl[axis] = 0
-    blocked_m[tuple(sl)] = True
-    sl = full.copy()
-    sl[axis] = N - 1
-    blocked_p[tuple(sl)] = True
+    blocked_m[_side(shape, axis, 0)] = True
+    blocked_p[_side(shape, axis, 1)] = True
     if broken is not None:
-        sl = full.copy()
-        sl[axis] = slice(1, N)
+        sl = [slice(None)] * len(shape)
+        sl[axis] = slice(1, None)
         blocked_m[tuple(sl)] |= broken
-        sl = full.copy()
-        sl[axis] = slice(0, N - 1)
+        sl[axis] = slice(0, -1)
         blocked_p[tuple(sl)] |= broken
     return blocked_m, blocked_p
 
@@ -335,10 +331,10 @@ def cell_strains(u: PlateField) -> np.ndarray:
 # lift / average / slice operations
 
 
-def kl_lift(s: KLState, layers: int, z_extent: tuple = (-0.5, 0.5)) -> PlateField:
-    """3D displacement u_alpha = ubar_alpha - x_n d_alpha u_n, u_n = un."""
-    grid = PlateGrid(s.n, tuple(s.plan_shape), layers, s.omega_lo, s.omega_hi,
-                     z_extent)
+def kl_lift(s: KLState, layers: int) -> PlateField:
+    """3D displacement u_alpha = ubar_alpha - x_n d_alpha u_n, u_n = un, on
+    the unit thickness (-1/2, 1/2)."""
+    grid = PlateGrid(s.n, tuple(s.plan_shape), layers, s.omega_lo, s.omega_hi)
     z = grid.z_centers()
     shape = grid.shape
     vals = np.zeros(shape + (s.n,))
@@ -385,10 +381,9 @@ def _near_break_mask(u: PlateField) -> np.ndarray:
     near = np.zeros(u.grid.shape, dtype=bool)
     for a in range(u.grid.n):
         bm, bp = _face_blocked(u.grid.shape, a, u.broken[a])
-        if u.broken[a] is not None:
-            # only actual breaks, not the domain boundary
-            onlym, onlyp = _face_blocked(u.grid.shape, a, None)
-            near |= (bm & ~onlym) | (bp & ~onlyp)
+        # only actual breaks, not the domain boundary
+        onlym, onlyp = _face_blocked(u.grid.shape, a, None)
+        near |= (bm & ~onlym) | (bp & ~onlyp)
     return near
 
 

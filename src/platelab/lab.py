@@ -79,14 +79,13 @@ def recovery_sequence(s: KLState, p: LameParams, rho: float,
     return v
 
 
-def recovery_sweep(s: KLState, p: LameParams, rho_list, layers: int = 32,
-                   smoothing=None) -> list:
-    """One row per rho: E_rho of the recovery field vs the limit energy."""
+def recovery_sweep(s: KLState, p: LameParams, rho_list, layers: int = 32) -> list:
+    """One row per rho: E_rho of the recovery field (smoothing scale sqrt(rho))
+    vs the limit energy."""
     e0 = limit_energy(s, p).total
     rows = []
     for rho in rho_list:
-        scale = smoothing(rho) if smoothing else np.sqrt(rho)
-        v = recovery_sequence(s, p, rho, scale, layers)
+        v = recovery_sequence(s, p, rho, np.sqrt(rho), layers)
         e = rescaled_energy(v, p, rho)
         comp = compactness_check(v, p, rho)
         rows.append({
@@ -115,10 +114,19 @@ def liminf_probe(family, s: KLState, p: LameParams, rho_list) -> list:
     return rows
 
 
+# largest pointwise difference at which `minima_sweep` counts two minimizers
+# as equal on a cell
+_MINIMIZER_TOL = 1e-2
+
+
 def minima_sweep(g: BoundaryDatum, p: LameParams, rho_list, plan_shape,
                  omega_lo, omega_hi, layers: int = 8,
-                 cfg: SolverConfig | None = None, delta: float = 1e-2) -> list:
-    """Compare minimized E_rho^g against minimized E_0^g per rho."""
+                 cfg: SolverConfig | None = None) -> list:
+    """Compare minimized E_rho^g against minimized E_0^g per rho.
+
+    minimizer_distance is the volume of the cells where the film minimizer
+    and the lifted limit minimizer differ by more than _MINIMIZER_TOL.
+    """
     cfg = cfg or SolverConfig()
     s0, cracks0, e0, _ = minimize_limit(plan_shape, omega_lo, omega_hi, g, p, cfg)
     rows = []
@@ -127,7 +135,7 @@ def minima_sweep(g: BoundaryDatum, p: LameParams, rho_list, plan_shape,
         v, cracks, e, trace = alternate_minimize(grid, g, p, rho, cfg)
         lifted = kl_lift(s0, layers)
         diff = np.max(np.abs(v.values - lifted.values), axis=-1)
-        dist = float(np.count_nonzero(diff > delta)) * grid.cell_volume
+        dist = float(np.count_nonzero(diff > _MINIMIZER_TOL)) * grid.cell_volume
         surf_rho = e.surface + e.boundary_penalty
         surf_0 = e0.surface + e0.boundary_penalty
         rows.append({
@@ -210,32 +218,24 @@ def projection_experiment(crack: CrackSurface, h_list, lo, hi) -> list:
 
 
 def membrane_crack_state(t: float, plan: tuple, omega_lo, omega_hi,
-                         n: int = 2, crack_fraction: float = 0.5) -> KLState:
-    """Uniform stretch with one vertical crack column at the given fraction.
+                         n: int = 2) -> KLState:
+    """Uniform stretch with one vertical crack column at the middle of axis 0.
 
     ubar_1 has slope t on both sides of the crack with a unit jump across it;
-    un = 0.
+    un = 0.  For n = 3 the crack is a full line of faces across the plan.
     """
     plan = tuple(plan)
     nd = n - 1
     lo = np.asarray(omega_lo, dtype=float)
     hi = np.asarray(omega_hi, dtype=float)
-    ph = (hi - lo) / np.asarray(plan)
-    axes = [lo[a] + ph[a] * (np.arange(plan[a]) + 0.5) for a in range(nd)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xc = lo[0] + crack_fraction * (hi[0] - lo[0])
-    ubar = np.zeros(plan + (nd,))
-    ubar[..., 0] = t * mesh[0] + np.where(mesh[0] > xc, 1.0, 0.0)
-    un = np.zeros(plan)
-    grad_un = np.zeros(plan + (nd,))
-    s = KLState(n, plan, tuple(lo), tuple(hi), ubar, un, grad_un)
+    s = KLState(n, plan, tuple(lo), tuple(hi), np.zeros(plan + (nd,)),
+                np.zeros(plan), np.zeros(plan + (nd,)))
+    x = s.plan_points()[..., 0]
+    xc = lo[0] + 0.5 * (hi[0] - lo[0])
+    s.ubar[..., 0] = t * x + np.where(x > xc, 1.0, 0.0)
     # crack column at the grid face nearest to xc
-    j = int(round((xc - lo[0]) / ph[0])) - 1
-    j = min(max(j, 0), plan[0] - 2)
-    if nd == 1:
-        s.crack_cols[0][j] = True
-    else:
-        s.crack_cols[0][j, :] = True
+    j = int(round((xc - lo[0]) / s.plan_h[0])) - 1
+    s.crack_cols[0][min(max(j, 0), plan[0] - 2)] = True
     return s
 
 

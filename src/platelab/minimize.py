@@ -21,12 +21,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elasticity import LameParams
-from .energy import (BoundaryDatum, EnergyBreakdown, _form, boundary_penalty,
-                     limit_energy, penalized_energies, rescaled_energy)
+from .energy import (BoundaryDatum, EnergyBreakdown, _form, penalized_energies,
+                     rescaled_energy)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
-                             _empty_breaks, _hessian_operator, reduced_gradient)
+                             _empty_breaks, _hessian_operator, _plan_h, _plan_points,
+                             _side, reduced_gradient)
 # unused here; bench/tracer.py wraps these names in this module
 from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
+from .energy import boundary_penalty, limit_energy  # noqa: F401
 from .kirchhoff_love import _face_blocked  # noqa: F401
 
 
@@ -200,18 +202,14 @@ def _cut_bulks(ends, broken) -> np.ndarray:
 
 
 def _datum_values(grid: PlateGrid, g: BoundaryDatum) -> np.ndarray:
-    mesh = grid.plan_mesh()
-    Xp = np.stack([m.ravel() for m in mesh], axis=-1)
-    z = grid.z_centers()
-    vals = g.lift(Xp, z)  # (ncellplan, layers, n)
-    return vals.reshape(grid.shape + (grid.n,))
+    """The lifted datum at every cell, shape (*grid.shape, n)."""
+    Xp = grid.plan_points().reshape(-1, grid.n - 1)
+    return g.lift(Xp, grid.z_centers()).reshape(grid.shape + (grid.n,))
 
 
 def _lateral_cell_mask(shape: tuple, axis: int, side: int):
     m = np.zeros(shape, dtype=bool)
-    sl = [slice(None)] * len(shape)
-    sl[axis] = 0 if side == 0 else shape[axis] - 1
-    m[tuple(sl)] = True
+    m[_side(shape, axis, side)] = True
     return m
 
 
@@ -222,7 +220,7 @@ def _clamped_cells(shape: tuple, plan_axes: int, released) -> np.ndarray:
     for axis in range(plan_axes):
         for side in (0, 1):
             if (axis, side) not in released:
-                fixed |= _lateral_cell_mask(shape, axis, side)
+                fixed[_side(shape, axis, side)] = True
     return fixed
 
 
@@ -379,22 +377,13 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
 # reduced (limit) problem
 
 
-def _plan_points(plan_shape, omega_lo, omega_hi):
-    """Plan spacings and the plan cell centers, one row per cell (C order)."""
-    nd = len(plan_shape)
-    plan_h = (np.asarray(omega_hi, float) - np.asarray(omega_lo, float)) / np.asarray(plan_shape)
-    axes = [omega_lo[a] + plan_h[a] * (np.arange(plan_shape[a]) + 0.5)
-            for a in range(nd)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return plan_h, np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
                    g: BoundaryDatum, Q: np.ndarray) -> KLState:
     """Minimize the bulk of E_0 at fixed cracks; Q is the C0 form matrix."""
     nd = len(plan_shape)
     n = nd + 1
-    plan_h, Xp = _plan_points(plan_shape, omega_lo, omega_hi)
+    plan_h = _plan_h(plan_shape, omega_lo, omega_hi)
+    Xp = _plan_points(plan_shape, omega_lo, omega_hi).reshape(-1, nd)
     area = float(np.prod(plan_h))
     fixed_cells = _clamped_cells(plan_shape, nd, cracks.released)
     labels = _connected_components(plan_shape, cracks.broken)
@@ -426,10 +415,11 @@ class _LimitProblem:
         self.plan_shape = tuple(plan_shape)
         self.omega_lo, self.omega_hi, self.g, self.p = omega_lo, omega_hi, g, p
         self.Q = _form(p)
-        plan_h, self.points = _plan_points(self.plan_shape, omega_lo, omega_hi)
+        nd = len(self.plan_shape)
+        self.points = _plan_points(self.plan_shape, omega_lo, omega_hi).reshape(-1, nd)
         # crack column measure: 1 for n=2, face length for n=3
-        self.column_area = [float(np.prod(np.delete(plan_h, a)))
-                            for a in range(len(self.plan_shape))]
+        plan_h = _plan_h(self.plan_shape, omega_lo, omega_hi)
+        self.column_area = [float(np.prod(np.delete(plan_h, a))) for a in range(nd)]
 
     def solve(self, cracks: CrackIndicator):
         s = _reduced_solve(self.plan_shape, self.omega_lo, self.omega_hi, cracks,
@@ -437,8 +427,7 @@ class _LimitProblem:
         return s, self._energy(s)
 
     def _energy(self, s: KLState) -> EnergyBreakdown:
-        e = limit_energy(s, self.p)
-        return EnergyBreakdown(e.bulk, e.surface, boundary_penalty(s, self.g))
+        return penalized_energies(s, self.p, self.g)
 
     def score_cuts(self, cracks: CrackIndicator):
         """Totals of the through-cuts of a 1D plan by the membrane alone.

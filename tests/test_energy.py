@@ -242,6 +242,59 @@ def test_boundary_penalty_plate_field():
     assert boundary_penalty(v, g) == pytest.approx(2.0)
 
 
+def _bent_datum_3d():
+    # ubar = (0.3 x_1, 0), un = (x_1^2 + x_2^2) / 2, grad_un = (x_1, x_2)
+    def ubar(X):
+        return np.stack([0.3 * X[:, 0], np.zeros(len(X))], axis=-1)
+
+    return BoundaryDatum(ubar, lambda X: 0.5 * np.sum(X ** 2, axis=1),
+                         lambda X: X.copy(), 3)
+
+
+def _state_on_datum(g, plan=(6, 5), lo=(0.0, 0.0), hi=(1.2, 2.0)):
+    s = KLState(3, plan, lo, hi, np.zeros(plan + (2,)), np.zeros(plan),
+                np.zeros(plan + (2,)))
+    X = s.plan_points().reshape(-1, 2)
+    s.ubar = g.ubar(X).reshape(plan + (2,))
+    s.un = g.un(X).reshape(plan)
+    s.grad_un = g.grad_un(X).reshape(plan + (2,))
+    return s
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("wrong", ["un", "grad_un"])
+def test_boundary_penalty_klstate_partial_side(wrong, k):
+    # k of the 5 cells on side x_1 = 0 are off in one entry only, away from
+    # the corners: the penalty is k/5 of that side's length 2
+    g = _bent_datum_3d()
+    s = _state_on_datum(g)
+    assert boundary_penalty(s, g) == 0.0
+    rows = [1, 2, 3][:k]
+    if wrong == "un":
+        s.un[0, rows] += 1e-12  # below the trace tolerance
+        assert boundary_penalty(s, g) == 0.0
+        s.un[0, rows] += 1e-3
+    else:
+        s.grad_un[0, rows, 1] += 1e-12
+        assert boundary_penalty(s, g) == 0.0
+        s.grad_un[0, rows, 1] += 1e-3
+    assert boundary_penalty(s, g) == pytest.approx(k / 5 * 2.0, rel=1e-12)
+
+
+def test_boundary_penalty_plate_field_one_layer():
+    # one entry of one layer of one side cell is wrong: that cell's share of
+    # its side (1/5 of length 2) for n = 3, the whole side (measure 1) for n = 2
+    g3 = _bent_datum_3d()
+    v = kl_lift(_state_on_datum(g3), 4)
+    assert boundary_penalty(v, g3) == 0.0
+    v.values[-1, 2, 1, 0] += 1e-3
+    assert boundary_penalty(v, g3) == pytest.approx(2.0 / 5, rel=1e-12)
+    g2 = stretch_datum(0.3, 2)
+    v = kl_lift(stretch_state(0.3), 8)
+    v.values[0, 5, 1] += 1e-3
+    assert boundary_penalty(v, g2) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_penalized_energies_dispatch():
     t = 0.3
     g = stretch_datum(t, 2)

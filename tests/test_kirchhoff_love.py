@@ -48,7 +48,7 @@ def test_plate_grid_validation():
 
 def test_plate_grid_centers_and_volume():
     g = make_grid(plan=(4,), layers=2)
-    assert np.allclose(g.plan_centers(0), [0.125, 0.375, 0.625, 0.875])
+    assert np.allclose(g.plan_points()[:, 0], [0.125, 0.375, 0.625, 0.875])
     assert np.allclose(g.z_centers(), [-0.25, 0.25])
     assert g.cell_volume == pytest.approx(0.125)
     # midpoint layers are symmetric about z = 0
@@ -152,7 +152,7 @@ def test_cell_derivative_isolated_cell_zero():
 def test_cell_strains_affine_displacement():
     g = make_grid(plan=(6,), layers=6)
     A = np.array([[0.4, 0.7], [0.1, -0.2]])
-    xs = g.plan_centers(0)
+    xs = g.plan_points()[:, 0]
     zs = g.z_centers()
     X, Z = np.meshgrid(xs, zs, indexing="ij")
     vals = np.stack([A[0, 0] * X + A[0, 1] * Z, A[1, 0] * X + A[1, 1] * Z],
@@ -226,7 +226,7 @@ def test_kl_verify_passes_on_lift():
 
 def test_kl_verify_flags_transverse_shear():
     g = make_grid(plan=(8,), layers=8)
-    xs = g.plan_centers(0)
+    xs = g.plan_points()[:, 0]
     zs = g.z_centers()
     X, Z = np.meshgrid(xs, zs, indexing="ij")
     vals = np.stack([Z, np.zeros_like(Z)], axis=-1)  # u1 = z: shear e_{1,n} = 1/2

@@ -24,6 +24,18 @@ def test_membrane_crack_state_structure():
     assert np.all(s.un == 0.0)
 
 
+def test_membrane_crack_state_n3_breaks_one_full_row():
+    s = lab.membrane_crack_state(0.5, (8, 6), (0.0, 0.0), (1.0, 1.0), n=3)
+    j = int(np.argmax(np.any(s.crack_cols[0], axis=1)))
+    assert np.all(s.crack_cols[0][j])
+    assert np.count_nonzero(s.crack_cols[0]) == 6
+    assert not np.any(s.crack_cols[1])
+    assert s.crack_measure() == pytest.approx(1.0)
+    # unit jump across the crack in every row, slope t along x_1
+    assert np.allclose(s.ubar[j + 1, :, 0] - s.ubar[j, :, 0], 1.0 + 0.5 / 8)
+    assert np.all(s.ubar[..., 1] == 0.0)
+
+
 def test_recovery_sequence_validates_smoothing():
     s = lab.membrane_crack_state(0.5, (16,), (0.0,), (1.0,))
     with pytest.raises(ValueError):
