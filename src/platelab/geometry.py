@@ -345,35 +345,19 @@ class CubeClassification:
         return np.stack([lo, lo + self.grid.h], axis=1)
 
 
-def _badcube_cases(n: int):
-    """Enumerate (e, corner_offsets, extra_shift) per the bad-cube definition."""
-    cases = []
-    for e in direction_set(n):
-        pos = np.where(e == 1)[0]
-        neg = np.where(e == -1)[0]
-        if len(pos) == 1 and len(neg) == 0 and np.sum(np.abs(e)) == 1:
-            fixed = [pos[0]]
-            shift = np.zeros(n, dtype=int)
-        elif len(neg) == 0:  # e_i + e_j
-            fixed = list(pos)
-            shift = np.zeros(n, dtype=int)
-        else:  # e_i - e_j: corner shifted by +h e_j
-            fixed = [pos[0], neg[0]]
-            shift = np.zeros(n, dtype=int)
-            shift[neg[0]] = 1
-        free = [i for i in range(n) if i not in fixed]
-        etas = []
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            eta = np.zeros(n, dtype=int)
-            for i, b in zip(free, bits):
-                eta[i] = b
-            etas.append(eta + shift)
-        cases.append((np.asarray(e, dtype=float), np.array(etas)))
-    return cases
+def _cube_segments(n: int) -> list:
+    """(start corner, step) of each edge and face diagonal of the unit cube, once.
+
+    These are the corner pairs of {0,1}^n that differ in one or two
+    coordinates: 6 for n=2, 24 for n=3.
+    """
+    corners = np.array(list(itertools.product((0, 1), repeat=n)))
+    return [(a, b - a) for a, b in itertools.combinations(corners, 2)
+            if np.count_nonzero(a != b) <= 2]
 
 
 def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None) -> CubeClassification:
-    """Mark bad hyper-cubes: some designated corner lies in a half-neighborhood."""
+    """Mark bad hyper-cubes: the crack meets one of the cube's edges or face diagonals."""
     zmin, zmax = grid.cube_window()
     shape = tuple(int(zmax[i] - zmin[i] + 1) for i in range(grid.n))
     bad = np.zeros(shape, dtype=bool)
@@ -382,13 +366,10 @@ def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None) -> CubeClassif
     tol = 1e-9 * grid.h
     corners = grid.corner(grid.cube_indices())
     flat_bad = np.zeros(corners.shape[0], dtype=bool)
-    for e, etas in _badcube_cases(grid.n):
-        for eta in etas:
-            todo = ~flat_bad
-            if not np.any(todo):
-                break
-            C = corners[todo] + grid.h * eta
-            flat_bad[todo] |= segments_hit_crack(C, C + grid.h * e, crack, tol)
+    for a, e in _cube_segments(grid.n):
+        todo = ~flat_bad
+        C = corners[todo] + grid.h * a
+        flat_bad[todo] = segments_hit_crack(C, C + grid.h * e, crack, tol)
     bad[:] = flat_bad.reshape(shape)
     return CubeClassification(grid, crack, bad, zmin)
 

@@ -58,9 +58,9 @@ def sample(v, grid: ShiftedGrid) -> SampledField:
     return SampledField(grid, zmin, vals.reshape(shape + (vals.shape[-1],)))
 
 
-def _locate(s: SampledField, X: np.ndarray):
-    """Continuous lattice coordinates, base cell index and fractional part."""
-    t = np.asarray(X, dtype=float) / s.grid.h - s.grid.offset
+def _locate(s: SampledField, X):
+    """Base cell index and fractional part of each point, shape (k, n) both."""
+    t = np.atleast_2d(np.asarray(X, dtype=float)) / s.grid.h - s.grid.offset
     base = np.floor(t).astype(int)
     frac = t - base
     idx = base - s.zmin
@@ -70,39 +70,51 @@ def _locate(s: SampledField, X: np.ndarray):
     return base, frac
 
 
+def _hat_sum(s: SampledField, base: np.ndarray, frac: np.ndarray,
+             grad: bool = False) -> np.ndarray:
+    """Sum over the 2^n corners of each located cell of hat weight times value.
+
+    Shape (k, ncomp); with grad, the weights' partial derivatives replace
+    them and the shape is (k, ncomp, n).  Each corner is gathered once
+    through a flat index into the samples.
+    """
+    n = s.grid.n
+    shape = s.values.shape[:-1]
+    flat = s.values.reshape(-1, s.ncomp)
+    first = np.ravel_multi_index(tuple((base - s.zmin).T), shape)
+    factors = (1.0 - frac, frac)
+    axes = range(n) if grad else (None,)
+    out = [np.zeros((base.shape[0], s.ncomp)) for _ in axes]
+    for bits in np.ndindex(*(2,) * n):
+        vals = flat[first + np.ravel_multi_index(bits, shape)]
+        for k, m in enumerate(axes):
+            w = np.ones(base.shape[0])
+            for i, b in enumerate(bits):
+                if i != m:
+                    w *= factors[b][:, i]
+            if m is not None:
+                w *= (1.0 if bits[m] else -1.0) / s.grid.h
+            out[k] += w[:, None] * vals
+    return np.stack(out, axis=-1) if grad else out[0]
+
+
+def _window_lookup(table: np.ndarray, zmin: np.ndarray, base: np.ndarray, fill):
+    """table[base - zmin] for cells inside the table's index window, else fill."""
+    idx = base - zmin
+    inside = np.all(idx >= 0, axis=1) & np.all(idx < np.array(table.shape), axis=1)
+    out = np.full(base.shape[0], fill, dtype=table.dtype)
+    out[inside] = table[tuple(idx[inside].T)]
+    return out
+
+
 def interpolate(s: SampledField, X) -> np.ndarray:
     """Multilinear (hat kernel) interpolation of the sampled field at points X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    base, frac = _locate(s, X)
-    n = s.grid.n
-    out = np.zeros((X.shape[0], s.ncomp))
-    for bits in np.ndindex(*(2,) * n):
-        w = np.ones(X.shape[0])
-        for i, b in enumerate(bits):
-            w *= frac[:, i] if b else 1.0 - frac[:, i]
-        idx = base + np.array(bits) - s.zmin
-        out += w[:, None] * s.values[tuple(idx.T)]
-    return out
+    return _hat_sum(s, *_locate(s, X))
 
 
 def interpolant_gradient(s: SampledField, X) -> np.ndarray:
     """Exact gradient of the multilinear interpolant, shape (k, ncomp, n)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    base, frac = _locate(s, X)
-    n = s.grid.n
-    out = np.zeros((X.shape[0], s.ncomp, n))
-    for bits in np.ndindex(*(2,) * n):
-        idx = base + np.array(bits) - s.zmin
-        vals = s.values[tuple(idx.T)]
-        for m in range(n):
-            w = np.ones(X.shape[0])
-            for i, b in enumerate(bits):
-                if i == m:
-                    continue
-                w *= frac[:, i] if b else 1.0 - frac[:, i]
-            sign = 1.0 if bits[m] else -1.0
-            out[:, :, m] += (sign / s.grid.h) * w[:, None] * vals
-    return out
+    return _hat_sum(s, *_locate(s, X), grad=True)
 
 
 @dataclass
@@ -146,16 +158,10 @@ class ApproximantField:
     region: tuple  # (lo, hi) of the evaluation sub-box V
 
     def __call__(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        vals = interpolate(self.source, X)
-        base, _ = _locate(self.source, X)
+        base, frac = _locate(self.source, X)
+        vals = _hat_sum(self.source, base, frac)
         c = self.classification
-        idx = base - c.zmin
-        inside = np.all(idx >= 0, axis=1) & np.all(
-            idx < np.array(c.bad_mask.shape), axis=1)
-        bad = np.zeros(X.shape[0], dtype=bool)
-        bad[inside] = c.bad_mask[tuple(idx[inside].T)]
-        vals[bad] = 0.0
+        vals[_window_lookup(c.bad_mask, c.zmin, base, False)] = 0.0
         return vals
 
 
@@ -185,31 +191,22 @@ def strain_bound_check(approx: ApproximantField, ds: DirectionalStrainField,
     skipped.
     """
     e = np.asarray(e, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     s = approx.source
-    base, _ = _locate(s, X)
     c = approx.classification
-    idx = base - c.zmin
-    ok = np.all(idx >= 0, axis=1) & np.all(idx < np.array(c.bad_mask.shape), axis=1)
-    good = np.zeros(X.shape[0], dtype=bool)
-    good[ok] = ~c.bad_mask[tuple(idx[ok].T)]
-    sidx = base - ds.zmin
-    ok2 = np.all(sidx >= 0, axis=1) & np.all(
-        sidx < np.array(ds.cutoff.shape), axis=1)
-    good &= ok2
+    base, frac = _locate(s, X)
+    # a cell outside the strain window counts as cut off
+    good = (~_window_lookup(c.bad_mask, c.zmin, base, True)
+            & _window_lookup(ds.cutoff, ds.zmin, base, False))
     if not np.any(good):
         return 0.0
-    good_idx = sidx[good]
-    cut = ds.cutoff[tuple(good_idx.T)]
-    denom = np.abs(ds.values[tuple(good_idx.T)])
-    G = interpolant_gradient(s, X[good])
+    denom = np.abs(_window_lookup(ds.values, ds.zmin, base[good], 0.0))
+    G = _hat_sum(s, base[good], frac[good], grad=True)
     num = np.abs(np.einsum("kmi,m,i->k", G, e / np.linalg.norm(e),
                            e / np.linalg.norm(e)))
-    num = np.where(cut, num, 0.0)
     tiny = 1e-13 * max(1.0, float(np.max(np.abs(s.values))))
     ratio = np.where(denom > tiny, num / np.where(denom == 0.0, 1.0, denom),
                      np.where(num <= tiny, 0.0, np.inf))
-    return float(np.max(ratio)) if ratio.size else 0.0
+    return float(np.max(ratio))
 
 
 # random fibers `structure_preservation_check` draws, and points per fiber

@@ -106,10 +106,6 @@ class PlateField:
         if self.broken is None:
             self.broken = _empty_breaks(self.grid.shape)
 
-    def copy(self) -> "PlateField":
-        return PlateField(self.grid, self.values.copy(),
-                          [b.copy() for b in self.broken])
-
     def broken_face_area(self, axis: int) -> float:
         """Area of one grid face orthogonal to the given axis."""
         sp = self.grid.spacings

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from platelab import geometry
 from platelab.geometry import (CrackSurface, ShiftedGrid, _seg_seg_dist,
                                _seg_tri_dist, axis_plane_crack,
                                bad_cube_boundary_measure, classify_cubes,
@@ -43,39 +44,45 @@ def _segments_intersect_exact(p, q, a, b):
 
 
 def brute_force_classify(grid, crack):
-    """Literal re-implementation of the bad-cube definition, exact predicates."""
-    bad = set()
+    """Literal re-implementation of the bad-cube definition.
+
+    Every direction from every designated corner, for all cubes at once;
+    hits from the exact orientation predicates for n=2 and from the
+    all-pairs distance kernel (`_all_pairs_hits`) for n=3.
+    """
     n = grid.n
+    Z = grid.cube_indices()
+    bad = np.zeros(len(Z), dtype=bool)
     dirs = [np.array(e) for e in
             sorted({tuple(v) for v in
                     {tuple(np.eye(n, dtype=int)[i]) for i in range(n)}
                     | {tuple(np.eye(n, dtype=int)[i] + s * np.eye(n, dtype=int)[j])
                        for i in range(n) for j in range(n) if i != j
                        for s in (1, -1)}})]
-    for z in map(tuple, grid.cube_indices()):
-        for e in dirs:
-            pos = np.where(e == 1)[0]
-            neg = np.where(e == -1)[0]
-            if len(pos) == 1 and len(neg) == 0 and np.sum(np.abs(e)) == 1:
-                fixed, shift = [pos[0]], np.zeros(n, dtype=int)
-            elif len(neg) == 0:
-                fixed, shift = list(pos), np.zeros(n, dtype=int)
+    for e in dirs:
+        pos = np.where(e == 1)[0]
+        neg = np.where(e == -1)[0]
+        if len(pos) == 1 and len(neg) == 0 and np.sum(np.abs(e)) == 1:
+            fixed, shift = [pos[0]], np.zeros(n, dtype=int)
+        elif len(neg) == 0:
+            fixed, shift = list(pos), np.zeros(n, dtype=int)
+        else:
+            fixed = [pos[0], neg[0]]
+            shift = np.zeros(n, dtype=int)
+            shift[neg[0]] = 1
+        free = [i for i in range(n) if i not in fixed]
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            eta = shift.copy()
+            for i, b in zip(free, bits):
+                eta[i] = b
+            corner = grid.h * (Z + grid.offset + eta)
+            tip = corner + grid.h * e
+            if n == 2:
+                bad |= [any(_segments_intersect_exact(p, q, s[0], s[1])
+                            for s in crack.simplices) for p, q in zip(corner, tip)]
             else:
-                fixed = [pos[0], neg[0]]
-                shift = np.zeros(n, dtype=int)
-                shift[neg[0]] = 1
-            free = [i for i in range(n) if i not in fixed]
-            for bits in itertools.product((0, 1), repeat=len(free)):
-                eta = shift.copy()
-                for i, b in zip(free, bits):
-                    eta[i] = b
-                corner = grid.h * (np.array(z) + grid.offset + eta)
-                tip = corner + grid.h * e
-                hit = any(_segments_intersect_exact(corner, tip, s[0], s[1])
-                          for s in crack.simplices)
-                if hit:
-                    bad.add(z)
-    return bad
+                bad |= _all_pairs_hits(corner, tip, crack, 1e-9 * grid.h)
+    return {tuple(z) for z in Z[bad]}
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +263,53 @@ def test_classify_empty_and_far_crack():
     assert classify_cubes(g, far).num_bad == 0
 
 
+FLAT3 = axis_plane_crack(3, 0, 0.5, ((0.0, 1.0), (0.0, 1.0)))
+TILTED3 = CrackSurface(np.array([[[0.2, 0.1, 0.3], [0.8, 0.2, 0.7], [0.3, 0.9, 0.6]],
+                                 [[0.8, 0.2, 0.7], [0.9, 0.8, 0.2], [0.3, 0.9, 0.6]]]))
+
+
 @pytest.mark.parametrize("crack,h,y", [
     (VERT, 0.25, (0.0, 0.0)),
     (VERT, 0.25, (0.37, 0.11)),
     (CrackSurface(np.array([[[0.1, 0.8], [0.9, 0.2]]])), 0.25, (0.0, 0.0)),
     (CrackSurface(np.array([[[0.1, 0.8], [0.9, 0.2]]])), 0.125, (0.61, 0.29)),
+    (FLAT3, 0.125, (0.0, 0.0, 0.0)),  # lattice points on the crack plane
+    (FLAT3, 0.125, (0.53, 0.17, 0.81)),
+    (TILTED3, 0.125, (0.29, 0.64, 0.08)),
 ])
 def test_classify_matches_brute_force(crack, h, y):
-    g = ShiftedGrid(2, h, y, (0.0, 0.0), (1.0, 1.0))
+    n = crack.n
+    g = ShiftedGrid(n, h, y, (0.0,) * n, (1.0,) * n)
     c = classify_cubes(g, crack)
     got = {tuple(z) for z in c.bad_indices()}
-    assert got == brute_force_classify(g, crack)
+    assert got and got == brute_force_classify(g, crack)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classify_queries_each_edge_and_face_diagonal_once(n, monkeypatch):
+    # a crack outside the box leaves every cube good, so every cube is
+    # queried along each of its segments: the corner pairs of {0,1}^n one
+    # or two coordinates apart, each once and in one batch call
+    calls = []
+    kernel = geometry.segments_hit_crack
+
+    def recording(P, Q, crack, tol=1e-12):
+        calls.append((P, Q))
+        return kernel(P, Q, crack, tol)
+
+    monkeypatch.setattr(geometry, "segments_hit_crack", recording)
+    g = ShiftedGrid(n, 0.25, (0.3,) * n, (0.0,) * n, (1.0,) * n)
+    far = axis_plane_crack(n, 0, 5.0, ((0.0, 1.0),) * (n - 1))
+    assert classify_cubes(g, far).num_bad == 0
+    corners = list(itertools.product((0, 1), repeat=n))
+    expect = {frozenset((a, b)) for a, b in itertools.combinations(corners, 2)
+              if sum(x != y for x, y in zip(a, b)) <= 2}
+    assert len(calls) == len(expect) == {2: 6, 3: 24}[n]
+    cubes = g.corner(g.cube_indices())
+    segments = [frozenset(tuple(int(v) for v in np.rint((X - cubes[0]) / g.h))
+                          for X in (P[0], Q[0])) for P, Q in calls]
+    assert set(segments) == expect
+    assert all(P.shape == cubes.shape for P, Q in calls)
 
 
 def test_classify_monotone_in_crack():

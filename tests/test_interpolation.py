@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from platelab import interpolation
 from platelab.geometry import ShiftedGrid, axis_plane_crack
 from platelab.interpolation import (build_approximant, directional_strain,
                                     interpolant_gradient, interpolate, sample,
@@ -55,14 +56,14 @@ def test_partition_of_unity():
 
 def test_interpolant_gradient_exact_on_affine():
     rng = np.random.default_rng(2)
-    n = 2
-    g = ShiftedGrid(n, 0.1, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
-    A = rng.standard_normal((n, n))
-    v = affine(A, np.zeros(n))
-    s = sample(v, g)
-    X = rng.random((20, n))
-    G = interpolant_gradient(s, X)
-    assert np.allclose(G, np.broadcast_to(A, (20, n, n)), atol=1e-11)
+    for n, y in ((2, (0.0, 0.0)), (3, (0.41, 0.07, 0.76))):
+        g = ShiftedGrid(n, 0.1, y, (0.0,) * n, (1.0,) * n)
+        A = rng.standard_normal((n, n))
+        v = affine(A, np.zeros(n))
+        s = sample(v, g)
+        X = rng.random((20, n))
+        G = interpolant_gradient(s, X)
+        assert np.allclose(G, np.broadcast_to(A, (20, n, n)), atol=1e-11)
 
 
 def test_interpolant_gradient_matches_finite_difference():
@@ -126,6 +127,55 @@ def test_approximant_zero_on_bad_cubes_and_exact_elsewhere():
     # on the crack column it is forced to zero
     on = np.array([[0.5, 0.3], [0.5, 0.8]])
     assert np.allclose(vk(on), 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_approximant_is_zero_in_bad_cubes_and_the_interpolant_elsewhere(n):
+    rng = np.random.default_rng(5)
+    h = 0.125
+    g = ShiftedGrid(n, h, tuple(rng.random(n)), (-1.0,) * n, (2.0,) * n)
+    crack = axis_plane_crack(n, 0, 0.5, ((0.0, 1.0),) * (n - 1))
+    A = rng.standard_normal((n, n))
+
+    def v(X):
+        X = np.atleast_2d(X)
+        out = X @ A.T
+        out[:, 0] += X[:, 0] > 0.5
+        return out
+
+    vk = build_approximant(v, g, crack, ((0.0,) * n, (1.0,) * n))
+    X = rng.random((400, n))
+    bad_cubes = {tuple(z) for z in vk.classification.bad_indices()}
+    cube = np.floor(X / h - g.offset).astype(int)
+    bad = np.array([tuple(z) in bad_cubes for z in cube])
+    assert 0 < np.count_nonzero(bad) < len(X)
+    got = vk(X)
+    assert np.all(got[bad] == 0.0)
+    assert np.array_equal(got[~bad], interpolate(vk.source, X)[~bad])
+
+
+def test_each_evaluation_locates_its_points_once(monkeypatch):
+    calls = []
+    locate = interpolation._locate
+
+    def counting(s, X):
+        calls.append(len(X))
+        return locate(s, X)
+
+    monkeypatch.setattr(interpolation, "_locate", counting)
+    g = ShiftedGrid(2, 0.125, (0.3, 0.6), (-0.5, -0.5), (1.5, 1.5))
+    vk = build_approximant(affine(np.eye(2), np.zeros(2)), g, VERT,
+                           ((0.0, 0.0), (1.0, 1.0)))
+    e = np.array([1.0, 1.0])
+    ds = directional_strain(vk.source, e, VERT)
+    X = np.random.default_rng(6).random((50, 2))
+    for evaluate in (lambda: interpolate(vk.source, X),
+                     lambda: interpolant_gradient(vk.source, X),
+                     lambda: vk(X),
+                     lambda: strain_bound_check(vk, ds, e, X)):
+        calls.clear()
+        evaluate()
+        assert calls == [50]
 
 
 def test_strain_bound_zero_over_zero_counts_as_zero():

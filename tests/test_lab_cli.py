@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from platelab import lab
+from platelab import cli
 from platelab.cli import run_cli
 from platelab.elasticity import LameParams
 from platelab.geometry import axis_plane_crack
@@ -221,3 +222,47 @@ def test_cli_csv_is_byte_identical_across_runs(command, tmp_path):
         assert run_cli([command, *args, "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert "wall_time" not in outs[0].read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("argv,code", [(["minimize", "--datum", "stretch:1.2"], 0),
+                                       (["minimize", "--h", "0.1"], 1)])
+def test_console_script_exit_codes(argv, code, monkeypatch, capsys):
+    # `main` is the `platelab` console script: it reads sys.argv and exits
+    monkeypatch.setattr("sys.argv", ["platelab", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == code
+
+
+def test_cli_solver_failure_exit_code(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(lab, "minimize_limit", failing)
+    assert run_cli(["minimize"]) == 2
+    assert "solver failure: no convergence" in capsys.readouterr().err
+
+
+def test_cli_rho_overrides_the_config_list(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("plan = 32\nlayers = 4\nrho_list = 1e-1, 1e-2\nstretch = 0.5\n")
+    out = tmp_path / "rows.csv"
+    assert run_cli(["recover", "--config", str(cfg), "--rho", "0.01",
+                    "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.01,")
+
+
+def test_cli_seed_sets_the_grid_offsets(tmp_path, capsys):
+    crack_path = tmp_path / "crack.txt"
+    axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 4\n")
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.csv"
+        assert run_cli(["jump-energy", "--config", str(cfg), "--crack", str(crack_path),
+                        "--h", "0.0625", "--seed", seed, "--out", str(out)]) == 0
+        outs.append(out.read_text().splitlines())
+    assert outs[0][0] == outs[1][0] and len(outs[0]) == len(outs[1]) == 6
+    assert all(a != b for a, b in zip(outs[0][1:], outs[1][1:]))

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
                                  quadratic_form_C0, rescale_strain)
 from platelab import minimize
-from platelab.energy import BoundaryDatum, EnergyBreakdown, stretch_datum
+from platelab.energy import (BoundaryDatum, EnergyBreakdown, penalized_energies,
+                             stretch_datum)
 from platelab.kirchhoff_love import PlateGrid
 from platelab.minimize import (CrackIndicator, SolverConfig, _connected_components,
                                _derivative_operator, _hessian_operator,
@@ -408,6 +409,27 @@ def test_uniform_stretch_cuts_face_zero_in_both_problems():
                                          P2, SolverConfig())
     assert np.flatnonzero(cracks.broken[0]).tolist() == [0] and not cracks.released
     assert trace[-1] == e.total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_plate_film_search_breaks_the_limit_faces_through_both_layers():
+    # n = 3: a (4, 4) plan x 2 layers takes the per-candidate path every
+    # round and breaks the plan faces the limit search breaks on (4, 4)
+    p3 = LameParams(1.0, 1.0, 3)
+    g = stretch_datum(1.2, 3)
+    grid = PlateGrid(3, (4, 4), 2, (0.0, 0.0), (1.0, 1.0))
+    u, cracks, e, trace = alternate_minimize(grid, g, p3, 0.1, SolverConfig())
+    faces = [[1, 1], [1, 2]]
+    assert np.argwhere(np.all(cracks.broken[0], axis=-1)).tolist() == faces
+    assert np.count_nonzero(cracks.broken[0]) == 4
+    assert not np.any(cracks.broken[1]) and not np.any(cracks.broken[2])
+    assert not cracks.released
+    assert trace == pytest.approx([2.0071542287235404, 1.8828707819659098,
+                                   1.778553984971108], rel=1e-9)
+    assert trace[0] > trace[1] > trace[2]
+    assert e.total == penalized_energies(u, p3, g, 0.1).total
+    s, limit_cracks, _, _ = minimize_limit((4, 4), (0.0, 0.0), (1.0, 1.0), g, p3,
+                                           SolverConfig())
+    assert np.argwhere(limit_cracks.broken[0]).tolist() == faces
 
 
 def test_bent_film_cuts_face_one_as_per_candidate_solves_do():
