@@ -39,7 +39,6 @@ from .lab import (ExperimentConfig, approximate_experiment,
                   load_config, membrane_crack_state, minima_sweep,
                   projection_experiment, recovery_sequence, recovery_sweep,
                   write_csv)
-from .cli import run_cli
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

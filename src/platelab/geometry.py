@@ -92,7 +92,7 @@ class CrackSurface:
     """Finite union of (n-1)-simplices with unit normals."""
 
     simplices: np.ndarray  # (m, n, n): m simplices, n vertices, n coordinates
-    normals: np.ndarray = field(default=None)
+    normals: np.ndarray = field(init=False)  # (m, n), from the simplices
 
     def __post_init__(self):
         self.simplices = np.asarray(self.simplices, dtype=float)

@@ -1,14 +1,14 @@
 """Alternating minimization of the penalized plate energies.
 
 At fixed crack the bulk term is a convex quadratic in the cell values and
-is minimized by one sparse LU solve.  Crack activation tries every full
-vertical face column (plus boundary-side releases) and keeps the best
-strict improvement.  One greedy search loop serves the rescaled and the
-limit problem.  On a 1D plan a through-cut leaves each clamped side in a
-piece of its own, and a clamp column of a lifted datum is a rigid motion,
-so every through-cut of a round is scored in closed form (only clamp
-columns left alone carry bulk); the round's winner is then solved once
-for its state, which also checks the score.
+is minimized by one sparse LU solve.  Each round of crack activation
+offers moves, every open vertical face column and every unreleased side,
+and keeps the best strict improvement.  One greedy search loop serves the
+rescaled and the limit problem.  On a 1D plan a through-cut leaves each
+clamped side in a piece of its own, and a clamp column of a lifted datum
+is a rigid motion, so every through-cut of a round is scored in closed
+form (only clamp columns left alone carry bulk); the round's winner is
+then solved once for its state, which also checks the score.
 """
 
 from __future__ import annotations
@@ -207,12 +207,6 @@ def _datum_values(grid: PlateGrid, g: BoundaryDatum) -> np.ndarray:
     return g.lift(Xp, grid.z_centers()).reshape(grid.shape + (grid.n,))
 
 
-def _lateral_cell_mask(shape: tuple, axis: int, side: int):
-    m = np.zeros(shape, dtype=bool)
-    m[_side(shape, axis, side)] = True
-    return m
-
-
 def _clamped_cells(shape: tuple, plan_axes: int, released) -> np.ndarray:
     """Cells on the lateral sides of the first `plan_axes` axes of `shape`,
     except the sides in `released`."""
@@ -240,84 +234,77 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
                       [b.copy() for b in cracks.broken])
 
 
-def _column_candidates(plan_shape: tuple):
-    """Interior plan faces, as (axis, face_multi_index) pairs."""
-    out = []
-    for a in range(len(plan_shape)):
-        s = list(plan_shape)
-        s[a] -= 1
-        for idx in np.ndindex(*s):
-            out.append((a, idx))
-    return out
+def _solve_move(problem, cracks: CrackIndicator, move):
+    """(candidate, state, EnergyBreakdown) of `cracks` after one move (axis,
+    where): `where` is a face index of that axis's broken array for a column
+    and a side (0 or 1) for a release.  Only here is a candidate built."""
+    axis, where = move
+    cand = cracks.copy()
+    if isinstance(where, tuple):
+        cand.broken[axis][where] = True
+    else:
+        cand.released.add((axis, where))
+    return (cand, *problem.solve(cand))
 
 
 def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
     """Greedy crack activation from `cracks` by strict descent of the total.
 
     `problem` has `plan_shape`, `column_area` (the surface a new face column
-    along each plan axis adds, used to skip columns whose surface alone
-    cannot descend) and two methods: solve(cracks) -> (state,
+    along each plan axis adds) and two methods: solve(cracks) -> (state,
     EnergyBreakdown), and score_cuts(cracks), the exact total of every
     through-cut column on the plan axis, or None where it has no closed
     form.
 
-    Each round offers every unbroken interior column (in
-    `_column_candidates` order) and then every unreleased side.  Columns
-    are scored by score_cuts when it applies, otherwise solved one by one
-    like the releases.  The lowest total wins; totals within _TIE_SLACK
-    (relative) of it tie, and a tie goes to the earliest candidate.  A
-    winner that lowers the total is kept.  A scored winner is solved for
-    its state: that state is a field of the candidate, so a score above its
-    total (by more than _CHECK_SLACK relative) is wrong and raises
-    RuntimeError.  The solve's total is the one kept; it lies above the
-    exact score only by the solve's rounding, which grows as the rescaled
-    film stiffens (for a bent datum on a (32,) x 8 grid, up to 4e-14 at
-    rho = 1e-2, 4e-7 at rho = 1e-3 and 13 at rho = 1e-4).  At most `rounds`
-    rounds.
+    Each round offers moves: the open columns of each plan axis (a column
+    is open unless every face in it is broken), in index order, then the
+    unreleased sides.  An axis whose column surface alone cannot descend
+    offers no column.  Columns are scored by score_cuts when it applies;
+    every other move is solved on its candidate crack (`_solve_move`).  The
+    lowest total wins; totals within _TIE_SLACK (relative) of it tie, and a
+    tie goes to the earliest move.  A winner that lowers the total is kept.
+    A scored winner is solved for its state: that state is a field of the
+    candidate, so a score above its total (by more than _CHECK_SLACK
+    relative) is wrong and raises RuntimeError.  The solve's total is the
+    one kept; it lies above the exact score only by the solve's rounding,
+    which grows as the rescaled film stiffens (for a bent datum on a (32,)
+    x 8 grid, up to 4e-14 at rho = 1e-2, 4e-7 at rho = 1e-3 and 13 at
+    rho = 1e-4).  At most `rounds` rounds.
 
     Returns (state, cracks, EnergyBreakdown, energy_trace).
     """
+    nd = len(problem.plan_shape)
     state, e = problem.solve(cracks)
     trace = [e.total]
     for _ in range(rounds):
         floor = trace[-1] - _DESCENT_SLACK * max(1.0, trace[-1])
-        cuts = [(axis, idx) for axis, idx in _column_candidates(problem.plan_shape)
-                if not np.all(cracks.broken[axis][idx])
-                and e.surface + problem.column_area[axis] < floor]
-        scores = problem.score_cuts(cracks) if cuts else None
-        candidates, totals = [], []
-        for axis, idx in cuts:
-            cand = cracks.copy()
-            cand.broken[axis][idx] = True
-            candidates.append(cand)
-            totals.append(None if scores is None else float(scores[idx]))
-        for axis in range(len(problem.plan_shape)):
-            for side in (0, 1):
-                if (axis, side) not in cracks.released:
-                    cand = cracks.copy()
-                    cand.released.add((axis, side))
-                    candidates.append(cand)
-                    totals.append(None)
-        if not candidates:
+        cols = []
+        for axis, area in enumerate(problem.column_area):
+            if e.surface + area < floor:
+                b = cracks.broken[axis]
+                open_cols = ~np.all(b.reshape(b.shape[:nd] + (-1,)), axis=-1)
+                cols += [(axis, tuple(k)) for k in np.argwhere(open_cols)]
+        scores = problem.score_cuts(cracks) if cols else None
+        moves = cols + [(axis, side) for axis in range(nd) for side in (0, 1)
+                        if (axis, side) not in cracks.released]
+        if not moves:
             break
-        solved = {}  # candidate index -> (state, EnergyBreakdown)
-        for i, cand in enumerate(candidates):
-            if totals[i] is None:
-                solved[i] = problem.solve(cand)
-                totals[i] = solved[i][1].total
-        totals = np.array(totals)
+        # move index -> (candidate, state, EnergyBreakdown)
+        solved = {i: _solve_move(problem, cracks, move) for i, move in enumerate(moves)
+                  if scores is None or i >= len(cols)}
+        totals = np.array([solved[i][2].total if i in solved else float(scores[k])
+                           for i, (_, k) in enumerate(moves)])
         best = totals.min()
         win = int(np.argmax(totals <= best + _TIE_SLACK * max(1.0, abs(best))))
         if totals[win] >= floor:
             break
         if win not in solved:
-            solved[win] = problem.solve(candidates[win])
-            total = solved[win][1].total
+            solved[win] = _solve_move(problem, cracks, moves[win])
+            total = solved[win][2].total
             if totals[win] > total + _CHECK_SLACK * max(1.0, abs(total)):
                 raise RuntimeError(f"through-cut scored {totals[win]!r}, above the "
                                    f"{total!r} of its solved field")
-        cracks = candidates[win]
-        state, e = solved[win]
+        cracks, state, e = solved[win]
         trace.append(e.total)
     return state, cracks, e, trace
 
@@ -358,7 +345,8 @@ class _FilmProblem:
         apart = [np.ones_like(cracks.broken[0]), *cracks.broken[1:]]
         ends = [rescaled_energy(PlateField(grid, np.where(end[:, None, None], datum, 0.0),
                                            apart), self.p, self.rho).bulk
-                for end in (_lateral_cell_mask(grid.plan_shape, 0, side) for side in (0, 1))]
+                for end in (_clamped_cells(grid.plan_shape, 1, {(0, 1 - side)})
+                            for side in (0, 1))]
         bulk = _cut_bulks(ends, np.all(cracks.broken[0], axis=1))
         return bulk + (e.surface + self.column_area[0]) + e.boundary_penalty
 

@@ -129,6 +129,12 @@ def test_crack_surface_normals_and_measure():
     assert np.allclose(np.abs(tri.normals[0]), [0.0, 0.0, 1.0])
 
 
+def test_crack_surface_normals_are_not_an_argument():
+    # normals always come from the simplices; a given array is not accepted
+    with pytest.raises(TypeError):
+        CrackSurface(VERT.simplices, normals=np.array([[0.0, 1.0]]))
+
+
 def test_crack_surface_rejects_degenerate():
     with pytest.raises(ValueError):
         CrackSurface(np.array([[[0.0, 0.0], [0.0, 0.0]]]))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,7 @@ from platelab import cli
 from platelab.cli import run_cli
 from platelab.elasticity import LameParams
 from platelab.geometry import axis_plane_crack
-from platelab.kirchhoff_love import kl_lift
+from platelab.kirchhoff_love import KLState, kl_lift, reduced_gradient
 
 P2 = LameParams(1.0, 1.0, 2)
 
@@ -53,6 +58,18 @@ def test_recovery_sweep_rows_and_gap():
     for r in rows:
         assert r["e_an_norm"] <= r["bound_an"] + 1e-12
         assert r["e_nn_norm"] <= r["bound_nn"] + 1e-12
+
+
+def test_recovery_sweep_of_a_bending_state_approaches_the_limit():
+    # un = x^2 / 2 has E_0 = (1/2)(1/12)(8/3) = 1/9; the lift must take the
+    # film's own slope of un, or e_{alpha n} = O(h) blows up under 1/rho
+    s = KLState(2, (64,), (0.0,), (1.0,), np.zeros((64, 1)), np.zeros(64),
+                np.zeros((64, 1)))
+    s.un = 0.5 * s.plan_points()[..., 0] ** 2
+    s.grad_un = reduced_gradient(s.un, s.plan_h, s.crack_cols)
+    rows = lab.recovery_sweep(s, P2, [1e-2, 1e-3], layers=32)
+    assert rows[0]["e_limit"] == pytest.approx(1.0 / 9.0)
+    assert max(r["rel_gap"] for r in rows) <= 0.03
 
 
 def test_liminf_probe_margin_nonnegative():
@@ -121,6 +138,15 @@ def test_load_config_rejects_malformed_line(tmp_path):
 def test_config_mapping_rejects_unknown_key():
     with pytest.raises(ValueError):
         lab.config_from_mapping({"granularity": "3"})
+
+
+def test_cli_rejects_an_experiment_key_in_the_config(tmp_path, capsys):
+    # the subcommand names the experiment; a config line naming another one
+    # would be silently overridden
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = classify\n")
+    assert run_cli(["minimize", "--config", str(cfg)]) == 1
+    assert "unknown config key: experiment" in capsys.readouterr().err
 
 
 def test_write_csv_deterministic(tmp_path):
@@ -232,6 +258,20 @@ def test_console_script_exit_codes(argv, code, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main()
     assert exit_info.value.code == code
+
+
+def test_module_entry_point_runs_under_warnings_as_errors():
+    # `python -m platelab.cli` must not find the module already imported by
+    # the package, which runpy reports with a RuntimeWarning
+    src = str(Path(lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "platelab.cli",
+                           "minimize", "--datum", "stretch:1.2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("stretch,")
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, capsys):

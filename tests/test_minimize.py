@@ -11,7 +11,7 @@ from platelab.energy import (BoundaryDatum, EnergyBreakdown, penalized_energies,
 from platelab.kirchhoff_love import PlateGrid
 from platelab.minimize import (CrackIndicator, SolverConfig, _connected_components,
                                _derivative_operator, _hessian_operator,
-                               _lateral_cell_mask, _reduced_solve,
+                               _clamped_cells, _reduced_solve,
                                _reduced_system, _solve_constrained,
                                alternate_minimize, elastic_solve,
                                empty_cracks, minimize_limit)
@@ -178,11 +178,7 @@ def _stencil_case(draw):
         stencil = (_hessian_operator(shape, h, broken) if kind == "hessian"
                    else _derivative_operator(shape, h, broken, nd))
         Q = form_matrix(nd, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
-    fixed_cells = np.zeros(shape, dtype=bool)
-    for axis in range(n - 1):
-        for side in (0, 1):
-            if (axis, side) not in released:
-                fixed_cells |= _lateral_cell_mask(shape, axis, side)
+    fixed_cells = _clamped_cells(shape, n - 1, released)
     fixed_mask = np.repeat(fixed_cells.ravel(), ncomp)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     fixed_vals = rng.standard_normal(fixed_mask.size)
@@ -486,6 +482,28 @@ def test_alternate_minimize_factors_at_most_six_times(monkeypatch):
                                              SolverConfig())
     assert len(trace) == 2
     assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("search", [
+    lambda: minimize_limit((128,), (0.0,), (1.0,), stretch_datum(1.2, 2), P2,
+                           SolverConfig()),
+    lambda: alternate_minimize(PlateGrid(2, (32,), 64, (0.0,), (1.0,)),
+                               stretch_datum(1.2, 2), P2, 0.1, SolverConfig()),
+], ids=["limit-128", "film-32x64"])
+def test_search_builds_a_candidate_only_to_solve_it(monkeypatch, search):
+    # a round offers moves; a scored column is never copied into a crack
+    # unless it wins and is solved
+    copies, solves = [], []
+    copy = CrackIndicator.copy
+    monkeypatch.setattr(CrackIndicator, "copy",
+                        lambda self: copies.append(1) or copy(self))
+    for cls in (minimize._FilmProblem, minimize._LimitProblem):
+        monkeypatch.setattr(cls, "solve", lambda self, c, solve=cls.solve:
+                            solves.append(1) or solve(self, c))
+    _, cracks, _, trace = search()
+    assert len(trace) == 2 and np.any(cracks.broken[0])
+    assert len(copies) <= len(solves) + len(trace) - 1
+    assert len(solves) == 6
 
 
 def test_winner_check_rejects_a_score_above_the_solved_field():
