@@ -98,19 +98,10 @@ class CrackSurface:
         self.simplices = np.asarray(self.simplices, dtype=float)
         if self.simplices.ndim != 3 or self.simplices.shape[1] != self.simplices.shape[2]:
             raise ValueError("simplices must have shape (m, n, n)")
-        n = self.n
-        vols = self._volumes()
-        if np.any(vols <= 1e-12):
+        if np.any(self._volumes() <= 1e-12):
             raise ValueError("degenerate simplex in crack surface")
-        normals = []
-        for s in self.simplices:
-            if n == 2:
-                d = s[1] - s[0]
-                nu = np.array([-d[1], d[0]])
-            else:
-                nu = np.cross(s[1] - s[0], s[2] - s[0])
-            normals.append(nu / np.linalg.norm(nu))
-        self.normals = np.array(normals)
+        nu = self._normal_vectors()
+        self.normals = nu / np.linalg.norm(nu, axis=1)[:, None]
 
     @property
     def n(self) -> int:
@@ -120,12 +111,16 @@ class CrackSurface:
     def m(self) -> int:
         return self.simplices.shape[0]
 
-    def _volumes(self) -> np.ndarray:
+    def _normal_vectors(self) -> np.ndarray:
+        """Unnormalized normals: the edge turned a quarter (n=2), the edges' cross product (n=3)."""
+        d = self.simplices[:, 1:] - self.simplices[:, :1]
         if self.n == 2:
-            return np.linalg.norm(self.simplices[:, 1] - self.simplices[:, 0], axis=1)
-        c = np.cross(self.simplices[:, 1] - self.simplices[:, 0],
-                     self.simplices[:, 2] - self.simplices[:, 0])
-        return 0.5 * np.linalg.norm(c, axis=1)
+            return np.stack([-d[:, 0, 1], d[:, 0, 0]], axis=1)
+        return np.cross(d[:, 0], d[:, 1])
+
+    def _volumes(self) -> np.ndarray:
+        # |normal vector| is (n-1)! times the simplex's measure, and (n-1)! = n-1 here
+        return np.linalg.norm(self._normal_vectors(), axis=1) / (self.n - 1)
 
     def measure(self) -> float:
         """Total (n-1)-dimensional measure of the surface."""
@@ -182,74 +177,74 @@ def axis_plane_crack(n: int, axis: int, value: float,
 
 
 # ---------------------------------------------------------------------------
-# distance kernels (vectorized over a batch of query segments)
+# distance kernels (vectorized over rows: query segment i against simplex i)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.sum(u * v, axis=1)
 
 
 def _seg_seg_dist(P: np.ndarray, Q: np.ndarray,
                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between batch segments [P_i, Q_i] and the single segment [a, b]."""
+    """Distance between segments [P_i, Q_i] and [a_i, b_i], row by row."""
     d1 = Q - P
     d2 = b - a
     r = P - a
-    A = np.sum(d1 * d1, axis=1)
-    e = float(d2 @ d2)
-    f = r @ d2
-    c = np.sum(d1 * r, axis=1)
-    bb = d1 @ d2
+    A = _dot(d1, d1)
+    e = _dot(d2, d2)
+    f = _dot(r, d2)
+    c = _dot(d1, r)
+    bb = _dot(d1, d2)
     denom = A * e - bb * bb
     s = np.where(denom > 1e-14 * np.maximum(A * e, 1e-300),
                  np.clip((bb * f - c * e) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0),
                  0.0)
-    t = (bb * s + f) / e
-    t = np.clip(t, 0.0, 1.0)
+    t = np.clip((bb * s + f) / e, 0.0, 1.0)
     s = np.clip(np.where(A > 0.0, (bb * t - c) / np.where(A == 0.0, 1.0, A), 0.0), 0.0, 1.0)
     closest1 = P + s[:, None] * d1
-    closest2 = a + np.outer(t, d2)
+    closest2 = a + t[:, None] * d2
     return np.linalg.norm(closest1 - closest2, axis=1)
 
 
 def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Distance between batch segments and a single triangle."""
-    v0, v1, v2 = tri
+    """Distance between segments [P_i, Q_i] and triangles tri_i (shape (k, 3, 3)), row by row."""
+    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
     # Proper intersections via Moller-Trumbore.
     d = Q - P
     e1 = v1 - v0
     e2 = v2 - v0
     h = np.cross(d, e2)
-    det = h @ e1
+    det = _dot(h, e1)
     ok = np.abs(det) > 1e-14
     inv = np.where(ok, det, 1.0)
     s = P - v0
-    u = np.sum(s * h, axis=1) / inv
+    u = _dot(s, h) / inv
     qv = np.cross(s, e1)
-    v = qv @ d.T if qv.ndim == 1 else np.sum(qv * d, axis=1)
-    v = v / inv
-    t = (qv @ e2) / inv
+    v = _dot(qv, d) / inv
+    t = _dot(qv, e2) / inv
     hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0) & (t <= 1.0)
 
     dist = np.where(hit, 0.0, np.inf)
     # Edge/edge candidates.
     for ea, eb in ((v0, v1), (v1, v2), (v2, v0)):
         dist = np.minimum(dist, _seg_seg_dist(P, Q, ea, eb))
-    # Endpoint/interior candidates: project endpoints onto the plane.
+    # Endpoint/interior candidates: project endpoints onto the plane and
+    # test barycentric coordinates against the Gram matrix of (e1, e2).
     nvec = np.cross(e1, e2)
-    nn = nvec @ nvec
+    nn = _dot(nvec, nvec)
+    d00 = _dot(e1, e1)
+    d01 = _dot(e1, e2)
+    d11 = _dot(e2, e2)
+    den = d00 * d11 - d01 * d01
     for X in (P, Q):
-        w = X - v0
-        dplane = w @ nvec / np.sqrt(nn)
-        proj = X - np.outer(w @ nvec / nn, nvec)
-        # barycentric test
-        pw = proj - v0
-        d00 = e1 @ e1
-        d01 = e1 @ e2
-        d11 = e2 @ e2
-        d20 = pw @ e1
-        d21 = pw @ e2
-        den = d00 * d11 - d01 * d01
+        wn = _dot(X - v0, nvec)
+        pw = X - (wn / nn)[:, None] * nvec - v0
+        d20 = _dot(pw, e1)
+        d21 = _dot(pw, e2)
         bu = (d11 * d20 - d01 * d21) / den
         bv = (d00 * d21 - d01 * d20) / den
         inside = (bu >= 0.0) & (bv >= 0.0) & (bu + bv <= 1.0)
-        dist = np.where(inside, np.minimum(dist, np.abs(dplane)), dist)
+        dist = np.where(inside, np.minimum(dist, np.abs(wn / np.sqrt(nn))), dist)
     return dist
 
 
@@ -258,39 +253,41 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     """Boolean array: does segment [P_i, Q_i] come within tol of the crack.
 
     Sort-and-sweep broad phase (Ericson, Real-Time Collision Detection,
-    ch. 7): the distance kernels run only on pairs whose boxes, the
-    query's inflated by tol, overlap.  A pair within tol always passes, so
-    the answer equals the all-pairs one while the cost follows the queries
-    near each simplex rather than queries x simplices.
+    ch. 7): the candidate (query, simplex) pairs of all simplices are the
+    pairs whose boxes, the query's inflated by tol, overlap, and one
+    distance-kernel call tests them all.  A pair within tol always passes,
+    so the answer equals the all-pairs one while the cost follows the
+    queries near each simplex rather than queries x simplices.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    hit = np.zeros(P.shape[0], dtype=bool)
     lo = np.minimum(P, Q) - tol
     hi = np.maximum(P, Q) + tol
     # Lattice batches arrive sorted in x; the stable sort takes them in linear time.
     order = np.argsort(lo[:, 0], kind="stable")
-    lo_x = lo[order, 0]
     # Running max of the high x in sorted order: every query before the
     # first index where it reaches a simplex's low x ends left of it.
     reach_x = np.maximum.accumulate(hi[order, 0])
-    s_lo = crack.simplices.min(axis=1)
-    s_hi = crack.simplices.max(axis=1)
-    for k in range(crack.m):
-        i0 = np.searchsorted(reach_x, s_lo[k, 0], side="left")
-        i1 = np.searchsorted(lo_x, s_hi[k, 0], side="right")
-        idx = order[i0:i1]
-        near = (~hit[idx] & np.all(lo[idx] <= s_hi[k], axis=1)
-                & np.all(hi[idx] >= s_lo[k], axis=1))
-        idx = idx[near]
-        if idx.size == 0:
-            continue
+    S = crack.simplices
+    s_lo = S.min(axis=1)
+    s_hi = S.max(axis=1)
+    i0 = np.searchsorted(reach_x, s_lo[:, 0], side="left")
+    i1 = np.searchsorted(lo[order, 0], s_hi[:, 0], side="right")
+    # Simplex k's window is order[i0[k]:i1[k]]; list all windows' pairs at
+    # once, pos being each pair's place within its window.
+    count = np.maximum(i1 - i0, 0)
+    k = np.repeat(np.arange(crack.m), count)
+    pos = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    q = order[np.repeat(i0, count) + pos]
+    near = np.all(lo[q] <= s_hi[k], axis=1) & np.all(hi[q] >= s_lo[k], axis=1)
+    q, k = q[near], k[near]
+    hit = np.zeros(P.shape[0], dtype=bool)
+    if q.size:
         if crack.n == 2:
-            d = _seg_seg_dist(P[idx], Q[idx], crack.simplices[k, 0],
-                              crack.simplices[k, 1])
+            d = _seg_seg_dist(P[q], Q[q], S[k, 0], S[k, 1])
         else:
-            d = _seg_tri_dist(P[idx], Q[idx], crack.simplices[k])
-        hit[idx] = d <= tol
+            d = _seg_tri_dist(P[q], Q[q], S[k])
+        hit[q[d <= tol]] = True
     return hit
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platelab import geometry
@@ -195,7 +195,8 @@ def _all_pairs_hits(P, Q, crack, tol):
     """Reference: the distance kernel on every (query, simplex) pair."""
     hit = np.zeros(len(P), dtype=bool)
     for s in crack.simplices:
-        d = _seg_seg_dist(P, Q, s[0], s[1]) if crack.n == 2 else _seg_tri_dist(P, Q, s)
+        S = np.broadcast_to(s, (len(P),) + s.shape)  # the simplex on every row
+        d = _seg_seg_dist(P, Q, S[:, 0], S[:, 1]) if crack.n == 2 else _seg_tri_dist(P, Q, S)
         hit |= d <= tol
     return hit
 
@@ -245,8 +246,33 @@ def _lattice_scene(draw):
     return np.array(P), np.array(Q), crack, tol
 
 
+FLAT3 = axis_plane_crack(3, 0, 0.5, ((0.0, 1.0), (0.0, 1.0)))
+TILTED3 = CrackSurface(np.array([[[0.2, 0.1, 0.3], [0.8, 0.2, 0.7], [0.3, 0.9, 0.6]],
+                                 [[0.8, 0.2, 0.7], [0.9, 0.8, 0.2], [0.3, 0.9, 0.6]]]))
+# three segments through (0.5, 0.5)
+STAR = CrackSurface(np.array([[[0.5, 0.0], [0.5, 1.0]], [[0.0, 0.0], [1.0, 1.0]],
+                              [[0.0, 1.0], [1.0, 0.0]]]))
+_LINE = np.linspace(0.0, 1.0, 9)[:, None]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_lattice_scene())
+# no query's box reaches the crack: zero candidate pairs
+@example((_LINE * [1.0, 0.0], _LINE * [1.0, 0.0] + [0.0, 0.125],
+          axis_plane_crack(2, 0, 5.0, ((0.0, 1.0),)), 1e-12))
+# a single query row
+@example((np.array([[0.25, 0.5]]), np.array([[0.75, 0.5]]), VERT, 1e-12))
+# one query hit by all three simplices, next to queries hit by one or none
+@example((np.array([[0.0, 0.5], [0.5, 0.1], [0.25, 0.9]]),
+          np.array([[1.0, 0.5], [0.5, 0.4], [0.3, 0.95]]), STAR, 1e-12))
+# an n = 3 crack of several triangles, lattice segments on and off its planes
+@example((np.vstack([_LINE * [1.0, 0.0, 0.0] + [0.0, 0.5, 0.5],
+                     _LINE * [0.0, 1.0, 1.0] + [0.5, 0.0, 0.0],
+                     _LINE * [0.0, 0.0, 1.0] + [0.45, 0.4, 0.0]]),
+          np.vstack([_LINE * [1.0, 0.0, 0.0] + [0.125, 0.5, 0.5],
+                     _LINE * [0.0, 1.0, 1.0] + [0.5, 0.125, 0.125],
+                     _LINE * [0.0, 0.0, 1.0] + [0.45, 0.4, 0.125]]),
+          FLAT3.union(TILTED3), 1e-9 / 8))
 def test_segments_hit_crack_matches_all_pairs(scene):
     P, Q, crack, tol = scene
     assert np.array_equal(segments_hit_crack(P, Q, crack, tol),
@@ -267,11 +293,6 @@ def test_classify_empty_and_far_crack():
     assert classify_cubes(g, None).num_bad == 0
     far = axis_plane_crack(2, 0, 5.0, ((0.0, 1.0),))
     assert classify_cubes(g, far).num_bad == 0
-
-
-FLAT3 = axis_plane_crack(3, 0, 0.5, ((0.0, 1.0), (0.0, 1.0)))
-TILTED3 = CrackSurface(np.array([[[0.2, 0.1, 0.3], [0.8, 0.2, 0.7], [0.3, 0.9, 0.6]],
-                                 [[0.8, 0.2, 0.7], [0.9, 0.8, 0.2], [0.3, 0.9, 0.6]]]))
 
 
 @pytest.mark.parametrize("crack,h,y", [
@@ -316,6 +337,47 @@ def test_classify_queries_each_edge_and_face_diagonal_once(n, monkeypatch):
                           for X in (P[0], Q[0])) for P, Q in calls]
     assert set(segments) == expect
     assert all(P.shape == cubes.shape for P, Q in calls)
+
+
+def _arc(m):
+    """m-segment circular arc, centre (0.5, 0.5), radius 0.3, upper half."""
+    th = np.linspace(0.0, np.pi, m + 1)
+    pts = np.stack([0.5 + 0.3 * np.cos(th), 0.5 + 0.3 * np.sin(th)], axis=-1)
+    return CrackSurface(np.stack([pts[:-1], pts[1:]], axis=1))
+
+
+@pytest.mark.parametrize("crack,kernel", [(_arc(64), "_seg_seg_dist"),
+                                          (FLAT3, "_seg_tri_dist")])
+def test_each_query_batch_makes_one_kernel_call(crack, kernel, monkeypatch):
+    # the candidate pairs of all simplices go to the distance kernel at
+    # once: one call per batch that has a candidate pair, none otherwise
+    kernel_calls, batches = [], []
+    query, dist = geometry.segments_hit_crack, getattr(geometry, kernel)
+
+    def counting_query(P, Q, crack, tol=1e-12):
+        before = len(kernel_calls)
+        hit = query(P, Q, crack, tol)
+        lo, hi = np.minimum(P, Q)[:, None] - tol, np.maximum(P, Q)[:, None] + tol
+        boxes_meet = (np.all(lo <= crack.simplices.max(axis=1), axis=2)
+                      & np.all(hi >= crack.simplices.min(axis=1), axis=2))
+        batches.append((len(kernel_calls) - before, bool(np.any(boxes_meet))))
+        return hit
+
+    def counting_kernel(P, *args):
+        kernel_calls.append(len(P))
+        return dist(P, *args)
+
+    monkeypatch.setattr(geometry, "segments_hit_crack", counting_query)
+    monkeypatch.setattr(geometry, kernel, counting_kernel)
+    n = crack.n
+    g = ShiftedGrid(n, 2.0 ** -(8 - n), (0.37, 0.11, 0.62)[:n], (0.0,) * n, (1.0,) * n)
+    assert classify_cubes(g, crack).num_bad > 0
+    assert discrete_jump_energy(g, crack) > 0.0
+    assert all(calls == int(candidates) for calls, candidates in batches)
+    if n == 2:  # every arc batch has candidates: one call each
+        assert len(kernel_calls) == len(batches) == 6 + 5
+    else:  # batches parallel to the plane and off it have none
+        assert {candidates for _, candidates in batches} == {False, True}
 
 
 def test_classify_monotone_in_crack():
@@ -393,3 +455,16 @@ def test_projection_raster_3d():
     boxes = np.array([[[0.0, 0.0, 0.0], [0.5, 0.5, 1.0]]])
     val = projection_measure(boxes, (0.0, 0.0, 1.0), raster=0.005)
     assert val == pytest.approx(0.25, abs=0.02)
+
+
+def test_projection_of_a_3d_classification():
+    # the flat crack {x_1 = 0.5} at offset 0 puts lattice points on the
+    # crack, so two layers of cubes are bad: a shadow 2h x (1 + 2h) along e_3
+    h = 0.125
+    c = classify_cubes(ShiftedGrid(3, h, (0.0,) * 3, (0.0,) * 3, (1.0,) * 3), FLAT3)
+    e3 = (0.0, 0.0, 1.0)
+    val, err = projection_measure(c, e3, raster=1 / 64, return_error=True)
+    assert (val, err) == (2 * h * (1 + 2 * h), 0.046875)
+    assert projection_measure(c, e3, minus=c, raster=1 / 64) == 0.0
+    # the crack is parallel to e_3: its own shadow is flat
+    assert projection_measure(FLAT3, e3, raster=1 / 64) == 0.0
