@@ -46,15 +46,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--seed", type=int, help="global RNG seed")
-        p.add_argument("--h", type=float, help="grid spacing")
-        p.add_argument("--rho", type=float, help="thickness parameter")
+        p.add_argument("--seed", help="global RNG seed")
+        p.add_argument("--h", help="grid spacing")
+        p.add_argument("--rho", help="thickness parameter")
         p.add_argument("--crack", help="crack surface text file")
         p.add_argument("--datum", help="boundary datum, e.g. stretch:0.5")
     return ap
 
 
 def _make_config(args) -> lab.ExperimentConfig:
+    """The config file's mapping with each given flag as one more entry, validated once."""
     for flag in ("seed", "h", "rho", "crack", "datum"):
         if getattr(args, flag) is not None and flag not in _FLAGS[args.command]:
             raise ValueError(f"--{flag} is not used by {args.command}")
@@ -63,23 +64,15 @@ def _make_config(args) -> lab.ExperimentConfig:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
         mapping = lab.load_config(args.config)
-    cfg = lab.config_from_mapping(mapping)
-    cfg.experiment = args.command
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.h is not None:
-        cfg.h = args.h
-    if args.rho is not None:
-        cfg.rho_list = (args.rho,)
-    if args.crack is not None:
-        cfg.crack_path = args.crack
+    stretch = None
     if args.datum is not None:
-        if not args.datum.startswith("stretch:"):
+        kind, _, stretch = args.datum.partition(":")
+        if kind != "stretch":
             raise ValueError(f"unsupported datum spec: {args.datum}")
-        cfg.stretch = float(args.datum.split(":", 1)[1])
-    return cfg
+    flags = {"out": args.out, "seed": args.seed, "h": args.h, "rho_list": args.rho,
+             "crack_path": args.crack, "stretch": stretch}
+    mapping.update((k, v) for k, v in flags.items() if v is not None)
+    return lab.config_from_mapping(mapping)
 
 
 def _load_crack(cfg: lab.ExperimentConfig) -> CrackSurface:
@@ -94,27 +87,27 @@ def _box(cfg):
     return (0.0,) * cfg.n, (1.0,) * cfg.n
 
 
-def _dispatch(cfg: lab.ExperimentConfig) -> list:
-    if cfg.experiment == "classify":
+def _dispatch(command: str, cfg: lab.ExperimentConfig) -> list:
+    if command == "classify":
         crack = _load_crack(cfg)
         lo, hi = _box(cfg)
         return lab.classify_experiment(crack, cfg.h, lo, hi, seed=cfg.seed,
-                                       samples=max(1, min(cfg.samples, 20)))
-    if cfg.experiment == "jump-energy":
+                                       samples=min(cfg.samples, 20))
+    if command == "jump-energy":
         crack = _load_crack(cfg)
         lo, hi = _box(cfg)
         return lab.jump_energy_experiment(crack, cfg.h, lo, hi,
                                           samples=cfg.samples, seed=cfg.seed)
-    if cfg.experiment == "approximate":
+    if command == "approximate":
         crack = _load_crack(cfg)
         lo, hi = _box(cfg)
         base = cfg.h
         return lab.approximate_experiment(crack, [base, base / 2, base / 4], lo, hi)
-    if cfg.experiment == "recover":
+    if command == "recover":
         s = lab.membrane_crack_state(cfg.stretch, cfg.plan,
                                      cfg.omega_lo, cfg.omega_hi, cfg.n)
         return lab.recovery_sweep(s, cfg.lame, cfg.rho_list, layers=cfg.layers)
-    if cfg.experiment == "liminf":
+    if command == "liminf":
         s = lab.membrane_crack_state(cfg.stretch, cfg.plan,
                                      cfg.omega_lo, cfg.omega_hi, cfg.n)
 
@@ -123,7 +116,7 @@ def _dispatch(cfg: lab.ExperimentConfig) -> list:
                                          layers=cfg.layers)
 
         return lab.liminf_probe(family, s, cfg.lame, cfg.rho_list)
-    if cfg.experiment == "minimize":
+    if command == "minimize":
         g = stretch_datum(cfg.stretch, cfg.n)
         scfg = SolverConfig()
         s, cracks, e, trace = lab.minimize_limit(cfg.plan, cfg.omega_lo,
@@ -132,35 +125,29 @@ def _dispatch(cfg: lab.ExperimentConfig) -> list:
         return [{"stretch": cfg.stretch, "bulk": e.bulk, "surface": e.surface,
                  "penalty": e.boundary_penalty, "total": e.total,
                  "cracked": int(cracked), "rounds": len(trace)}]
-    if cfg.experiment == "sweep":
-        g = stretch_datum(cfg.stretch, cfg.n)
-        scfg = SolverConfig()
-        return lab.minima_sweep(g, cfg.lame, cfg.rho_list, cfg.plan,
-                                cfg.omega_lo, cfg.omega_hi,
-                                layers=cfg.layers, cfg=scfg)
-    raise ValueError(f"unknown experiment: {cfg.experiment}")
+    # sweep: argparse admits no other subcommand
+    g = stretch_datum(cfg.stretch, cfg.n)
+    return lab.minima_sweep(g, cfg.lame, cfg.rho_list, cfg.plan,
+                            cfg.omega_lo, cfg.omega_hi,
+                            layers=cfg.layers, cfg=SolverConfig())
 
 
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _make_config(args)
-        rows = _dispatch(cfg)
+        rows = _dispatch(args.command, cfg)
+        if cfg.out:
+            lab.write_csv(rows, cfg.out)
+            print(f"wrote {len(rows)} rows to {cfg.out}")
+        else:
+            lab.write_rows(rows, sys.stdout)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        lab.write_csv(rows, cfg.out)
-        print(f"wrote {len(rows)} rows to {cfg.out}")
-    else:
-        keys = list(rows[0].keys())
-        print(",".join(keys))
-        for r in rows:
-            print(",".join(repr(float(r[k])) if isinstance(r[k], float) else str(r[k])
-                           for k in keys))
     return 0
 
 

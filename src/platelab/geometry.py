@@ -412,25 +412,23 @@ def _axis_of(xi) -> int:
     return int(nz[0])
 
 
-def _shadow_intervals(obj, axis: int) -> list:
-    """1D shadows (for n=2) of boxes/crack simplices after dropping `axis`."""
-    out = []
+def _shadow_pieces(obj, axis: int) -> tuple[np.ndarray, bool]:
+    """The pieces of obj projected along `axis`, and whether they are boxes.
+
+    A CrackSurface gives its simplices, a CubeClassification the closed
+    boxes of its bad cubes, and an array of shape (k, 2, n) its own boxes.
+    The vertices come back with coordinate `axis` dropped: shape (k, v, n-1).
+    """
     if isinstance(obj, CrackSurface):
-        other = 1 - axis
-        for s in obj.simplices:
-            vals = s[:, other]
-            out.append((float(vals.min()), float(vals.max())))
+        verts, boxes = obj.simplices, False
     elif isinstance(obj, CubeClassification):
-        out.extend(_shadow_intervals(obj.bad_boxes(), axis))
+        verts, boxes = obj.bad_boxes(), True
     else:
-        boxes = np.asarray(obj, dtype=float)
-        other = 1 - axis
-        for b in boxes:
-            out.append((float(b[0, other]), float(b[1, other])))
-    return out
+        verts, boxes = np.asarray(obj, dtype=float), True
+    return np.delete(verts, axis, axis=2), boxes
 
 
-def _union_intervals(intervals: list) -> list:
+def _union_intervals(intervals) -> list:
     ivs = sorted((a, b) for a, b in intervals if b > a)
     merged = []
     for a, b in ivs:
@@ -439,6 +437,12 @@ def _union_intervals(intervals: list) -> list:
         else:
             merged.append((a, b))
     return merged
+
+
+def _shadow_union(verts: np.ndarray) -> list:
+    """Union of the 1D shadows [min, max] of pieces with vertices (k, v, 1)."""
+    return _union_intervals(zip(verts.min(axis=1)[:, 0].tolist(),
+                                verts.max(axis=1)[:, 0].tolist()))
 
 
 def _diff_measure_1d(u1: list, u2: list) -> float:
@@ -451,57 +455,36 @@ def _diff_measure_1d(u1: list, u2: list) -> float:
     return total
 
 
-def _shadow_mask(obj, axis: int, grid_lo, raster: float, shape) -> np.ndarray:
-    """2D raster shadows (for n=3) of boxes/crack simplices after dropping `axis`."""
-    others = [i for i in range(3) if i != axis]
+def _shadow_mask(verts: np.ndarray, boxes: bool, grid_lo, raster: float,
+                 shape) -> np.ndarray:
+    """Pixels of a 2D raster whose centres lie in one of the projected pieces.
+
+    A box marks the block of centres c with lo <= c <= hi on both axes,
+    found by `searchsorted` on the sorted centres; a triangle marks the
+    centres whose barycentric coordinates are all nonnegative.
+    """
     mask = np.zeros(shape, dtype=bool)
-    xs = grid_lo[0] + raster * (np.arange(shape[0]) + 0.5)
-    ys = grid_lo[1] + raster * (np.arange(shape[1]) + 0.5)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    if isinstance(obj, CrackSurface):
-        for s in obj.simplices:
-            tri = s[:, others]
-            v0, v1, v2 = tri
-            d = np.stack([XX - v0[0], YY - v0[1]], axis=-1)
-            e1 = v1 - v0
-            e2 = v2 - v0
-            den = e1[0] * e2[1] - e1[1] * e2[0]
-            if abs(den) < 1e-16:
-                continue
-            bu = (d[..., 0] * e2[1] - d[..., 1] * e2[0]) / den
-            bv = (e1[0] * d[..., 1] - e1[1] * d[..., 0]) / den
-            mask |= (bu >= 0.0) & (bv >= 0.0) & (bu + bv <= 1.0)
-    else:
-        if isinstance(obj, CubeClassification):
-            boxes = obj.bad_boxes()
-        else:
-            boxes = np.asarray(obj, dtype=float)
-        for b in boxes:
-            inx = (XX >= b[0, others[0]]) & (XX <= b[1, others[0]])
-            iny = (YY >= b[0, others[1]]) & (YY <= b[1, others[1]])
-            mask |= inx & iny
-    return mask
-
-
-def _bounds_2d(objs, axis: int):
-    los, his = [], []
-    for obj in objs:
-        if obj is None:
+    centres = [grid_lo[a] + raster * (np.arange(shape[a]) + 0.5) for a in range(2)]
+    if boxes:
+        i0, j0 = (np.searchsorted(c, verts[:, 0, a], side="left")
+                  for a, c in enumerate(centres))
+        i1, j1 = (np.searchsorted(c, verts[:, 1, a], side="right")
+                  for a, c in enumerate(centres))
+        for a0, a1, b0, b1 in zip(i0, i1, j0, j1):
+            mask[a0:a1, b0:b1] = True
+        return mask
+    XX, YY = np.meshgrid(*centres, indexing="ij")
+    for v0, v1, v2 in verts:
+        d = np.stack([XX - v0[0], YY - v0[1]], axis=-1)
+        e1 = v1 - v0
+        e2 = v2 - v0
+        den = e1[0] * e2[1] - e1[1] * e2[0]
+        if abs(den) < 1e-16:
             continue
-        others = [i for i in range(3) if i != axis]
-        if isinstance(obj, CrackSurface):
-            pts = obj.simplices.reshape(-1, 3)[:, others]
-        elif isinstance(obj, CubeClassification):
-            boxes = obj.bad_boxes()
-            pts = boxes.reshape(-1, 3)[:, others]
-        else:
-            pts = np.asarray(obj, dtype=float).reshape(-1, 3)[:, others]
-        if len(pts):
-            los.append(pts.min(axis=0))
-            his.append(pts.max(axis=0))
-    if not los:
-        return np.zeros(2), np.zeros(2)
-    return np.min(los, axis=0), np.max(his, axis=0)
+        bu = (d[..., 0] * e2[1] - d[..., 1] * e2[0]) / den
+        bv = (e1[0] * d[..., 1] - e1[1] * d[..., 0]) / den
+        mask |= (bu >= 0.0) & (bv >= 0.0) & (bu + bv <= 1.0)
+    return mask
 
 
 def projection_measure(obj, xi, minus=None, raster: float = 0.01,
@@ -515,30 +498,22 @@ def projection_measure(obj, xi, minus=None, raster: float = 0.01,
     `raster` and an O(raster * perimeter) error estimate is available.
     """
     axis = _axis_of(xi)
-    if isinstance(obj, CrackSurface):
-        n = obj.n
-    elif isinstance(obj, CubeClassification):
-        n = obj.grid.n
-    else:
-        n = np.asarray(obj).shape[-1]
-
-    if n == 2:
-        u1 = _union_intervals(_shadow_intervals(obj, axis))
-        u2 = _union_intervals(_shadow_intervals(minus, axis)) if minus is not None else []
-        val = _diff_measure_1d(u1, u2)
+    shadows = [_shadow_pieces(o, axis) for o in (obj, minus) if o is not None]
+    verts = shadows[0][0]
+    if verts.shape[-1] == 1:
+        u2 = _shadow_union(shadows[1][0]) if minus is not None else []
+        val = float(_diff_measure_1d(_shadow_union(verts), u2))
         return (val, 0.0) if return_error else val
 
-    lo, hi = _bounds_2d([obj, minus], axis)
+    pts = np.concatenate([v.reshape(-1, 2) for v, _ in shadows])
+    lo, hi = (pts.min(axis=0), pts.max(axis=0)) if len(pts) else (np.zeros(2),) * 2
     lo = lo - raster
     shape = tuple(int(np.ceil((hi[i] - lo[i]) / raster)) + 2 for i in range(2))
-    m1 = _shadow_mask(obj, axis, lo, raster, shape)
+    m1 = _shadow_mask(*shadows[0], lo, raster, shape)
     if minus is not None:
-        m1 &= ~_shadow_mask(minus, axis, lo, raster, shape)
+        m1 &= ~_shadow_mask(*shadows[1], lo, raster, shape)
     val = float(np.count_nonzero(m1)) * raster ** 2
     if return_error:
-        edges = 0
-        for ax in range(2):
-            shifted = np.roll(m1, 1, axis=ax)
-            edges += np.count_nonzero(m1 != shifted)
+        edges = sum(np.count_nonzero(m1 != np.roll(m1, 1, axis=ax)) for ax in range(2))
         return val, float(edges) * raster ** 2
     return val

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
-                       classify_cubes, segments_hit_crack)
+                       _shadow_pieces, classify_cubes, segments_hit_crack)
 
 
 # lattice points `sample` covers beyond the cube window on each side
@@ -219,9 +219,11 @@ def structure_preservation_check(v, approx: ApproximantField, i: int, j: int,
     """Check that fibers along axis i of component j stay constant.
 
     Applies when v . e_j is independent of x_i.  Draws _FIBERS random fibers,
-    each sampled at _FIBER_SAMPLES points; fibers whose shadow meets the
-    projection of the bad-cube closure along axis i are skipped.
-    Returns True/False, or None when the precondition on v fails.
+    each sampled at _FIBER_SAMPLES points; fibers whose foot lies in the
+    projection of the bad-cube closure along axis i are skipped, and the
+    rest are evaluated in one approximant call.  Returns True/False (False
+    also when every fiber is skipped), or None when the precondition on v
+    fails.
     """
     rng = np.random.default_rng(rng)
     lo = np.asarray(approx.region[0])
@@ -229,8 +231,6 @@ def structure_preservation_check(v, approx: ApproximantField, i: int, j: int,
     n = approx.source.grid.n
     # Precondition probe: v.e_j must not vary along axis i.
     base_pts = lo + (hi - lo) * rng.random((50, n))
-    shift = np.zeros(n)
-    shift[i] = 1.0
     ts = (hi[i] - lo[i]) * rng.random(50)
     moved = base_pts.copy()
     moved[:, i] = lo[i] + ts
@@ -240,25 +240,17 @@ def structure_preservation_check(v, approx: ApproximantField, i: int, j: int,
     if np.max(np.abs(vb[:, j] - vm[:, j])) > 1e-10 * scale:
         return None
 
-    # Shadow of the bad-cube closure along axis i (bounding intervals per
-    # remaining coordinate).
-    boxes = approx.classification.bad_boxes()
-    others = [a for a in range(n) if a != i]
-    ok_count = 0
-    for _ in range(_FIBERS):
-        p = lo + (hi - lo) * rng.random(n)
-        shadowed = False
-        for b in boxes:
-            if all(b[0, a] - 1e-12 <= p[a] <= b[1, a] + 1e-12 for a in others):
-                shadowed = True
-                break
-        if shadowed:
-            continue
-        ts = np.linspace(lo[i], hi[i], _FIBER_SAMPLES)
-        pts = np.tile(p, (_FIBER_SAMPLES, 1))
-        pts[:, i] = ts
-        vals = approx(pts)[:, j]
-        if np.max(np.abs(vals - vals[0])) > 1e-12 * max(1.0, np.max(np.abs(vals))):
-            return False
-        ok_count += 1
-    return ok_count > 0
+    # Feet of the fibers; a fiber is skipped when its foot lies in the
+    # shadow of the bad-cube closure along axis i (closed boxes, 1e-12 slack).
+    feet = lo + (hi - lo) * rng.random((_FIBERS, n))
+    boxes, _ = _shadow_pieces(approx.classification, i)
+    q = np.delete(feet, i, axis=1)[:, None]
+    shadowed = np.any(np.all((boxes[:, 0] - 1e-12 <= q) & (q <= boxes[:, 1] + 1e-12),
+                             axis=2), axis=1)
+    if np.all(shadowed):
+        return False
+    pts = np.repeat(feet[~shadowed, None], _FIBER_SAMPLES, axis=1)
+    pts[..., i] = np.linspace(lo[i], hi[i], _FIBER_SAMPLES)
+    vals = approx(pts.reshape(-1, n))[:, j].reshape(pts.shape[:2])
+    spread = np.max(np.abs(vals - vals[:, :1]), axis=1)
+    return not np.any(spread > 1e-12 * np.maximum(1.0, np.max(np.abs(vals), axis=1)))

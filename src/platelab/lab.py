@@ -237,12 +237,16 @@ def membrane_crack_state(t: float, plan: tuple, omega_lo, omega_hi,
     return s
 
 
-def approximate_experiment(crack: CrackSurface, h_list, lo, hi,
-                           delta: float = 1e-3) -> list:
+# pointwise error above which `approximate_experiment` counts a sample as exceeding
+_EXCEED_TOL = 1e-3
+
+
+def approximate_experiment(crack: CrackSurface, h_list, lo, hi) -> list:
     """Approximant accuracy for a piecewise-affine field jumping across the crack.
 
     The test field is (x_1, 0, ...) plus a unit jump of the first component
-    across the plane of the crack's first simplex.
+    across the plane of the crack's first simplex.  Reports the measure of
+    the points where the approximant misses the field by more than _EXCEED_TOL.
     """
     from .interpolation import build_approximant
 
@@ -265,7 +269,7 @@ def approximate_experiment(crack: CrackSurface, h_list, lo, hi,
         margin = 2 * n * h
         V = (tuple(lo + margin), tuple(hi - margin))
         vk = build_approximant(v, grid, crack, V)
-        # measure of {|v_k - v| > delta} by midpoint sampling on a fine grid
+        # measure of {|v_k - v| > _EXCEED_TOL} by midpoint sampling on a fine grid
         m = 4 * int(round((hi[0] - lo[0]) / h))
         axes = [np.linspace(V[0][a], V[1][a], m, endpoint=False)
                 + (V[1][a] - V[0][a]) / (2 * m) for a in range(n)]
@@ -273,7 +277,7 @@ def approximate_experiment(crack: CrackSurface, h_list, lo, hi,
         X = np.stack([g.ravel() for g in mesh], axis=-1)
         err = np.max(np.abs(vk(X) - v(X)), axis=1)
         cellvol = float(np.prod([(V[1][a] - V[0][a]) / m for a in range(n)]))
-        bad_measure = float(np.count_nonzero(err > delta)) * cellvol
+        bad_measure = float(np.count_nonzero(err > _EXCEED_TOL)) * cellvol
         vol = float(np.prod([V[1][a] - V[0][a] for a in range(n)]))
         rows.append({"h": h, "exceed_measure": bad_measure,
                      "region_volume": vol,
@@ -288,7 +292,6 @@ def approximate_experiment(crack: CrackSurface, h_list, lo, hi,
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "sweep"
     n: int = 2
     omega_lo: tuple = (0.0,)
     omega_hi: tuple = (1.0,)
@@ -306,8 +309,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         r = list(self.rho_list)
-        if any(x <= 0 for x in r) or any(r[i] <= r[i + 1] for i in range(len(r) - 1)):
-            raise ValueError("rho list must be positive and strictly decreasing")
+        if (not r or not all(0.0 < x < np.inf for x in r)
+                or any(r[i] <= r[i + 1] for i in range(len(r) - 1))):
+            raise ValueError("rho list must be nonempty, positive, finite "
+                             "and strictly decreasing")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError("grid spacing h must be positive and finite")
+        if not np.isfinite(self.stretch):
+            raise ValueError("stretch must be finite")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
 
     @property
     def lame(self) -> LameParams:
@@ -329,39 +340,49 @@ def load_config(path) -> dict:
     return out
 
 
+def _tuple_of(conv):
+    return lambda val: tuple(conv(t) for t in val.replace(",", " ").split())
+
+
+# how each config key's string value converts to its ExperimentConfig field
+_CONVERT = {"n": int, "layers": int, "seed": int, "samples": int,
+            "h": float, "lam": float, "mu": float, "stretch": float,
+            "omega_lo": _tuple_of(float), "omega_hi": _tuple_of(float),
+            "rho_list": _tuple_of(float), "plan": _tuple_of(int),
+            "crack_path": str, "out": str}
+
+
 def config_from_mapping(m: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    """An ExperimentConfig from string values, each converted and then validated."""
+    values = {}
     for key, val in m.items():
-        if key in ("omega_lo", "omega_hi", "plan", "rho_list"):
-            parts = val.replace(",", " ").split()
-            conv = int if key == "plan" else float
-            setattr(cfg, key, tuple(conv(t) for t in parts))
-        elif key in ("n", "layers", "seed", "samples"):
-            setattr(cfg, key, int(val))
-        elif key in ("h", "lam", "mu", "stretch"):
-            setattr(cfg, key, float(val))
-        elif key in ("crack_path", "out"):
-            setattr(cfg, key, val)
-        else:
+        if key not in _CONVERT:
             raise ValueError(f"unknown config key: {key}")
-    cfg.__post_init__()
-    return cfg
+        try:
+            values[key] = _CONVERT[key](val)
+        except ValueError:
+            raise ValueError(f"invalid {key}: {val!r}") from None
+    return ExperimentConfig(**values)
+
+
+def write_rows(rows: list, f) -> None:
+    """CSV rows to an open text file: header from the first row, LF endings, repr floats."""
+    if not rows:
+        raise ValueError("no rows to write")
+    w = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
+    w.writeheader()
+    for r in rows:
+        w.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
+                    for k, v in r.items()})
 
 
 def write_csv(rows: list, path) -> None:
-    """Atomic CSV write: header from the first row, LF endings, repr floats."""
-    if not rows:
-        raise ValueError("no rows to write")
-    fields = list(rows[0].keys())
+    """Atomic `write_rows` to path, through a temporary file in the same directory."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".csv.tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
-            w = csv.DictWriter(f, fieldnames=fields, lineterminator="\n")
-            w.writeheader()
-            for r in rows:
-                w.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
-                            for k, v in r.items()})
+            write_rows(rows, f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

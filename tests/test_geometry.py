@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platelab import geometry
-from platelab.geometry import (CrackSurface, ShiftedGrid, _seg_seg_dist,
-                               _seg_tri_dist, axis_plane_crack,
+from platelab.geometry import (CrackSurface, CubeClassification, ShiftedGrid,
+                               _seg_seg_dist, _seg_tri_dist, axis_plane_crack,
                                bad_cube_boundary_measure, classify_cubes,
                                direction_set, discrete_jump_energy,
                                in_half_neighborhood, projection_measure,
@@ -468,3 +468,138 @@ def test_projection_of_a_3d_classification():
     assert projection_measure(c, e3, minus=c, raster=1 / 64) == 0.0
     # the crack is parallel to e_3: its own shadow is flat
     assert projection_measure(FLAT3, e3, raster=1 / 64) == 0.0
+
+
+def test_empty_shadow_is_float_zero():
+    for n in (2, 3):
+        grid = ShiftedGrid(n, 0.125, (0.0,) * n, (0.0,) * n, (1.0,) * n)
+        c = classify_cubes(grid, None)
+        for xi in np.eye(n):
+            for val in (projection_measure(c, xi), projection_measure(c, xi, minus=c),
+                        projection_measure(np.zeros((0, 2, n)), xi),
+                        *projection_measure(c, xi, return_error=True)):
+                assert val == 0.0 and type(val) is float
+
+
+def _reference_projection(obj, xi, minus=None, raster=0.01, return_error=False):
+    """The shadow measure piece by piece: interval lists for n = 2, and for
+    n = 3 every pixel centre tested against each box or triangle."""
+    axis = int(np.flatnonzero(xi)[0])
+
+    def parts(o):
+        if isinstance(o, CrackSurface):
+            return o.simplices, False
+        if isinstance(o, CubeClassification):
+            return o.bad_boxes(), True
+        return np.asarray(o, dtype=float), True
+
+    objs = [o for o in (obj, minus) if o is not None]
+    n = parts(obj)[0].shape[-1]
+    if n == 2:
+        other = 1 - axis
+
+        def union(o):
+            verts, boxes = parts(o)
+            if boxes:
+                ivs = [(float(b[0, other]), float(b[1, other])) for b in verts]
+            else:
+                ivs = [(float(s[:, other].min()), float(s[:, other].max())) for s in verts]
+            merged = []
+            for a, b in sorted(iv for iv in ivs if iv[1] > iv[0]):
+                if merged and a <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+                else:
+                    merged.append((a, b))
+            return merged
+
+        u1 = union(obj)
+        total = sum(b - a for a, b in u1)
+        for a, b in u1:
+            for c, d in (union(minus) if minus is not None else []):
+                if min(b, d) > max(a, c):
+                    total -= min(b, d) - max(a, c)
+        return (total, 0.0) if return_error else total
+
+    others = [a for a in range(3) if a != axis]
+    pts = [p for p in (parts(o)[0].reshape(-1, 3)[:, others] for o in objs) if len(p)]
+    lo = np.min([p.min(axis=0) for p in pts], axis=0) if pts else np.zeros(2)
+    hi = np.max([p.max(axis=0) for p in pts], axis=0) if pts else np.zeros(2)
+    lo = lo - raster
+    shape = tuple(int(np.ceil((hi[i] - lo[i]) / raster)) + 2 for i in range(2))
+    XX, YY = np.meshgrid(lo[0] + raster * (np.arange(shape[0]) + 0.5),
+                         lo[1] + raster * (np.arange(shape[1]) + 0.5), indexing="ij")
+
+    def mask(o):
+        verts, boxes = parts(o)
+        m = np.zeros(shape, dtype=bool)
+        for s in verts:
+            s = s[:, others]
+            if boxes:
+                m |= ((XX >= s[0, 0]) & (XX <= s[1, 0])
+                      & (YY >= s[0, 1]) & (YY <= s[1, 1]))
+                continue
+            e1, e2 = s[1] - s[0], s[2] - s[0]
+            den = e1[0] * e2[1] - e1[1] * e2[0]
+            if abs(den) < 1e-16:
+                continue
+            dx, dy = XX - s[0, 0], YY - s[0, 1]
+            bu = (dx * e2[1] - dy * e2[0]) / den
+            bv = (e1[0] * dy - e1[1] * dx) / den
+            m |= (bu >= 0.0) & (bv >= 0.0) & (bu + bv <= 1.0)
+        return m
+
+    m1 = mask(obj)
+    if minus is not None:
+        m1 &= ~mask(minus)
+    val = float(np.count_nonzero(m1)) * raster ** 2
+    if return_error:
+        edges = sum(np.count_nonzero(m1 != np.roll(m1, 1, axis=ax)) for ax in range(2))
+        return val, float(edges) * raster ** 2
+    return val
+
+
+@st.composite
+def _shadow_operand(draw, n, kind):
+    """Boxes, a crack, or a crack's classification, on a 1/32 grid.
+
+    Box edges and crack vertices on multiples of 1/32 often fall exactly on
+    pixel centres of a 1/16 or 1/32 raster, the closed-test boundary case.
+    """
+    coords = st.lists(st.integers(-4, 36), min_size=n, max_size=n)
+    if kind == "boxes":
+        k = draw(st.integers(0, 5))
+        lo = np.array(draw(st.lists(coords, min_size=k, max_size=k)), dtype=float)
+        width = np.array(draw(st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n),
+                                       min_size=k, max_size=k)), dtype=float)
+        return np.stack([lo, lo + width], axis=1).reshape(k, 2, n) / 32
+    verts = draw(st.lists(st.lists(coords, min_size=n, max_size=n),
+                          min_size=1, max_size=2))
+    try:
+        crack = CrackSurface(np.array(verts, dtype=float) / 32)
+    except ValueError:  # a degenerate simplex
+        assume(False)
+    if kind == "crack":
+        return crack
+    h = draw(st.sampled_from([0.25, 0.125]))
+    y = draw(st.sampled_from([(0.0,) * n, (0.5,) * n, (0.3, 0.7, 0.1)[:n]]))
+    return classify_cubes(ShiftedGrid(n, h, y, (0.0,) * n, (1.0,) * n), crack)
+
+
+@st.composite
+def _shadow_case(draw):
+    n = draw(st.sampled_from([2, 3]))
+    kinds = ["boxes", "crack", "classification"]
+    obj = draw(_shadow_operand(n, draw(st.sampled_from(kinds))))
+    minus_kind = draw(st.sampled_from([None, *kinds]))
+    minus = None if minus_kind is None else draw(_shadow_operand(n, minus_kind))
+    xi = np.zeros(n)
+    xi[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -1.0]))
+    return obj, xi, minus, draw(st.sampled_from([1 / 16, 1 / 32, 0.05]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_shadow_case(), st.booleans())
+def test_projection_matches_piecewise_reference(case, return_error):
+    obj, xi, minus, raster = case
+    kw = {"minus": minus, "raster": raster, "return_error": return_error}
+    assert projection_measure(obj, xi, **kw) == _reference_projection(obj, xi, **kw)

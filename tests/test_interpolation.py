@@ -222,3 +222,33 @@ def test_structure_preservation_passes_on_fiber_constant_field():
 
     vk = build_approximant(v, g, VERT, ((0.0, 0.0), (1.0, 1.0)))
     assert structure_preservation_check(v, vk, 1, 0, rng=0) is True
+
+
+def _jump_field(X):
+    X = np.atleast_2d(X)
+    out = np.zeros((X.shape[0], 2))
+    out[:, 0] = X[:, 0] + (X[:, 0] > 0.5)
+    return out
+
+
+@pytest.mark.parametrize("crack,fibers", [
+    # the bad cubes around {x_1 = 0.5} shadow a strip: 5 of the 20 feet
+    # drawn from rng=3 lie in it, and the other 15 fibers are evaluated
+    (VERT, 15),
+    # a crack across the whole region along x_1 shadows every foot
+    (axis_plane_crack(2, 1, 0.5, ((-0.5, 1.5),)), 0)])
+def test_structure_preservation_skips_the_shadowed_fibers(crack, fibers, monkeypatch):
+    g = ShiftedGrid(2, 0.0625, (0.0, 0.0), (-0.5, -0.5), (1.5, 1.5))
+    vk = build_approximant(_jump_field, g, crack, ((0.0, 0.0), (1.0, 1.0)))
+    points = []
+    call = interpolation.ApproximantField.__call__
+
+    def counting_call(self, X):
+        points.append(len(X))
+        return call(self, X)
+
+    monkeypatch.setattr(interpolation.ApproximantField, "__call__", counting_call)
+    # fibers through bad cubes see the approximant's zeros, so the check
+    # passes only because they are skipped; with every fiber skipped it fails
+    assert structure_preservation_check(_jump_field, vk, 1, 0, rng=3) is (fibers > 0)
+    assert points == ([fibers * interpolation._FIBER_SAMPLES] if fibers else [])

@@ -115,6 +115,17 @@ def test_experiment_config_validates_rho_list():
         lab.ExperimentConfig(rho_list=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         lab.ExperimentConfig(rho_list=(1e-1, -1e-2))
+    with pytest.raises(ValueError):
+        lab.ExperimentConfig(rho_list=())
+
+
+@pytest.mark.parametrize("field,value", [("samples", 0), ("stretch", float("nan")),
+                                         ("stretch", float("inf")), ("h", 0.0),
+                                         ("h", float("nan"))],
+                         ids=["samples 0", "stretch nan", "stretch inf", "h 0", "h nan"])
+def test_experiment_config_validates_fields(field, value):
+    with pytest.raises(ValueError):
+        lab.ExperimentConfig(**{field: value})
 
 
 def test_load_config_and_mapping(tmp_path):
@@ -197,6 +208,42 @@ def test_cli_rejects_flag_the_subcommand_ignores(command, flag, value, capsys):
     assert flag in err and command in err
 
 
+def _bad_value_argv(tmp_path, name):
+    crack_path = tmp_path / "crack.txt"
+    axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 0\n")
+    crack = ["--crack", str(crack_path), "--h", "0.0625"]
+    return {"negative rho": ["recover", "--rho", "-0.1"],
+            "nan stretch": ["minimize", "--datum", "stretch:nan"],
+            "inf stretch": ["minimize", "--datum", "stretch:inf"],
+            "no samples": ["jump-energy", "--config", str(cfg), *crack],
+            "malformed seed": ["classify", *crack, "--seed", "abc"],
+            "malformed h": ["classify", "--crack", str(crack_path), "--h", "1/16"]}[name]
+
+
+@pytest.mark.parametrize("name", ["negative rho", "nan stretch", "inf stretch",
+                                  "no samples", "malformed seed", "malformed h"])
+def test_cli_rejects_bad_flag_and_config_values(name, tmp_path, capsys):
+    # flag values go through the same validation as config values, and a
+    # malformed one is an input error (1), not argparse's usage exit (2)
+    assert run_cli(_bad_value_argv(tmp_path, name)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_bad_flag_value_under_warnings_as_errors(tmp_path):
+    src = str(Path(lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "platelab.cli",
+                           *_bad_value_argv(tmp_path, "negative rho")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_cli_classify_writes_csv(tmp_path, capsys):
     crack_path = tmp_path / "crack.txt"
     axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
@@ -232,8 +279,9 @@ def test_cli_config_file_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("command", ["classify", "jump-energy", "approximate",
                                      "recover", "liminf", "minimize", "sweep"])
-def test_cli_csv_is_byte_identical_across_runs(command, tmp_path):
-    # rows carry no timings, so two runs of one config give the same bytes
+def test_cli_csv_is_byte_identical_across_runs(command, tmp_path, capsys):
+    # rows carry no timings, so two runs of one config give the same bytes,
+    # and stdout carries the same bytes as the --out file
     crack_path = tmp_path / "crack.txt"
     axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
     cfg = tmp_path / "run.cfg"
@@ -248,6 +296,9 @@ def test_cli_csv_is_byte_identical_across_runs(command, tmp_path):
         assert run_cli([command, *args, "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert "wall_time" not in outs[0].read_text().splitlines()[0]
+    capsys.readouterr()
+    assert run_cli([command, *args]) == 0
+    assert capsys.readouterr().out.encode() == outs[0].read_bytes()
 
 
 @pytest.mark.parametrize("argv,code", [(["minimize", "--datum", "stretch:1.2"], 0),
