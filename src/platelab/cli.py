@@ -29,8 +29,16 @@ _FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, an input error, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="platelab",
         description="Numerical experiments for thin-plate fracture energies.")
     sub = ap.add_subparsers(dest="command", required=True)

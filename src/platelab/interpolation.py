@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
                        _shadow_pieces, classify_cubes, segments_hit_crack)
@@ -70,32 +71,26 @@ def _locate(s: SampledField, X):
     return base, frac
 
 
-def _hat_sum(s: SampledField, base: np.ndarray, frac: np.ndarray,
-             grad: bool = False) -> np.ndarray:
-    """Sum over the 2^n corners of each located cell of hat weight times value.
+def _hat(table: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of each component table[..., c] at fractional
+    table indices coords (k, n), as order-1 map_coordinates; shape (k, ncomp)."""
+    return np.stack([ndimage.map_coordinates(table[..., c], coords.T, order=1)
+                     for c in range(table.shape[-1])], axis=-1)
 
-    Shape (k, ncomp); with grad, the weights' partial derivatives replace
-    them and the shape is (k, ncomp, n).  Each corner is gathered once
-    through a flat index into the samples.
+
+def _hat_gradient(s: SampledField, base: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Exact gradient of the interpolant in each located cell, shape (k, ncomp, n).
+
+    Its axis-i part interpolates the forward differences along i, with
+    coordinate i held at the cell index.
     """
-    n = s.grid.n
-    shape = s.values.shape[:-1]
-    flat = s.values.reshape(-1, s.ncomp)
-    first = np.ravel_multi_index(tuple((base - s.zmin).T), shape)
-    factors = (1.0 - frac, frac)
-    axes = range(n) if grad else (None,)
-    out = [np.zeros((base.shape[0], s.ncomp)) for _ in axes]
-    for bits in np.ndindex(*(2,) * n):
-        vals = flat[first + np.ravel_multi_index(bits, shape)]
-        for k, m in enumerate(axes):
-            w = np.ones(base.shape[0])
-            for i, b in enumerate(bits):
-                if i != m:
-                    w *= factors[b][:, i]
-            if m is not None:
-                w *= (1.0 if bits[m] else -1.0) / s.grid.h
-            out[k] += w[:, None] * vals
-    return np.stack(out, axis=-1) if grad else out[0]
+    idx = base - s.zmin
+    parts = []
+    for i in range(s.grid.n):
+        coords = idx + frac
+        coords[:, i] = idx[:, i]
+        parts.append(_hat(np.diff(s.values, axis=i) / s.grid.h, coords))
+    return np.stack(parts, axis=-1)
 
 
 def _window_lookup(table: np.ndarray, zmin: np.ndarray, base: np.ndarray, fill):
@@ -109,12 +104,13 @@ def _window_lookup(table: np.ndarray, zmin: np.ndarray, base: np.ndarray, fill):
 
 def interpolate(s: SampledField, X) -> np.ndarray:
     """Multilinear (hat kernel) interpolation of the sampled field at points X."""
-    return _hat_sum(s, *_locate(s, X))
+    base, frac = _locate(s, X)
+    return _hat(s.values, base - s.zmin + frac)
 
 
 def interpolant_gradient(s: SampledField, X) -> np.ndarray:
     """Exact gradient of the multilinear interpolant, shape (k, ncomp, n)."""
-    return _hat_sum(s, *_locate(s, X), grad=True)
+    return _hat_gradient(s, *_locate(s, X))
 
 
 @dataclass
@@ -158,8 +154,9 @@ class ApproximantField:
     region: tuple  # (lo, hi) of the evaluation sub-box V
 
     def __call__(self, X) -> np.ndarray:
-        base, frac = _locate(self.source, X)
-        vals = _hat_sum(self.source, base, frac)
+        s = self.source
+        base, frac = _locate(s, X)
+        vals = _hat(s.values, base - s.zmin + frac)
         c = self.classification
         vals[_window_lookup(c.bad_mask, c.zmin, base, False)] = 0.0
         return vals
@@ -200,7 +197,7 @@ def strain_bound_check(approx: ApproximantField, ds: DirectionalStrainField,
     if not np.any(good):
         return 0.0
     denom = np.abs(_window_lookup(ds.values, ds.zmin, base[good], 0.0))
-    G = _hat_sum(s, base[good], frac[good], grad=True)
+    G = _hat_gradient(s, base[good], frac[good])
     num = np.abs(np.einsum("kmi,m,i->k", G, e / np.linalg.norm(e),
                            e / np.linalg.norm(e)))
     tiny = 1e-13 * max(1.0, float(np.max(np.abs(s.values))))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .elasticity import LameParams
+from .elasticity import LameParams, validate_lame
 from .energy import (BoundaryDatum, boundary_penalty, compactness_check,
                      limit_energy, penalized_energies, rescaled_energy)
 from .geometry import (CrackSurface, ShiftedGrid, bad_cube_boundary_measure,
@@ -134,11 +134,11 @@ def minima_sweep(g: BoundaryDatum, p: LameParams, rho_list, plan_shape,
     """
     cfg = cfg or SolverConfig()
     s0, cracks0, e0, _ = minimize_limit(plan_shape, omega_lo, omega_hi, g, p, cfg)
+    grid = PlateGrid(s0.n, tuple(plan_shape), layers, omega_lo, omega_hi)
+    lifted = kl_lift(s0, layers)
     rows = []
     for rho in rho_list:
-        grid = PlateGrid(s0.n, tuple(plan_shape), layers, omega_lo, omega_hi)
         v, cracks, e, trace = alternate_minimize(grid, g, p, rho, cfg)
-        lifted = kl_lift(s0, layers)
         diff = np.max(np.abs(v.values - lifted.values), axis=-1)
         dist = float(np.count_nonzero(diff > _MINIMIZER_TOL)) * grid.cell_volume
         surf_rho = e.surface + e.boundary_penalty
@@ -319,6 +319,22 @@ class ExperimentConfig:
             raise ValueError("stretch must be finite")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.n not in (2, 3):
+            raise ValueError("dimension n must be 2 or 3")
+        if not self.plan or min(self.plan) < 1:
+            raise ValueError("plan must be nonempty with every entry at least 1")
+        lo = np.asarray(self.omega_lo, dtype=float)
+        hi = np.asarray(self.omega_hi, dtype=float)
+        if (lo.size == 0 or lo.shape != hi.shape
+                or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))):
+            raise ValueError("omega_lo and omega_hi must be finite, of one "
+                             "nonzero length, with omega_lo < omega_hi")
+        if self.layers < 1:
+            raise ValueError("layers must be at least 1")
+        if not (np.isfinite(self.lam) and np.isfinite(self.mu)
+                and validate_lame(self.lame)):
+            raise ValueError("Lame parameters must be finite with mu > 0 "
+                             "and 2 mu + n lam > 0")
 
     @property
     def lame(self) -> LameParams:

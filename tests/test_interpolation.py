@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platelab import interpolation
 from platelab.geometry import ShiftedGrid, axis_plane_crack
-from platelab.interpolation import (build_approximant, directional_strain,
-                                    interpolant_gradient, interpolate, sample,
-                                    strain_bound_check,
+from platelab.interpolation import (SampledField, build_approximant,
+                                    directional_strain, interpolant_gradient,
+                                    interpolate, sample, strain_bound_check,
                                     structure_preservation_check)
 
 VERT = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
@@ -78,6 +80,58 @@ def test_interpolant_gradient_matches_finite_difference():
         dX[a] = d
         fd = (interpolate(s, X + dX) - interpolate(s, X - dX)) / (2 * d)
         assert G[0, 0, a] == pytest.approx(fd[0, 0], abs=1e-5)
+
+
+def _reference_hat_sum(s, base, frac, grad=False):
+    """Sum over the 2^n corners of each located cell of hat weight times value.
+
+    Shape (k, ncomp); with grad, the weights' partial derivatives replace
+    them and the shape is (k, ncomp, n).
+    """
+    n = s.grid.n
+    shape = s.values.shape[:-1]
+    flat = s.values.reshape(-1, s.ncomp)
+    first = np.ravel_multi_index(tuple((base - s.zmin).T), shape)
+    factors = (1.0 - frac, frac)
+    axes = range(n) if grad else (None,)
+    out = [np.zeros((base.shape[0], s.ncomp)) for _ in axes]
+    for bits in np.ndindex(*(2,) * n):
+        vals = flat[first + np.ravel_multi_index(bits, shape)]
+        for k, m in enumerate(axes):
+            w = np.ones(base.shape[0])
+            for i, b in enumerate(bits):
+                if i != m:
+                    w *= factors[b][:, i]
+            if m is not None:
+                w *= (1.0 if bits[m] else -1.0) / s.grid.h
+            out[k] += w[:, None] * vals
+    return np.stack(out, axis=-1) if grad else out[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.sampled_from([0.25, 0.125, 0.1]),
+       st.integers(0, 2 ** 32 - 1))
+def test_interpolant_and_gradient_match_the_corner_sum(n, ncomp, h, seed):
+    # random (non-affine) samples; points anywhere, on cell faces, and in the
+    # first and the last cell that the sampled window covers
+    rng = np.random.default_rng(seed)
+    g = ShiftedGrid(n, h, tuple(rng.random(n)), (0.0,) * n, (1.0,) * n)
+    s0 = sample(lambda X: np.zeros((np.atleast_2d(X).shape[0], ncomp)), g)
+    s = SampledField(g, s0.zmin, rng.standard_normal(s0.values.shape))
+    last = s.zmin + np.array(s.values.shape[:-1]) - 2
+    t = np.concatenate([s.zmin + 1 + (last - s.zmin) * rng.random((40, n)),
+                        last + rng.random((10, n)), s.zmin + rng.random((10, n))])
+    t[:20, 0] = np.floor(t[:20, 0])
+    t[10:30, n - 1] = np.floor(t[10:30, n - 1])
+    X = (t + g.offset) * h
+    base, frac = interpolation._locate(s, X)
+    assert np.any(np.all(base == last, axis=1))
+    scale = float(np.max(np.abs(s.values)))
+    np.testing.assert_allclose(interpolate(s, X), _reference_hat_sum(s, base, frac),
+                               rtol=1e-12, atol=1e-14 * scale)
+    np.testing.assert_allclose(interpolant_gradient(s, X),
+                               _reference_hat_sum(s, base, frac, grad=True),
+                               rtol=1e-12, atol=1e-14 * scale / h)
 
 
 def test_directional_strain_linear_field():

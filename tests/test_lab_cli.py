@@ -119,13 +119,31 @@ def test_experiment_config_validates_rho_list():
         lab.ExperimentConfig(rho_list=())
 
 
-@pytest.mark.parametrize("field,value", [("samples", 0), ("stretch", float("nan")),
-                                         ("stretch", float("inf")), ("h", 0.0),
-                                         ("h", float("nan"))],
-                         ids=["samples 0", "stretch nan", "stretch inf", "h 0", "h nan"])
-def test_experiment_config_validates_fields(field, value):
+_BAD_FIELDS = {"samples 0": {"samples": 0}, "stretch nan": {"stretch": float("nan")},
+               "stretch inf": {"stretch": float("inf")}, "h 0": {"h": 0.0},
+               "h nan": {"h": float("nan")}, "n 4": {"n": 4}, "plan 0": {"plan": (0,)},
+               "plan empty": {"plan": ()}, "plan 3 0": {"n": 3, "plan": (3, 0)},
+               "omega_hi 0": {"omega_hi": (0.0,)},
+               "omega_lo nan": {"omega_lo": (float("nan"),)},
+               "omega_hi inf": {"omega_hi": (float("inf"),)},
+               "omega lengths": {"omega_lo": (0.0, 0.0)},
+               "omega none": {"omega_lo": (), "omega_hi": ()},
+               "layers 0": {"layers": 0}, "lam nan": {"lam": float("nan")},
+               "lam inf": {"lam": float("inf")}, "mu inf": {"mu": float("inf")},
+               "mu 0": {"mu": 0.0}, "lam -1": {"lam": -1.0}}
+
+
+@pytest.mark.parametrize("name", list(_BAD_FIELDS))
+def test_experiment_config_validates_fields(name):
     with pytest.raises(ValueError):
-        lab.ExperimentConfig(**{field: value})
+        lab.ExperimentConfig(**_BAD_FIELDS[name])
+
+
+def test_experiment_config_accepts_a_plan_of_any_length():
+    # the lattice subcommands ignore the plan, so an n = 3 classify config
+    # keeps the default one-entry plan and omega
+    cfg = lab.ExperimentConfig(n=3)
+    assert cfg.plan == (256,) and cfg.lame.n == 3
 
 
 def test_load_config_and_mapping(tmp_path):
@@ -208,22 +226,35 @@ def test_cli_rejects_flag_the_subcommand_ignores(command, flag, value, capsys):
     assert flag in err and command in err
 
 
+# config files whose one bad value a subcommand must reject as an input error
+_BAD_CONFIGS = {"no samples": ("jump-energy", "samples = 0"),
+                "zero plan": ("minimize", "plan = 0"),
+                "empty plan": ("recover", "plan ="),
+                "zero omega": ("recover", "omega_hi = 0"),
+                "empty omega": ("minimize", "omega_lo ="),
+                "nan lam": ("minimize", "lam = nan"),
+                "no layers": ("minimize", "layers = 0"),
+                "n 4": ("sweep", "n = 4")}
+
+
 def _bad_value_argv(tmp_path, name):
     crack_path = tmp_path / "crack.txt"
     axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("samples = 0\n")
     crack = ["--crack", str(crack_path), "--h", "0.0625"]
+    if name in _BAD_CONFIGS:
+        command, text = _BAD_CONFIGS[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        return [command, "--config", str(cfg), *(crack if command == "jump-energy" else [])]
     return {"negative rho": ["recover", "--rho", "-0.1"],
             "nan stretch": ["minimize", "--datum", "stretch:nan"],
             "inf stretch": ["minimize", "--datum", "stretch:inf"],
-            "no samples": ["jump-energy", "--config", str(cfg), *crack],
             "malformed seed": ["classify", *crack, "--seed", "abc"],
             "malformed h": ["classify", "--crack", str(crack_path), "--h", "1/16"]}[name]
 
 
 @pytest.mark.parametrize("name", ["negative rho", "nan stretch", "inf stretch",
-                                  "no samples", "malformed seed", "malformed h"])
+                                  "malformed seed", "malformed h", *_BAD_CONFIGS])
 def test_cli_rejects_bad_flag_and_config_values(name, tmp_path, capsys):
     # flag values go through the same validation as config values, and a
     # malformed one is an input error (1), not argparse's usage exit (2)
@@ -302,13 +333,17 @@ def test_cli_csv_is_byte_identical_across_runs(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,code", [(["minimize", "--datum", "stretch:1.2"], 0),
-                                       (["minimize", "--h", "0.1"], 1)])
+                                       (["minimize", "--h", "0.1"], 1),
+                                       (["bogus"], 1), (["minimize", "--bogus", "1"], 1),
+                                       ([], 1)])
 def test_console_script_exit_codes(argv, code, monkeypatch, capsys):
-    # `main` is the `platelab` console script: it reads sys.argv and exits
+    # `main` is the `platelab` console script: it reads sys.argv and exits;
+    # usage errors are input errors (1), and 2 is left to solver failure
     monkeypatch.setattr("sys.argv", ["platelab", *argv])
     with pytest.raises(SystemExit) as exit_info:
         cli.main()
     assert exit_info.value.code == code
+    assert code == 0 or "error: " in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_under_warnings_as_errors():
