@@ -59,16 +59,21 @@ def sample(v, grid: ShiftedGrid) -> SampledField:
     return SampledField(grid, zmin, vals.reshape(shape + (vals.shape[-1],)))
 
 
+def _locate_axis(s: SampledField, a: int, x):
+    """Base cell index and fractional part of coordinates x along axis a."""
+    t = np.asarray(x, dtype=float) / s.grid.h - s.grid.offset[a]
+    base = np.floor(t).astype(int)
+    idx = base - s.zmin[a]
+    if np.any(idx < 0) or np.any(idx + 1 > s.values.shape[a] - 1):
+        raise ValueError("evaluation point outside covered region")
+    return base, t - base
+
+
 def _locate(s: SampledField, X):
     """Base cell index and fractional part of each point, shape (k, n) both."""
-    t = np.atleast_2d(np.asarray(X, dtype=float)) / s.grid.h - s.grid.offset
-    base = np.floor(t).astype(int)
-    frac = t - base
-    idx = base - s.zmin
-    hi = np.array(s.values.shape[:-1]) - 1
-    if np.any(idx < 0) or np.any(idx + 1 > hi):
-        raise ValueError("evaluation point outside covered region")
-    return base, frac
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    base, frac = zip(*(_locate_axis(s, a, X[:, a]) for a in range(s.grid.n)))
+    return np.stack(base, axis=1), np.stack(frac, axis=1)
 
 
 def _hat(table: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -93,13 +98,18 @@ def _hat_gradient(s: SampledField, base: np.ndarray, frac: np.ndarray) -> np.nda
     return np.stack(parts, axis=-1)
 
 
-def _window_lookup(table: np.ndarray, zmin: np.ndarray, base: np.ndarray, fill):
-    """table[base - zmin] for cells inside the table's index window, else fill."""
-    idx = base - zmin
-    inside = np.all(idx >= 0, axis=1) & np.all(idx < np.array(table.shape), axis=1)
-    out = np.full(base.shape[0], fill, dtype=table.dtype)
-    out[inside] = table[tuple(idx[inside].T)]
-    return out
+def _window_lookup(table: np.ndarray, zmin: np.ndarray, cells: tuple, fill):
+    """table[cells - zmin] for cells inside the table's index window, else fill.
+
+    `cells` holds one integer index array per axis; they broadcast together,
+    as tuple(base.T) for scattered cells or np.ix_ arrays for a tensor grid.
+    """
+    idx = [c - z for c, z in zip(cells, zmin)]
+    inside = True
+    for i, k in zip(idx, table.shape):
+        inside = inside & (i >= 0) & (i < k)
+    return np.where(inside, table[tuple(np.clip(i, 0, k - 1)
+                                        for i, k in zip(idx, table.shape))], fill)
 
 
 def interpolate(s: SampledField, X) -> np.ndarray:
@@ -158,7 +168,32 @@ class ApproximantField:
         base, frac = _locate(s, X)
         vals = _hat(s.values, base - s.zmin + frac)
         c = self.classification
-        vals[_window_lookup(c.bad_mask, c.zmin, base, False)] = 0.0
+        vals[_window_lookup(c.bad_mask, c.zmin, tuple(base.T), False)] = 0.0
+        return vals
+
+    def on_grid(self, axes) -> np.ndarray:
+        """The approximant on the tensor product of the 1D coordinate arrays
+        `axes`, shape (*[len(a) for a in axes], ncomp).
+
+        Each axis is located once, and the interpolant is n linear blends,
+        one per axis, of the sampled values.
+        """
+        s = self.source
+        located = [_locate_axis(s, a, x) for a, x in enumerate(axes)]
+        vals = s.values
+        for a, (base, frac) in enumerate(located):
+            i = base - s.zmin[a]
+            f = frac.reshape((-1,) + (1,) * (vals.ndim - a - 1))
+            # (1 - f) v_i + f v_{i+1}, in place: two grid-sized arrays, not four
+            lower = np.take(vals, i, axis=a)
+            lower *= 1.0 - f
+            upper = np.take(vals, i + 1, axis=a)
+            upper *= f
+            lower += upper
+            vals = lower
+        c = self.classification
+        cells = np.ix_(*(b for b, _ in located))
+        vals[_window_lookup(c.bad_mask, c.zmin, cells, False)] = 0.0
         return vals
 
 
@@ -192,11 +227,12 @@ def strain_bound_check(approx: ApproximantField, ds: DirectionalStrainField,
     c = approx.classification
     base, frac = _locate(s, X)
     # a cell outside the strain window counts as cut off
-    good = (~_window_lookup(c.bad_mask, c.zmin, base, True)
-            & _window_lookup(ds.cutoff, ds.zmin, base, False))
+    cells = tuple(base.T)
+    good = (~_window_lookup(c.bad_mask, c.zmin, cells, True)
+            & _window_lookup(ds.cutoff, ds.zmin, cells, False))
     if not np.any(good):
         return 0.0
-    denom = np.abs(_window_lookup(ds.values, ds.zmin, base[good], 0.0))
+    denom = np.abs(_window_lookup(ds.values, ds.zmin, tuple(base[good].T), 0.0))
     G = _hat_gradient(s, base[good], frac[good])
     num = np.abs(np.einsum("kmi,m,i->k", G, e / np.linalg.norm(e),
                            e / np.linalg.norm(e)))

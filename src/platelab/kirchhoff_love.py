@@ -30,8 +30,7 @@ class PlateGrid:
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ValueError("dimension must be 2 or 3")
-        if len(self.plan_shape) != self.n - 1:
-            raise ValueError("plan_shape must have n-1 entries")
+        _check_plan(self.n, self.plan_shape, self.omega_lo, self.omega_hi)
         if self.layers < 1 or any(s < 1 for s in self.plan_shape):
             raise ValueError("grid sizes must be positive")
 
@@ -60,6 +59,14 @@ class PlateGrid:
 
     def z_centers(self) -> np.ndarray:
         return self.z_extent[0] + self.hz * (np.arange(self.layers) + 0.5)
+
+
+def _check_plan(n: int, plan_shape, omega_lo, omega_hi) -> None:
+    """Raise ValueError unless the plan and both omega bounds have n - 1 entries."""
+    if not len(plan_shape) == len(omega_lo) == len(omega_hi) == n - 1:
+        raise ValueError(f"plan, omega_lo and omega_hi must have n - 1 = {n - 1} "
+                         f"entries each, got {len(plan_shape)}, {len(omega_lo)} "
+                         f"and {len(omega_hi)}")
 
 
 def _plan_h(plan_shape: tuple, lo, hi) -> np.ndarray:
@@ -132,6 +139,7 @@ class KLState:
         self.ubar = np.asarray(self.ubar, dtype=float)
         self.un = np.asarray(self.un, dtype=float)
         self.grad_un = np.asarray(self.grad_un, dtype=float)
+        _check_plan(self.n, self.plan_shape, self.omega_lo, self.omega_hi)
         ps = tuple(self.plan_shape)
         if self.ubar.shape != ps + (self.n - 1,):
             raise ValueError("ubar shape mismatch")

@@ -24,8 +24,8 @@ from .elasticity import LameParams
 from .energy import (BoundaryDatum, EnergyBreakdown, _form, penalized_energies,
                      rescaled_energy)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
-                             _empty_breaks, _hessian_operator, _plan_h, _plan_points,
-                             _side, reduced_gradient)
+                             _check_plan, _empty_breaks, _hessian_operator, _plan_h,
+                             _plan_points, _side, reduced_gradient)
 # unused here; bench/tracer.py wraps these names in this module
 from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
 from .energy import boundary_penalty, limit_energy  # noqa: F401
@@ -449,5 +449,6 @@ def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,
     Returns (KLState, cracks, EnergyBreakdown, energy_trace).
     """
     plan_shape = tuple(plan_shape)
+    _check_plan(g.n, plan_shape, omega_lo, omega_hi)
     return _greedy_search(_LimitProblem(plan_shape, omega_lo, omega_hi, g, p),
                           empty_cracks(plan_shape), cfg.altmin_max_rounds)

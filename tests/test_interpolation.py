@@ -209,14 +209,25 @@ def test_approximant_is_zero_in_bad_cubes_and_the_interpolant_elsewhere(n):
 
 
 def test_each_evaluation_locates_its_points_once(monkeypatch):
-    calls = []
-    locate = interpolation._locate
+    calls, axis_calls, kernel_calls = [], [], []
+    locate, locate_axis = interpolation._locate, interpolation._locate_axis
+    kernel = interpolation.ndimage.map_coordinates
 
     def counting(s, X):
         calls.append(len(X))
         return locate(s, X)
 
+    def counting_axis(s, a, x):
+        axis_calls.append((a, len(x)))
+        return locate_axis(s, a, x)
+
+    def counting_kernel(*args, **kwargs):
+        kernel_calls.append(1)
+        return kernel(*args, **kwargs)
+
     monkeypatch.setattr(interpolation, "_locate", counting)
+    monkeypatch.setattr(interpolation, "_locate_axis", counting_axis)
+    monkeypatch.setattr(interpolation.ndimage, "map_coordinates", counting_kernel)
     g = ShiftedGrid(2, 0.125, (0.3, 0.6), (-0.5, -0.5), (1.5, 1.5))
     vk = build_approximant(affine(np.eye(2), np.zeros(2)), g, VERT,
                            ((0.0, 0.0), (1.0, 1.0)))
@@ -228,8 +239,60 @@ def test_each_evaluation_locates_its_points_once(monkeypatch):
                      lambda: vk(X),
                      lambda: strain_bound_check(vk, ds, e, X)):
         calls.clear()
+        axis_calls.clear()
         evaluate()
         assert calls == [50]
+        assert axis_calls == [(0, 50), (1, 50)]
+    # a tensor grid locates each of its axes once, and blends without the kernel
+    calls.clear()
+    axis_calls.clear()
+    kernel_calls.clear()
+    vk.on_grid([X[:7, 0], X[:5, 1]])
+    assert calls == [] and axis_calls == [(0, 7), (1, 5)] and kernel_calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.sampled_from([0.25, 0.125]),
+       st.integers(0, 2 ** 32 - 1))
+def test_on_grid_matches_the_approximant_at_the_meshgrid_points(n, ncomp, h, seed):
+    # random samples and offset, a crack across the box along a random axis;
+    # each axis has a random length and holds lattice coordinates, a point in
+    # the last covered cell and a point of the crack: its plane's coordinate
+    # on the normal axis, 0.5 on the others
+    rng = np.random.default_rng(seed)
+    lo, hi = -2 * n * h, 1 + 2 * n * h
+    g = ShiftedGrid(n, h, tuple(rng.random(n)), (lo,) * n, (hi,) * n)
+    normal, pos = int(rng.integers(n)), float(rng.random())
+    crack = axis_plane_crack(n, normal, pos, ((lo, hi),) * (n - 1))
+    vk = build_approximant(lambda X: np.zeros((np.atleast_2d(X).shape[0], ncomp)),
+                           g, crack, ((0.0,) * n, (1.0,) * n))
+    s = SampledField(g, vk.source.zmin, rng.standard_normal(vk.source.values.shape))
+    vk = interpolation.ApproximantField(s, vk.classification, vk.region)
+    last = s.zmin + np.array(s.values.shape[:-1]) - 2
+    axes = []
+    for a in range(n):
+        t = s.zmin[a] + 1 + (last[a] - s.zmin[a]) * rng.random(int(rng.integers(1, 9)))
+        t[: len(t) // 2] = np.floor(t[: len(t) // 2])
+        x = (np.append(t, last[a] + rng.random()) + g.offset[a]) * h
+        axes.append(rng.permutation(np.append(x, pos if a == normal else 0.5)))
+    got = vk.on_grid(axes)
+    X = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    want = vk(X).reshape(got.shape)
+    assert got.shape == tuple(len(x) for x in axes) + (ncomp,)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-14 * float(np.max(np.abs(s.values))))
+    assert np.any(got == 0.0)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    # an axis reaching outside the covered region raises, as at scattered points
+    a = int(rng.integers(n))
+    outside = (s.zmin[a] - 0.5 + g.offset[a]) * h if rng.random() < 0.5 \
+        else (last[a] + 1.5 + g.offset[a]) * h
+    axes[a] = np.append(axes[a], outside)
+    X = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    with pytest.raises(ValueError, match="outside covered region"):
+        vk.on_grid(axes)
+    with pytest.raises(ValueError, match="outside covered region"):
+        vk(X)
 
 
 def test_strain_bound_zero_over_zero_counts_as_zero():

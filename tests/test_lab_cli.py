@@ -234,7 +234,12 @@ _BAD_CONFIGS = {"no samples": ("jump-energy", "samples = 0"),
                 "empty omega": ("minimize", "omega_lo ="),
                 "nan lam": ("minimize", "lam = nan"),
                 "no layers": ("minimize", "layers = 0"),
-                "n 4": ("sweep", "n = 4")}
+                "n 4": ("sweep", "n = 4"),
+                "long plan": ("minimize", "plan = 8 8"),
+                "long plan recover": ("recover", "plan = 8 8"),
+                "long omega": ("minimize", "omega_lo = 0 0\nomega_hi = 1 1"),
+                "long omega liminf": ("liminf", "omega_lo = 0 0\nomega_hi = 1 1"),
+                "n 3 short plan": ("recover", "n = 3")}
 
 
 def _bad_value_argv(tmp_path, name):
@@ -262,6 +267,17 @@ def test_cli_rejects_bad_flag_and_config_values(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_cli_classify_runs_an_n3_config_with_the_default_plan(tmp_path, capsys):
+    # the plate subcommands reject a plan of n - 2 entries; classify ignores it
+    crack_path = tmp_path / "crack.txt"
+    axis_plane_crack(3, 0, 0.5, ((0.0, 1.0), (0.0, 1.0))).save(crack_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\n")
+    assert run_cli(["classify", "--config", str(cfg), "--crack", str(crack_path),
+                    "--h", "0.25"]) == 0
+    assert capsys.readouterr().out.startswith("h,sample,num_bad")
 
 
 def test_cli_bad_flag_value_under_warnings_as_errors(tmp_path):
