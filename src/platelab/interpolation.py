@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
                        _shadow_pieces, classify_cubes, segments_hit_crack)
@@ -78,9 +77,29 @@ def _locate(s: SampledField, X):
 
 def _hat(table: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of each component table[..., c] at fractional
-    table indices coords (k, n), as order-1 map_coordinates; shape (k, ncomp)."""
-    return np.stack([ndimage.map_coordinates(table[..., c], coords.T, order=1)
-                     for c in range(table.shape[-1])], axis=-1)
+    table indices coords (k, n); shape (k, ncomp).
+
+    The 2^n corners of each point's cell are gathered once and blended
+    linearly along one axis after the other, as `ApproximantField.on_grid`
+    blends.  The cell index is clamped to shape - 2, so a coordinate on the
+    last index blends its lower corner with weight 0.
+    """
+    n = coords.shape[1]
+    shape = table.shape[:-1]
+    base = np.minimum(np.floor(coords).astype(int), np.array(shape) - 2)
+    frac = coords - base
+    step = np.cumprod((1,) + shape[:0:-1])[::-1]
+    corner = np.indices((2,) * n).reshape(n, -1).T @ step
+    # (2^n, k, ncomp), corners in C order: axis 0's bit splits the halves
+    v = np.take(table.reshape(-1, table.shape[-1]), base @ step + corner[:, None], axis=0)
+    for f in frac.T:
+        f = f[:, None]
+        v = v.reshape((2, -1) + v.shape[1:])
+        # (1 - f) v_lower + f v_upper, in place
+        lower = v[0] * (1.0 - f)
+        lower += v[1] * f
+        v = lower
+    return v[0]
 
 
 def _hat_gradient(s: SampledField, base: np.ndarray, frac: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .elasticity import LameParams, validate_lame
 from .energy import (BoundaryDatum, boundary_penalty, compactness_check,
@@ -27,6 +26,20 @@ from .minimize import SolverConfig, alternate_minimize, minimize_limit
 
 # ---------------------------------------------------------------------------
 # recovery sequences
+
+
+def _box_filter(x: np.ndarray, size) -> np.ndarray:
+    """Mean over a centred box of odd widths `size`, counting zeros beyond
+    the ends: uniform_filter(x, size, mode="constant"), one cumsum
+    difference per axis."""
+    for a, k in enumerate(size):
+        if k > 1:
+            pad = [(0, 0)] * x.ndim
+            pad[a] = (k // 2 + 1, k // 2)
+            c = np.cumsum(np.pad(x, pad), axis=a)
+            n = x.shape[a]
+            x = (np.take(c, range(k, k + n), axis=a) - np.take(c, range(n), axis=a)) / k
+    return x
 
 
 def _compact_smooth(fieldvals: np.ndarray, plan_h, radius: float) -> np.ndarray:
@@ -45,7 +58,7 @@ def _compact_smooth(fieldvals: np.ndarray, plan_h, radius: float) -> np.ndarray:
     size = [max(1, 2 * int(round(radius / (3.0 * float(plan_h[a])))) + 1)
             for a in range(out.ndim)]
     for _ in range(3):
-        out = ndimage.uniform_filter(out, size=size, mode="constant", cval=0.0)
+        out = _box_filter(out, size)
     return out
 
 

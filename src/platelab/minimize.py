@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage as ndimage
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -72,20 +71,39 @@ def empty_cracks(shape: tuple) -> CrackIndicator:
 def _connected_components(shape: tuple, broken: list):
     """Component label (from 0) of each cell, cells joined by unbroken faces.
 
-    Labels one image of 2s - 1 pixels per axis of s cells: cells at even
-    positions, the face between cells k and k + 1 of axis a at position
-    2k + 1 along a (True when unbroken), so under cross connectivity two
-    cells meet exactly through an open face.
+    Labels are numbered in order of each component's first cell in C order.
+    One cumsum numbers the runs of cells that open faces of the last axis
+    join; the open faces of the other axes then join runs, by hooking the
+    larger of two roots to the smaller and jumping pointers (root =
+    root[root]) until no open face joins two roots.  A 1D plan is its runs.
     """
-    cells = tuple(slice(None, None, 2) for _ in shape)
-    image = np.zeros(tuple(2 * s - 1 for s in shape), dtype=bool)
-    image[cells] = True
-    for a, b in enumerate(broken):
-        faces = list(cells)
-        faces[a] = slice(1, None, 2)
-        image[tuple(faces)] = ~b
-    labels, _ = ndimage.label(image)
-    return labels[cells].ravel() - 1
+    start = np.ones(shape, dtype=bool)
+    start[..., 1:] = broken[-1]
+    run = np.cumsum(start).reshape(shape) - 1
+    u, v = [], []
+    for a, b in enumerate(broken[:-1]):
+        lower, upper = [slice(None)] * len(shape), [slice(None)] * len(shape)
+        lower[a], upper[a] = slice(None, -1), slice(1, None)
+        u.append(run[tuple(lower)][~b])
+        v.append(run[tuple(upper)][~b])
+    run = run.ravel()
+    if not u:
+        return run
+    u, v = np.concatenate(u), np.concatenate(v)
+    root = np.arange(run[-1] + 1)
+    while True:
+        ru, rv = root[u], root[v]
+        join = ru != rv
+        if not join.any():
+            break
+        root[np.maximum(ru, rv)[join]] = np.minimum(ru, rv)[join]
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # each root is its component's smallest run, so ranking roots keeps C order
+    return (np.cumsum(root == np.arange(root.size)) - 1)[root[run]]
 
 
 def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_vals,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from platelab import interpolation
 from platelab.geometry import ShiftedGrid, axis_plane_crack
@@ -134,6 +135,26 @@ def test_interpolant_and_gradient_match_the_corner_sum(n, ncomp, h, seed):
                                rtol=1e-12, atol=1e-14 * scale / h)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_hat_matches_order1_map_coordinates(n, ncomp, seed):
+    # a random table of random shape; points anywhere in its index box, at
+    # integer coordinates, and on the last index of each axis, where the
+    # gradient's difference tables are read
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 7, n))
+    table = rng.standard_normal(shape + (ncomp,))
+    coords = rng.random((40, n)) * (np.array(shape) - 1)
+    coords[:10] = rng.integers(0, shape, (10, n))
+    coords[10:20] = np.floor(coords[10:20])
+    for a in range(n):
+        coords[20 + a, a] = shape[a] - 1
+    want = np.stack([ndimage.map_coordinates(table[..., c], coords.T, order=1)
+                     for c in range(ncomp)], axis=-1)
+    np.testing.assert_allclose(interpolation._hat(table, coords), want, rtol=1e-12,
+                               atol=1e-14 * float(np.max(np.abs(table))))
+
+
 def test_directional_strain_linear_field():
     g = ShiftedGrid(2, 0.125, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
     A = np.array([[1.0, 0.5], [0.0, 2.0]])
@@ -211,7 +232,7 @@ def test_approximant_is_zero_in_bad_cubes_and_the_interpolant_elsewhere(n):
 def test_each_evaluation_locates_its_points_once(monkeypatch):
     calls, axis_calls, kernel_calls = [], [], []
     locate, locate_axis = interpolation._locate, interpolation._locate_axis
-    kernel = interpolation.ndimage.map_coordinates
+    kernel = interpolation._hat
 
     def counting(s, X):
         calls.append(len(X))
@@ -227,7 +248,7 @@ def test_each_evaluation_locates_its_points_once(monkeypatch):
 
     monkeypatch.setattr(interpolation, "_locate", counting)
     monkeypatch.setattr(interpolation, "_locate_axis", counting_axis)
-    monkeypatch.setattr(interpolation.ndimage, "map_coordinates", counting_kernel)
+    monkeypatch.setattr(interpolation, "_hat", counting_kernel)
     g = ShiftedGrid(2, 0.125, (0.3, 0.6), (-0.5, -0.5), (1.5, 1.5))
     vk = build_approximant(affine(np.eye(2), np.zeros(2)), g, VERT,
                            ((0.0, 0.0), (1.0, 1.0)))
@@ -240,10 +261,13 @@ def test_each_evaluation_locates_its_points_once(monkeypatch):
                      lambda: strain_bound_check(vk, ds, e, X)):
         calls.clear()
         axis_calls.clear()
+        kernel_calls.clear()
         evaluate()
         assert calls == [50]
         assert axis_calls == [(0, 50), (1, 50)]
-    # a tensor grid locates each of its axes once, and blends without the kernel
+        assert kernel_calls
+    # a tensor grid locates each of its axes once, and blends without the
+    # scattered kernel
     calls.clear()
     axis_calls.clear()
     kernel_calls.clear()

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from platelab import lab
 from platelab import cli
@@ -70,6 +73,18 @@ def test_recovery_sweep_of_a_bending_state_approaches_the_limit():
     rows = lab.recovery_sweep(s, P2, [1e-2, 1e-3], layers=32)
     assert rows[0]["e_limit"] == pytest.approx(1.0 / 9.0)
     assert max(r["rel_gap"] for r in rows) <= 0.03
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=2), st.data())
+def test_box_filter_matches_uniform_filter(shape, data):
+    # odd widths from 1 to more than the axis is long, zeros beyond the ends
+    size = [2 * data.draw(st.integers(0, k + 1)) + 1 for k in shape]
+    x = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).standard_normal(shape)
+    want = ndimage.uniform_filter(x, size=size, mode="constant", cval=0.0)
+    got = lab._box_filter(x, size)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_liminf_probe_margin_nonnegative():
@@ -374,6 +389,20 @@ def test_module_entry_point_runs_under_warnings_as_errors():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.startswith("stretch,")
+
+
+def test_import_loads_no_scipy_ndimage_or_special():
+    # every CLI run pays for what `import platelab` loads; scipy.ndimage and
+    # the scipy.special it pulls in were most of it
+    src = str(Path(lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, platelab, platelab.cli; print(' '.join(m for m in sys.modules"
+             " if m.startswith(('scipy.ndimage', 'scipy.special'))))")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
@@ -267,8 +267,26 @@ def _face_pattern(draw):
     return shape, broken
 
 
+def _film_columns(shape, seed):
+    """A film's shape and face pattern as a crack search leaves it: random
+    plan faces, each broken through every layer (the last axis)."""
+    rng = np.random.default_rng(seed)
+    broken = []
+    for a in range(len(shape)):
+        s = list(shape)
+        s[a] -= 1
+        b = np.zeros(s, dtype=bool)
+        if a < len(shape) - 1:
+            b[rng.random(s[:-1]) < 0.2] = True
+        broken.append(b)
+    return shape, broken
+
+
 @settings(max_examples=300, deadline=None)
 @given(_face_pattern())
+@example(_film_columns((32, 64), 0))
+@example(_film_columns((8, 8, 4), 1))
+@example(_film_columns((8, 8, 4), 2))
 def test_connected_components_partition(case):
     # cells i and j share a label exactly when a union-find over the open
     # faces puts them in one set; the numbering itself is free
