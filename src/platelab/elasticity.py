@@ -7,6 +7,7 @@ Everything in this module is a pure function of small dense matrices
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,14 @@ def _embed(E: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
+@lru_cache(maxsize=2)
+def _transverse_basis(n: int) -> np.ndarray:
+    """Read-only basis matrices _embed(0, e_i, n) of the transverse entries, shape (n, n, n)."""
+    B = np.array([_embed(np.zeros((n - 1, n - 1)), e, n) for e in np.eye(n)])
+    B.flags.writeable = False
+    return B
+
+
 def reduced_min_oracle(p: LameParams, E: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimize C E_xi . E_xi over the transverse entries xi in R^n.
 
@@ -103,29 +112,18 @@ def reduced_min_oracle(p: LameParams, E: np.ndarray) -> tuple[float, np.ndarray]
     n = p.n
     E = _check_sym(E, n - 1)
 
-    def f(xi):
-        return quadratic_form_C(p, _embed(E, xi, n))
-
-    # Assemble the quadratic f(xi) = c + b.xi + xi.A xi by evaluation
-    # (exact for a quadratic).
-    c = f(np.zeros(n))
-    basis = np.eye(n)
-    A = np.empty((n, n))
-    b = np.empty(n)
-    for i in range(n):
-        fi = f(basis[i])
-        fmi = f(-basis[i])
-        A[i, i] = 0.5 * (fi + fmi) - c
-        b[i] = 0.5 * (fi - fmi)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fij = f(basis[i] + basis[j])
-            A[i, j] = A[j, i] = 0.5 * (fij - c - b[i] - b[j] - A[i, i] - A[j, j])
+    # f(xi) = C M.M for M = M0 + sum_i xi_i B_i, with M0 = _embed(E, 0) and
+    # B_i the transverse basis matrices, is the quadratic c + b.xi + xi.A xi
+    # with A_ij = C B_i . B_j and b_i = 2 C B_i . M0 (C is symmetric).
+    B = _transverse_basis(n)
+    CB = np.array([apply_C(p, Bi) for Bi in B])
+    A = np.einsum("ikl,jkl->ij", CB, B)
+    b = 2.0 * np.einsum("ikl,kl->i", CB, _embed(E, np.zeros(n), n))
     try:
         xi_star = np.linalg.solve(2.0 * A, -b)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular stationarity system: invalid Lame parameters") from exc
-    return f(xi_star), xi_star
+    return quadratic_form_C(p, _embed(E, xi_star, n)), xi_star
 
 
 def phi_rho(rho: float, nu: np.ndarray) -> float:

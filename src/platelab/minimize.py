@@ -4,11 +4,12 @@ At fixed crack the bulk term is a convex quadratic in the cell values and
 is minimized by one sparse LU solve.  Each round of crack activation
 offers moves, every open vertical face column and every unreleased side,
 and keeps the best strict improvement.  One greedy search loop serves the
-rescaled and the limit problem.  On a 1D plan a through-cut leaves each
-clamped side in a piece of its own, and a clamp column of a lifted datum
-is a rigid motion, so every through-cut of a round is scored in closed
-form (only clamp columns left alone carry bulk); the round's winner is
-then solved once for its state, which also checks the score.
+rescaled and the limit problem.  On a 1D plan every move of a round is
+scored in closed form: after a move no piece holds two clamp columns, and
+a clamp column of a lifted datum is a rigid motion, so each piece is zero,
+a clamp column alone, or that column continued rigidly at zero strain.
+The round's winner is then solved once for its state, which also checks
+the score.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask,
 
 
 # ---------------------------------------------------------------------------
-# through-cuts of a 1D plan
+# moves of a 1D plan
 
 
 def _cut_bulks(ends, broken) -> np.ndarray:
@@ -213,6 +214,43 @@ def _cut_bulks(ends, broken) -> np.ndarray:
     k = np.arange(broken.size)
     return (ends[0] * ((k == 0) | broken[0])
             + ends[1] * ((k == broken.size - 1) | broken[-1]))
+
+
+def _piece_clamps(broken, released) -> np.ndarray:
+    """The clamp column in the piece of each column of a 1D chain, or -1.
+
+    broken: flags of the faces between columns; released: the released
+    sides (axis 0, side).  A piece is a run of columns between broken
+    faces; no piece may hold both clamp columns.
+    """
+    piece = np.concatenate([[0], np.cumsum(broken)])
+    clamp = np.full(piece.size, -1)
+    for side, c in enumerate((0, piece.size - 1)):
+        if (0, side) not in released:
+            clamp[piece == piece[c]] = c
+    return clamp
+
+
+def _line_scores(problem, cracks: CrackIndicator, moves) -> np.ndarray:
+    """Exact total of each move of a 1D plan, with no solve.
+
+    Cuts are problem._cut_totals(cracks).  A release leaves no piece with
+    two clamp columns (a break already parts them, or the release drops
+    one), so its minimizer is problem._rigid_state(broken, released), the
+    field of each piece fixed by the piece's clamp column alone, and its
+    total is that state's energy.
+    """
+    cuts = None
+    totals = []
+    for _, where in moves:
+        if isinstance(where, tuple):
+            if cuts is None:
+                cuts = problem._cut_totals(cracks)
+            totals.append(cuts[where[0]])
+        else:
+            state = problem._rigid_state(cracks.broken, cracks.released | {(0, where)})
+            totals.append(problem._energy(state).total)
+    return np.array(totals, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +308,14 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
 
     `problem` has `plan_shape`, `column_area` (the surface a new face column
     along each plan axis adds) and two methods: solve(cracks) -> (state,
-    EnergyBreakdown), and score_cuts(cracks), the exact total of every
-    through-cut column on the plan axis, or None where it has no closed
-    form.
+    EnergyBreakdown), and score_moves(cracks, moves), the exact total of
+    every offered move, or None where they have no closed form.
 
     Each round offers moves: the open columns of each plan axis (a column
     is open unless every face in it is broken), in index order, then the
     unreleased sides.  An axis whose column surface alone cannot descend
-    offers no column.  Columns are scored by score_cuts when it applies;
-    every other move is solved on its candidate crack (`_solve_move`).  The
+    offers no column.  The moves are scored by score_moves when it applies;
+    otherwise each is solved on its candidate crack (`_solve_move`).  The
     lowest total wins; totals within _TIE_SLACK (relative) of it tie, and a
     tie goes to the earliest move.  A winner that lowers the total is kept.
     A scored winner is solved for its state: that state is a field of the
@@ -296,22 +333,22 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
     trace = [e.total]
     for _ in range(rounds):
         floor = trace[-1] - _DESCENT_SLACK * max(1.0, trace[-1])
-        cols = []
+        moves = []
         for axis, area in enumerate(problem.column_area):
             if e.surface + area < floor:
                 b = cracks.broken[axis]
                 open_cols = ~np.all(b.reshape(b.shape[:nd] + (-1,)), axis=-1)
-                cols += [(axis, tuple(k)) for k in np.argwhere(open_cols)]
-        scores = problem.score_cuts(cracks) if cols else None
-        moves = cols + [(axis, side) for axis in range(nd) for side in (0, 1)
-                        if (axis, side) not in cracks.released]
+                moves += [(axis, tuple(k)) for k in np.argwhere(open_cols).tolist()]
+        moves += [(axis, side) for axis in range(nd) for side in (0, 1)
+                  if (axis, side) not in cracks.released]
         if not moves:
             break
-        # move index -> (candidate, state, EnergyBreakdown)
-        solved = {i: _solve_move(problem, cracks, move) for i, move in enumerate(moves)
-                  if scores is None or i >= len(cols)}
-        totals = np.array([solved[i][2].total if i in solved else float(scores[k])
-                           for i, (_, k) in enumerate(moves)])
+        scores = problem.score_moves(cracks, moves)
+        solved = {}  # move index -> (candidate, state, EnergyBreakdown)
+        if scores is None:
+            solved = {i: _solve_move(problem, cracks, move) for i, move in enumerate(moves)}
+            scores = [solved[i][2].total for i in range(len(moves))]
+        totals = np.asarray(scores, dtype=float)
         best = totals.min()
         win = int(np.argmax(totals <= best + _TIE_SLACK * max(1.0, abs(best))))
         if totals[win] >= floor:
@@ -320,8 +357,8 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
             solved[win] = _solve_move(problem, cracks, moves[win])
             total = solved[win][2].total
             if totals[win] > total + _CHECK_SLACK * max(1.0, abs(total)):
-                raise RuntimeError(f"through-cut scored {totals[win]!r}, above the "
-                                   f"{total!r} of its solved field")
+                raise RuntimeError(f"move {moves[win]!r} scored {float(totals[win])!r}, "
+                                   f"above the {float(total)!r} of its solved field")
         cracks, state, e = solved[win]
         trace.append(e.total)
     return state, cracks, e, trace
@@ -344,8 +381,12 @@ class _FilmProblem:
     def _energy(self, u: PlateField) -> EnergyBreakdown:
         return penalized_energies(u, self.p, self.g, self.rho)
 
-    def score_cuts(self, cracks: CrackIndicator):
-        """Totals of the through-cuts of a 1D plan (None on a 2D plan).
+    def score_moves(self, cracks: CrackIndicator, moves):
+        """Totals of `moves` by `_line_scores` (None on a 2D plan)."""
+        return _line_scores(self, cracks, moves) if self.grid.n == 2 else None
+
+    def _cut_totals(self, cracks: CrackIndicator) -> np.ndarray:
+        """Totals of the through-cuts of a 1D plan.
 
         Surface and penalty are those of the field that is the datum on the
         clamped cells and zero elsewhere: after any cut a released side lies
@@ -355,8 +396,6 @@ class _FilmProblem:
         clamp columns a cut leaves alone (`_cut_bulks`).
         """
         grid = self.grid
-        if grid.n != 2:
-            return None
         clamped = _clamped_cells(grid.shape, 1, cracks.released)[..., None]
         datum = np.where(clamped, _datum_values(grid, self.g), 0.0)
         e = self._energy(PlateField(grid, datum, cracks.broken))
@@ -367,6 +406,26 @@ class _FilmProblem:
                             for side in (0, 1))]
         bulk = _cut_bulks(ends, np.all(cracks.broken[0], axis=1))
         return bulk + (e.surface + self.column_area[0]) + e.boundary_penalty
+
+    def _rigid_state(self, broken, released) -> PlateField:
+        """The film on a 1D plan whose every piece holds at most one clamp column.
+
+        A piece with no clamp is zero.  A piece with clamp column c carries
+        the lifted datum of c continued rigidly, (ubar(x_c) - z g(x_c),
+        un(x_c) + g(x_c) (x - x_c)) with g = grad_un, which is c's datum on c
+        and has zero discrete strain.  With one layer the z-difference is
+        zero, so the continuation is the translation (slope 0).
+        """
+        grid = self.grid
+        clamp = _piece_clamps(np.all(broken[0], axis=1), released)
+        held = clamp >= 0
+        x = grid.plan_points().reshape(-1)
+        xc = x[np.maximum(clamp, 0)]
+        values = self.g.lift(xc[:, None], grid.z_centers())
+        if grid.layers > 1:
+            slope = np.reshape(self.g.grad_un(xc[:, None]), -1)
+            values[..., 1] += (slope * (x - xc))[:, None]
+        return PlateField(grid, np.where(held[:, None, None], values, 0.0), broken)
 
 
 def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
@@ -435,29 +494,49 @@ class _LimitProblem:
     def _energy(self, s: KLState) -> EnergyBreakdown:
         return penalized_energies(s, self.p, self.g)
 
-    def score_cuts(self, cracks: CrackIndicator):
-        """Totals of the through-cuts of a 1D plan by the membrane alone.
+    def score_moves(self, cracks: CrackIndicator, moves):
+        """Totals of `moves` by `_line_scores`, by the membrane alone.
 
         None on a 2D plan, and when the datum clamps a nonzero un; otherwise
-        un and grad_un are zero in every candidate, and every piece a cut
-        leaves has zero bulk (`_cut_bulks`; a lone cell has no membrane
-        strain).  Surface and penalty are those of the state whose ubar is
-        the datum on the clamped cells and zero elsewhere: after any cut a
-        released side lies in a piece with no clamp, whose field is zero,
-        and by the maximum principle of the membrane no value exceeds the
-        clamps.
+        un and grad_un are zero after every move.
         """
         if len(self.plan_shape) != 1:
             return None
-        N = self.plan_shape[0]
         fixed = _clamped_cells(self.plan_shape, 1, cracks.released)
         if np.any(np.asarray(self.g.un(self.points), dtype=float).reshape(-1)[fixed]):
             return None
-        gub = np.asarray(self.g.ubar(self.points), dtype=float).reshape(N, 1)
-        e = self._energy(KLState(2, self.plan_shape, tuple(self.omega_lo),
-                                 tuple(self.omega_hi), np.where(fixed[:, None], gub, 0.0),
-                                 np.zeros(N), np.zeros((N, 1)), cracks.broken))
+        return _line_scores(self, cracks, moves)
+
+    def _cut_totals(self, cracks: CrackIndicator) -> np.ndarray:
+        """Totals of the through-cuts of a 1D plan with zero un clamps.
+
+        Every piece a cut leaves has zero bulk (`_cut_bulks`; a lone cell
+        has no membrane strain).  Surface and penalty are those of the state
+        whose ubar is the datum on the clamped cells and zero elsewhere:
+        after any cut a released side lies in a piece with no clamp, whose
+        field is zero, and by the maximum principle of the membrane no value
+        exceeds the clamps.
+        """
+        N = self.plan_shape[0]
+        fixed = _clamped_cells(self.plan_shape, 1, cracks.released)
+        e = self._energy(self._state(np.where(fixed[:, None], self._ubar(), 0.0),
+                                     cracks.broken))
         return np.full(N - 1, (e.surface + self.column_area[0]) + e.boundary_penalty)
+
+    def _rigid_state(self, broken, released) -> KLState:
+        """The state with zero un on a 1D plan whose every piece holds at most
+        one clamp cell: ubar is the clamp's datum on its piece, zero elsewhere."""
+        clamp = _piece_clamps(broken[0], released)
+        ubar = np.where((clamp >= 0)[:, None], self._ubar()[np.maximum(clamp, 0)], 0.0)
+        return self._state(ubar, broken)
+
+    def _ubar(self) -> np.ndarray:
+        return np.asarray(self.g.ubar(self.points), dtype=float).reshape(-1, 1)
+
+    def _state(self, ubar, broken) -> KLState:
+        N = self.plan_shape[0]
+        return KLState(2, self.plan_shape, tuple(self.omega_lo), tuple(self.omega_hi),
+                       ubar, np.zeros(N), np.zeros((N, 1)), broken)
 
 
 def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,

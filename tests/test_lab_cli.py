@@ -437,3 +437,35 @@ def test_cli_seed_sets_the_grid_offsets(tmp_path, capsys):
         outs.append(out.read_text().splitlines())
     assert outs[0][0] == outs[1][0] and len(outs[0]) == len(outs[1]) == 6
     assert all(a != b for a, b in zip(outs[0][1:], outs[1][1:]))
+
+
+@pytest.mark.parametrize("simplex", [[[0.1, 0.3], [0.8, 0.6]],
+                                     [[0.2, 0.2, 0.2], [0.8, 0.3, 0.5], [0.4, 0.8, 0.6]]],
+                         ids=["segment", "triangle"])
+def test_approximate_experiment_counts_misses_as_the_stacked_meshgrid_does(
+        monkeypatch, simplex):
+    # the exact field, broadcast on the sample axes, against the field at
+    # every point of the stacked meshgrid (the crack planes miss the samples)
+    from platelab import interpolation
+    from platelab.geometry import CrackSurface
+
+    seen = []
+    build = interpolation.build_approximant
+
+    def spy(v, grid, crack, V):
+        vk = build(v, grid, crack, V)
+        on_grid = vk.on_grid
+        vk.on_grid = lambda axes: seen.append((v, axes, on_grid(axes))) or seen[-1][2]
+        return vk
+
+    monkeypatch.setattr(interpolation, "build_approximant", spy)
+    crack = CrackSurface(np.array([simplex], dtype=float))
+    n = crack.n
+    rows = lab.approximate_experiment(crack, [1.0 / 16, 1.0 / 32] if n == 2 else [1.0 / 8],
+                                      (0.0,) * n, (1.0,) * n)
+    assert len(seen) == len(rows)
+    for row, (v, axes, vals) in zip(rows, seen):
+        X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        misses = np.any(np.abs(vals.reshape(X.shape) - v(X)) > lab._EXCEED_TOL, axis=1)
+        assert 0 < np.count_nonzero(misses) < X.shape[0]
+        assert round(row["exceed_fraction"] * X.shape[0]) == np.count_nonzero(misses)

@@ -346,7 +346,7 @@ def test_reduced_solve_runs_bending_for_nonzero_data(monkeypatch, c):
 
 
 # ---------------------------------------------------------------------------
-# through-cut sweep
+# closed-form moves of a 1D plan
 
 
 def _bent_datum(t, a):
@@ -357,57 +357,95 @@ def _bent_datum(t, a):
                          lambda X: a * np.atleast_2d(X)[:, :1], 2)
 
 
+def _translation_datum(c):
+    """ubar = c, un = 0: the datum is a rigid motion, so a released side can
+    match it."""
+    return BoundaryDatum(lambda X: np.full((np.atleast_2d(X).shape[0], 1), c),
+                         lambda X: np.zeros(np.atleast_2d(X).shape[0]),
+                         lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)), 2)
+
+
+def _offered_moves(cracks):
+    """Every move a round on a 1D plan can offer: the open columns, then the
+    unreleased sides."""
+    b = cracks.broken[0]
+    open_cols = ~b.reshape(b.shape[0], -1).all(axis=1)
+    return ([(0, (int(k),)) for k in np.flatnonzero(open_cols)]
+            + [(0, side) for side in (0, 1) if (0, side) not in cracks.released])
+
+
+def _solved_totals(problem, cracks, moves):
+    """The total of each move's candidate crack, solved."""
+    return [minimize._solve_move(problem, cracks, move)[2].total for move in moves]
+
+
 @st.composite
-def _cut_search_case(draw):
+def _move_search_case(draw):
     """A film or limit problem on a 1D plan with random broken columns and
-    released sides, stretch, bending (film only) and Lame constants."""
+    released sides, Lame constants and datum: a stretch, a translation or
+    (film only) a bent datum."""
     kind = draw(st.sampled_from(["film", "limit"]))
     N = draw(st.integers(3, 12 if kind == "film" else 40))
     broken = np.array(draw(st.lists(st.booleans(), min_size=N - 1, max_size=N - 1)))
     p = LameParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0)), 2)
     t = draw(st.floats(0.1, 2.0))
+    datums = {"stretch": stretch_datum(t, 2), "translation": _translation_datum(t - 1.0)}
+    if kind == "film":
+        datums["bent"] = _bent_datum(t, 0.7)
+    g = datums[draw(st.sampled_from(sorted(datums)))]
     if kind == "film":
         grid = PlateGrid(2, (N,), draw(st.integers(1, 6)), (0.0,), (1.0,))
-        problem = minimize._FilmProblem(grid, _bent_datum(t, draw(st.sampled_from([0.0, 0.7]))),
-                                        p, draw(st.sampled_from([0.5, 0.1, 0.05])))
+        problem = minimize._FilmProblem(grid, g, p, draw(st.sampled_from([0.5, 0.1, 0.05])))
         cracks = empty_cracks(grid.shape)
     else:
-        problem = minimize._LimitProblem((N,), (0.0,), (1.0,), stretch_datum(t, 2), p)
+        problem = minimize._LimitProblem((N,), (0.0,), (1.0,), g, p)
         cracks = empty_cracks((N,))
     cracks.broken[0][broken] = True
     cracks.released |= draw(st.sets(st.sampled_from([(0, 0), (0, 1)])))
     return problem, cracks
 
 
-@settings(max_examples=60, deadline=None)
-@given(_cut_search_case())
-def test_score_cuts_matches_per_candidate_solves(case):
-    # every unbroken column's sweep total against its own solve + energy
+@settings(max_examples=80, deadline=None)
+@given(_move_search_case())
+def test_score_moves_matches_per_candidate_solves(case):
+    # every offered move's closed-form total, cut or release, against the
+    # solve + energy of its candidate
     problem, cracks = case
-    scores = problem.score_cuts(cracks)
-    N = problem.plan_shape[0]
-    for k in np.flatnonzero(~cracks.broken[0].reshape(N - 1, -1).all(axis=1)):
-        cand = cracks.copy()
-        cand.broken[0][k] = True
-        total = problem.solve(cand)[1].total
-        assert abs(scores[k] - total) <= max(1e-10 * abs(total), 1e-12 * max(1.0, abs(total)))
+    moves = _offered_moves(cracks)
+    scores = problem.score_moves(cracks, moves)
+    assert len(scores) == len(moves)
+    for score, total in zip(scores, _solved_totals(problem, cracks, moves)):
+        assert abs(score - total) <= max(1e-10 * abs(total), 1e-12 * max(1.0, abs(total)))
+
+
+def _bent_film_scores(layers, released, prebroken):
+    """Closed-form and solved totals of every offered move of a bent film
+    on a (5,) plan."""
+    grid = PlateGrid(2, (5,), layers, (0.0,), (1.0,))
+    problem = minimize._FilmProblem(grid, _bent_datum(1.2, 0.7), P2, 0.1)
+    cracks = empty_cracks(grid.shape)
+    cracks.broken[0][prebroken] = True
+    cracks.released |= released
+    moves = _offered_moves(cracks)
+    return problem.score_moves(cracks, moves), _solved_totals(problem, cracks, moves)
 
 
 @pytest.mark.parametrize("released", [set(), {(0, 0)}, {(0, 1)}])
 @pytest.mark.parametrize("prebroken", [[], [0], [3], [0, 3]])
 def test_bent_film_scores_lone_clamp_columns(released, prebroken):
     # a clamp column left alone keeps its own bulk (0.049 on the left and
-    # 3.969 on the right here); every other piece a cut leaves is zero
-    grid = PlateGrid(2, (5,), 3, (0.0,), (1.0,))
-    problem = minimize._FilmProblem(grid, _bent_datum(1.2, 0.7), P2, 0.1)
-    cracks = empty_cracks(grid.shape)
-    cracks.broken[0][prebroken] = True
-    cracks.released |= released
-    scores = problem.score_cuts(cracks)
-    for k in sorted(set(range(4)) - set(prebroken)):
-        cand = cracks.copy()
-        cand.broken[0][k] = True
-        assert scores[k] == pytest.approx(problem.solve(cand)[1].total, rel=1e-12, abs=1e-12)
+    # 3.969 on the right here); a piece it shares after a cut or a release
+    # is its rigid continuation; every other piece is zero
+    scores, totals = _bent_film_scores(3, released, prebroken)
+    assert scores == pytest.approx(totals, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("released", [set(), {(0, 0)}, {(0, 1)}])
+def test_one_layer_film_continues_a_clamp_by_translation(released):
+    # with one layer the z-difference is zero, so a rotation strains the
+    # film: a released piece carries its clamp column unrotated
+    scores, totals = _bent_film_scores(1, released, [2])
+    assert scores == pytest.approx(totals, rel=1e-12, abs=1e-12)
 
 
 def test_uniform_stretch_cuts_face_zero_in_both_problems():
@@ -458,21 +496,25 @@ def test_bent_film_cuts_face_one_as_per_candidate_solves_do():
 
 
 class _NearTieProblem:
-    """Cuts of a 1D plan whose totals differ by less than the tie slack."""
+    """One round on a 1D plan: cut totals that differ by less than the tie
+    slack, and a total for releasing either side."""
 
     plan_shape = (5,)
     column_area = [0.0]
     scores = np.array([1.0 + 5e-13, 1.0, 1.0 + 1e-13, 2.0])
-    solve_offset = 0.0  # added to the solved total of every cut
+    release = 3.0
+    solve_offset = 0.0  # added to the solved total of every move
 
     def solve(self, cracks):
         faces = np.flatnonzero(cracks.broken[0])
-        total = (3.0 if cracks.released else
-                 self.scores[faces].sum() + self.solve_offset if faces.size else 2.0)
-        return None, EnergyBreakdown(total, 0.0)
+        if not (faces.size or cracks.released):
+            return None, EnergyBreakdown(2.0, 0.0)
+        total = self.scores[faces].sum() + self.release * len(cracks.released)
+        return None, EnergyBreakdown(total + self.solve_offset, 0.0)
 
-    def score_cuts(self, cracks):
-        return self.scores
+    def score_moves(self, cracks, moves):
+        return np.array([self.scores[where[0]] if isinstance(where, tuple) else self.release
+                         for _, where in moves])
 
 
 def test_greedy_search_breaks_near_ties_by_candidate_order():
@@ -484,9 +526,46 @@ def test_greedy_search_breaks_near_ties_by_candidate_order():
     assert trace == [2.0, 1.0 + 5e-13]
 
 
-def test_alternate_minimize_factors_at_most_six_times(monkeypatch):
-    # one initial solve, the round-1 winner's check and two side releases in
-    # each of two rounds; the through-cuts are scored by the sweep
+def _count_solves(monkeypatch, problem_cls):
+    """The list that every solve of `problem_cls` appends its cracks to."""
+    solves = []
+    solve = problem_cls.solve
+    monkeypatch.setattr(problem_cls, "solve",
+                        lambda self, c: solves.append(c) or solve(self, c))
+    return solves
+
+
+def test_scored_release_wins_and_is_solved(monkeypatch):
+    # the release is scored, wins, and only then is solved and checked
+    solves = _count_solves(monkeypatch, _NearTieProblem)
+    problem = _NearTieProblem()
+    problem.release = 0.5
+    state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((5,)), 1)
+    assert cracks.released == {(0, 0)} and not np.any(cracks.broken[0])
+    assert trace == [2.0, 0.5] and len(solves) == 2
+    problem.solve_offset = -1e-6
+    with pytest.raises(RuntimeError, match=r"move \(0, 0\) scored 0\.5"):
+        minimize._greedy_search(problem, empty_cracks((5,)), 1)
+
+
+def test_thick_film_releases_a_side(monkeypatch):
+    # z extent 2: a column costs surface 2, a released side the penalty of
+    # its plan measure, 1; releasing side 0 (tied with side 1, so the first)
+    # frees the stretch, and the search solves only the start and that winner
+    solves = _count_solves(monkeypatch, minimize._FilmProblem)
+    grid = PlateGrid(2, (16,), 4, (0.0,), (1.0,), (-1.0, 1.0))
+    u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.1,
+                                             SolverConfig())
+    assert cracks.released == {(0, 0)} and not np.any(cracks.broken[0])
+    assert len(trace) == 2 and trace[0] > 3.0
+    assert trace[-1] == e.total == pytest.approx(1.0, abs=1e-12)
+    assert e.boundary_penalty == 1.0 and e.surface == 0.0
+    assert len(solves) == 2
+
+
+def test_alternate_minimize_factors_at_most_twice(monkeypatch):
+    # one initial solve and the round-1 winner's; every move of both rounds
+    # is scored in closed form
     calls = []
     splu = minimize.spla.splu
 
@@ -499,7 +578,7 @@ def test_alternate_minimize_factors_at_most_six_times(monkeypatch):
     u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.05,
                                              SolverConfig())
     assert len(trace) == 2
-    assert len(calls) <= 6
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("search", [
@@ -509,7 +588,7 @@ def test_alternate_minimize_factors_at_most_six_times(monkeypatch):
                                stretch_datum(1.2, 2), P2, 0.1, SolverConfig()),
 ], ids=["limit-128", "film-32x64"])
 def test_search_builds_a_candidate_only_to_solve_it(monkeypatch, search):
-    # a round offers moves; a scored column is never copied into a crack
+    # a round offers moves; a scored move is never copied into a crack
     # unless it wins and is solved
     copies, solves = [], []
     copy = CrackIndicator.copy
@@ -521,7 +600,7 @@ def test_search_builds_a_candidate_only_to_solve_it(monkeypatch, search):
     _, cracks, _, trace = search()
     assert len(trace) == 2 and np.any(cracks.broken[0])
     assert len(copies) <= len(solves) + len(trace) - 1
-    assert len(solves) == 6
+    assert len(solves) == 2
 
 
 def test_winner_check_rejects_a_score_above_the_solved_field():
@@ -529,7 +608,7 @@ def test_winner_check_rejects_a_score_above_the_solved_field():
     # it is kept with its own total
     problem = _NearTieProblem()
     problem.solve_offset = -1e-6
-    with pytest.raises(RuntimeError, match="through-cut scored"):
+    with pytest.raises(RuntimeError, match=r"move \(0, \(0,\)\) scored"):
         minimize._greedy_search(problem, empty_cracks((5,)), 1)
     problem.solve_offset = 1e-6
     state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((5,)), 1)
@@ -543,7 +622,8 @@ def test_winner_keeps_its_solved_total_at_small_rho():
     # exact score of 1 shared by every cut from face 1 to face 29
     grid = PlateGrid(2, (32,), 8, (0.0,), (1.0,))
     problem = minimize._FilmProblem(grid, _bent_datum(1.2, 0.5), P2, 1e-3)
-    scores = problem.score_cuts(empty_cracks(grid.shape))
+    cracks = empty_cracks(grid.shape)
+    scores = problem.score_moves(cracks, _offered_moves(cracks))
     assert np.all(scores[1:30] == 1.0)
     u, cracks, e, trace = alternate_minimize(grid, _bent_datum(1.2, 0.5), P2, 1e-3,
                                              SolverConfig())
@@ -554,8 +634,13 @@ def test_winner_keeps_its_solved_total_at_small_rho():
 
 
 def test_limit_sweep_declines_bending_data():
-    # a nonzero un clamp has no sweep blocks: its columns are solved one by one
+    # a nonzero un clamp has no closed form: every move is solved one by one
+    cracks = empty_cracks((8,))
+    moves = _offered_moves(cracks)
     problem = minimize._LimitProblem((8,), (0.0,), (1.0,), _bent_datum(0.5, 1.0), P2)
-    assert problem.score_cuts(empty_cracks((8,))) is None
+    assert problem.score_moves(cracks, moves) is None
+    # un = x^2 / 2 is nonzero at the kept clamp after either release
+    cracks.released.add((0, 1))
+    assert problem.score_moves(cracks, _offered_moves(cracks)) is None
     problem = minimize._LimitProblem((8,), (0.0,), (1.0,), stretch_datum(0.5, 2), P2)
-    assert problem.score_cuts(empty_cracks((8,))).shape == (7,)
+    assert problem.score_moves(cracks, moves).shape == (9,)
