@@ -268,10 +268,13 @@ def approximate_experiment(crack: CrackSurface, h_list, lo, hi) -> list:
     nu = crack.normals[0]
     x0 = s0.mean(axis=0)
 
+    def beyond(coords):  # one array per axis; elementwise, so on the plane is 0
+        return sum((x - x0[a]) * nu[a] for a, x in enumerate(coords)) > 0.0
+
     def v(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros((X.shape[0], n))
-        out[:, 0] = X[:, 0] + ((X - x0) @ nu > 0.0)
+        out[:, 0] = X[:, 0] + beyond(X.T)
         return out
 
     lo = np.asarray(lo, dtype=float)
@@ -290,8 +293,7 @@ def approximate_experiment(crack: CrackSurface, h_list, lo, hi) -> list:
         # v on the same grid, broadcast from the axes: x_1 plus the jump in
         # component 0, zero in the others
         grid_axes = np.ix_(*axes)
-        side = sum((x - x0[a]) * nu[a] for a, x in enumerate(grid_axes)) > 0.0
-        exceed = np.abs(vals[..., 0] - (grid_axes[0] + side)) > _EXCEED_TOL
+        exceed = np.abs(vals[..., 0] - (grid_axes[0] + beyond(grid_axes))) > _EXCEED_TOL
         for c in range(1, n):
             exceed |= np.abs(vals[..., c]) > _EXCEED_TOL
         cellvol = float(np.prod([(V[1][a] - V[0][a]) / m for a in range(n)]))

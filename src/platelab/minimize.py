@@ -1,15 +1,16 @@
 """Alternating minimization of the penalized plate energies.
 
-At fixed crack the bulk term is a convex quadratic in the cell values and
-is minimized by one sparse LU solve.  Each round of crack activation
-offers moves, every open vertical face column and every unreleased side,
-and keeps the best strict improvement.  One greedy search loop serves the
-rescaled and the limit problem.  On a 1D plan every move of a round is
-scored in closed form: after a move no piece holds two clamp columns, and
-a clamp column of a lifted datum is a rigid motion, so each piece is zero,
-a clamp column alone, or that column continued rigidly at zero strain.
-The round's winner is then solved once for its state, which also checks
-the score.
+At fixed crack the bulk term is a convex quadratic in the cell values.  A
+piece of the stiffness's graph that the clamped values do not load stays
+zero; the loaded pieces are minimized by one sparse LU solve.  Each round
+of crack activation offers moves, every open vertical face column and
+every unreleased side, and keeps the best strict improvement.  One greedy
+search loop serves the rescaled and the limit problem.  On a 1D plan
+every move of a round is scored in closed form: after a move no piece
+holds two clamp columns, and a clamp column of a lifted datum is a rigid
+motion, so each piece is zero, a clamp column alone, or that column
+continued rigidly at zero strain.  The round's winner is then solved once
+for its state, which also checks the score.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ _DESCENT_SLACK = 1e-10
 _TIE_SLACK = 1e-12
 # relative amount by which a winner's closed-form score may exceed its solve
 _CHECK_SLACK = 1e-10
+# relative residual of a singular block's least-squares minimizer
+_RESIDUAL_SLACK = 1e-9
 
 
 @dataclass
@@ -69,46 +72,7 @@ def empty_cracks(shape: tuple) -> CrackIndicator:
 # quadratic assembly
 
 
-def _connected_components(shape: tuple, broken: list):
-    """Component label (from 0) of each cell, cells joined by unbroken faces.
-
-    Labels are numbered in order of each component's first cell in C order.
-    One cumsum numbers the runs of cells that open faces of the last axis
-    join; the open faces of the other axes then join runs, by hooking the
-    larger of two roots to the smaller and jumping pointers (root =
-    root[root]) until no open face joins two roots.  A 1D plan is its runs.
-    """
-    start = np.ones(shape, dtype=bool)
-    start[..., 1:] = broken[-1]
-    run = np.cumsum(start).reshape(shape) - 1
-    u, v = [], []
-    for a, b in enumerate(broken[:-1]):
-        lower, upper = [slice(None)] * len(shape), [slice(None)] * len(shape)
-        lower[a], upper[a] = slice(None, -1), slice(1, None)
-        u.append(run[tuple(lower)][~b])
-        v.append(run[tuple(upper)][~b])
-    run = run.ravel()
-    if not u:
-        return run
-    u, v = np.concatenate(u), np.concatenate(v)
-    root = np.arange(run[-1] + 1)
-    while True:
-        ru, rv = root[u], root[v]
-        join = ru != rv
-        if not join.any():
-            break
-        root[np.maximum(ru, rv)[join]] = np.minimum(ru, rv)[join]
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-    # each root is its component's smallest run, so ranking roots keeps C order
-    return (np.cumsum(root == np.arange(root.size)) - 1)[root[run]]
-
-
-def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_vals,
-                    floating):
+def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):
     """Free block Kff and load b = -K_free,fixed x_fixed of the bulk quadratic.
 
     K = weight * S^T (I kron Q) S for the stencil triplets S = (rows, cols,
@@ -116,11 +80,6 @@ def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_val
     K[i, j] += weight * S[c alpha, i] Q[alpha, beta] S[c beta, j] over all
     pairs of a cell's entries (cells padded to the widest stencil).  Only
     pairs with a free row are kept; K itself is never formed.
-
-    `floating` marks free dofs of components with no fixed dof: each gets
-    the gauge shift kappa = 1e-8 * max(max diag Kff, 1) on its diagonal,
-    added to the triplets before the one CSC construction, which removes
-    the null space of those components.
     """
     rows, cols, vals = stencil
     cell, alpha = np.divmod(rows, len(Q))
@@ -143,15 +102,8 @@ def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_val
     index = np.cumsum(free) - 1  # free dof number of each free dof
     nfree = int(np.count_nonzero(free))
     to_free = free[j]
-    fi, fj, fv = index[i[to_free]], index[j[to_free]], pair[to_free]
-    if np.any(floating):
-        on_diag = fi == fj
-        diag = np.bincount(fi[on_diag], weights=fv[on_diag], minlength=nfree)
-        shifted = np.flatnonzero(floating)
-        fi = np.concatenate([fi, shifted])
-        fj = np.concatenate([fj, shifted])
-        fv = np.concatenate([fv, np.full(shifted.size, 1e-8 * max(float(diag.max()), 1.0))])
-    Kff = sp.csc_matrix((fv, (fi, fj)), shape=(nfree, nfree))
+    Kff = sp.csc_matrix((pair[to_free], (index[i[to_free]], index[j[to_free]])),
+                        shape=(nfree, nfree))
     to_fixed = ~to_free
     b = -np.bincount(index[i[to_fixed]],
                      weights=pair[to_fixed] * fixed_vals[j[to_fixed]],
@@ -160,35 +112,50 @@ def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_val
 
 
 def _solve_constrained(Kff, b):
-    """Solve Kff y = b for the free dofs.
+    """Minimize (1/2) y.Kff y - b.y, Kff symmetric positive semidefinite.
 
-    Kff (gauged by `_reduced_system`) is symmetric positive definite and is
-    factored by a symmetric-mode sparse LU (``scipy.sparse.linalg.splu``,
-    minimum degree on A^T + A, diagonal pivots).  An exactly singular Kff
-    raises RuntimeError.
+    A component of Kff's graph whose load b is zero stays at exactly 0, the
+    minimum-norm minimizer of its part.  The loaded ones (all of Kff when
+    every one is loaded) are factored by a symmetric-mode sparse LU
+    (``scipy.sparse.linalg.splu``, minimum degree on A^T + A, diagonal
+    pivots); an exactly singular factor falls back to the dense minimum-norm
+    least-squares solution, and RuntimeError when that misses the load.
     """
-    if not np.any(b):  # zero data: the zero field is the (gauged) minimizer
-        return np.zeros(b.size)
-    lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    return lu.solve(b)
+    # loaded here, at the first solve, not by `import platelab`
+    from scipy.sparse.csgraph import connected_components
+
+    y = np.zeros(b.size)
+    ncomp, comp = connected_components(Kff, directed=False)
+    loaded = np.zeros(ncomp, dtype=bool)
+    loaded[comp[b != 0.0]] = True
+    if not loaded.any():
+        return y
+    keep = loaded[comp]
+    A, rhs = (Kff if loaded.all() else Kff[keep][:, keep]), b[keep]
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError:  # exactly singular
+        A = A.toarray()
+        y[keep] = z = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        scale = max(1.0, np.abs(A).max()) * max(1.0, np.abs(z).max())
+        if np.abs(A @ z - rhs).max() > _RESIDUAL_SLACK * scale:
+            raise RuntimeError("singular free block with a load outside its range") from None
+    else:
+        y[keep] = lu.solve(rhs)
+    return y
 
 
-def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask,
-                       fixed_vals, labels):
+def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):
     """Minimize the bulk quadratic with x = fixed_vals on the fixed dofs.
 
     operator() builds the stencil triplets; it is not called when every
-    clamped value is zero, since the zero field is then the (gauged)
-    minimizer.  labels: connected-component label of each dof, for the gauge.
+    clamped value is zero, since the zero field is then the minimizer.
     """
     x = np.where(fixed_mask, fixed_vals, 0.0)
     if not np.any(x):
         return x
-    anchored = np.zeros(labels.max() + 1, dtype=bool)
-    anchored[labels[fixed_mask]] = True
-    Kff, b = _reduced_system(operator(), Q, weight, fixed_mask, fixed_vals,
-                             ~anchored[labels[~fixed_mask]])
+    Kff, b = _reduced_system(operator(), Q, weight, fixed_mask, fixed_vals)
     x[~fixed_mask] = _solve_constrained(Kff, b)
     return x
 
@@ -281,11 +248,10 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
     shape = grid.shape
     gv = _datum_values(grid, g)
     fixed_cells = _clamped_cells(shape, n - 1, cracks.released)
-    labels = _connected_components(shape, cracks.broken)
     x = _fixed_crack_solve(
         lambda: _derivative_operator(shape, grid.spacings, cracks.broken, n),
         _form(p, rho), grid.cell_volume,
-        np.repeat(fixed_cells.ravel(), n), gv.reshape(-1), np.repeat(labels, n))
+        np.repeat(fixed_cells.ravel(), n), gv.reshape(-1))
     return PlateField(grid, x.reshape(shape + (n,)),
                       [b.copy() for b in cracks.broken])
 
@@ -451,21 +417,19 @@ def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
     Xp = _plan_points(plan_shape, omega_lo, omega_hi).reshape(-1, nd)
     area = float(np.prod(plan_h))
     fixed_cells = _clamped_cells(plan_shape, nd, cracks.released)
-    labels = _connected_components(plan_shape, cracks.broken)
 
     # membrane solve for ubar
     gub = np.atleast_2d(np.asarray(g.ubar(Xp), dtype=float))
     ubar = _fixed_crack_solve(
         lambda: _derivative_operator(plan_shape, plan_h, cracks.broken, nd),
-        Q, area, np.repeat(fixed_cells.ravel(), nd), gub.reshape(-1),
-        np.repeat(labels, nd))
+        Q, area, np.repeat(fixed_cells.ravel(), nd), gub.reshape(-1))
     ubar = ubar.reshape(plan_shape + (nd,))
 
     # bending solve for un (weight 1/12 from the thickness integral)
     gun = np.asarray(g.un(Xp), dtype=float).reshape(-1)
     un = _fixed_crack_solve(
         lambda: _hessian_operator(plan_shape, plan_h, cracks.broken),
-        Q, area / 12.0, fixed_cells.ravel(), gun, labels)
+        Q, area / 12.0, fixed_cells.ravel(), gun)
     un = un.reshape(plan_shape)
 
     grad_un = reduced_gradient(un, plan_h, cracks.broken)

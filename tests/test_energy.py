@@ -69,7 +69,7 @@ def _stiffness(stencil, Q, weight, ndof):
     """K of the bulk (1/2) x.K x, from the solver's `_reduced_system` with
     no fixed dofs."""
     none = np.zeros(ndof, dtype=bool)
-    K, _ = _reduced_system(stencil, Q, weight, none, np.zeros(ndof), none)
+    K, _ = _reduced_system(stencil, Q, weight, none, np.zeros(ndof))
     return K
 
 

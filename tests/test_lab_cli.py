@@ -393,12 +393,13 @@ def test_module_entry_point_runs_under_warnings_as_errors():
 
 def test_import_loads_no_scipy_ndimage_or_special():
     # every CLI run pays for what `import platelab` loads; scipy.ndimage and
-    # the scipy.special it pulls in were most of it
+    # the scipy.special it pulls in were most of it, and the solver loads
+    # scipy.sparse.csgraph only at its first solve
     src = str(Path(lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     probe = ("import sys, platelab, platelab.cli; print(' '.join(m for m in sys.modules"
-             " if m.startswith(('scipy.ndimage', 'scipy.special'))))")
+             " if m.startswith(('scipy.ndimage', 'scipy.special', 'scipy.sparse.csgraph'))))")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -469,3 +470,24 @@ def test_approximate_experiment_counts_misses_as_the_stacked_meshgrid_does(
         misses = np.any(np.abs(vals.reshape(X.shape) - v(X)) > lab._EXCEED_TOL, axis=1)
         assert 0 < np.count_nonzero(misses) < X.shape[0]
         assert round(row["exceed_fraction"] * X.shape[0]) == np.count_nonzero(misses)
+
+
+def test_approximate_field_puts_points_on_an_oblique_crack_plane_on_side_zero(monkeypatch):
+    # the sampled field decides the side by the same elementwise sum as the
+    # reference grid, so lattice points on the plane x = y get no jump on
+    # any machine (a BLAS product rounds them to either side)
+    from platelab import interpolation
+    from platelab.geometry import CrackSurface
+
+    fields = []
+    build = interpolation.build_approximant
+    monkeypatch.setattr(interpolation, "build_approximant",
+                        lambda v, *args: fields.append(v) or build(v, *args))
+    crack = CrackSurface(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
+    lab.approximate_experiment(crack, [1.0 / 64], (-0.5, -0.5), (1.5, 1.5))
+    t = np.arange(-32, 97) / 64.0
+    X = np.column_stack([t, t])
+    assert np.array_equal(fields[0](X), np.column_stack([t, np.zeros_like(t)]))
+    # off the plane the jump is 1 on the side the normal points to
+    off = X + crack.normals[0] / 128.0
+    assert np.array_equal(fields[0](off)[:, 0], off[:, 0] + 1.0)

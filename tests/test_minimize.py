@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.sparse as sp
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
@@ -9,9 +10,8 @@ from platelab import minimize
 from platelab.energy import (BoundaryDatum, EnergyBreakdown, penalized_energies,
                              stretch_datum)
 from platelab.kirchhoff_love import PlateGrid
-from platelab.minimize import (CrackIndicator, SolverConfig, _connected_components,
-                               _derivative_operator, _hessian_operator,
-                               _clamped_cells, _reduced_solve,
+from platelab.minimize import (CrackIndicator, SolverConfig, _derivative_operator,
+                               _hessian_operator, _clamped_cells, _reduced_solve,
                                _reduced_system, _solve_constrained,
                                alternate_minimize, elastic_solve,
                                empty_cracks, minimize_limit)
@@ -187,115 +187,122 @@ def _stencil_case(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_stencil_case(), st.integers(0, 2 ** 16))
-def test_reduced_system_matches_dense_reference(case, seed):
-    # Kff and b = -K_free,fixed x_fixed against K = w S^T (I kron Q) S, dense;
-    # random free dofs marked floating get the gauge shift on the diagonal
+@given(_stencil_case())
+def test_reduced_system_matches_dense_reference(case):
+    # Kff and b = -K_free,fixed x_fixed against K = w S^T (I kron Q) S, dense
     stencil, Q, weight, fixed_mask, fixed_vals, ncell = case
     rows, cols, vals = stencil
     S = np.zeros((ncell * len(Q), fixed_mask.size))
     np.add.at(S, (rows, cols), vals)
     K = weight * S.T @ np.kron(np.eye(ncell), Q) @ S
     free = ~fixed_mask
-    floating = np.random.default_rng(seed).random(free.sum()) < 0.5
-    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals, floating)
+    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals)
     scale = max(np.abs(K).max(), 1.0)
-    ref = K[np.ix_(free, free)]
-    if floating.any():
-        ref = ref + np.diag(np.where(floating, 1e-8 * max(np.diag(ref).max(), 1.0), 0.0))
     assert Kff.shape == (free.sum(), free.sum())
-    np.testing.assert_allclose(Kff.toarray(), ref, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(Kff.toarray(), K[np.ix_(free, free)], rtol=1e-12,
+                               atol=1e-12 * scale)
     ref_b = -K[np.ix_(free, fixed_mask)] @ fixed_vals[fixed_mask]
     np.testing.assert_allclose(b, ref_b, rtol=1e-12,
                                atol=1e-12 * scale * max(np.abs(fixed_vals).max(), 1.0))
 
 
+def _dense_components(A):
+    """Component of each row of the dense symmetric A, rows joined by nonzeros."""
+    reach = (A != 0.0) | np.eye(len(A), dtype=bool)
+    while len(A):
+        grown = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(grown, reach):
+            return np.argmax(reach, axis=1)  # the first row each row reaches
+        reach = grown
+    return np.zeros(0, dtype=int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stencil_case())
+def test_solve_constrained_leaves_unloaded_pieces_zero(case):
+    # y is exactly 0 on every piece of Kff's graph with zero load and solves
+    # Kff y = b; a RuntimeError only for a rank-deficient loaded block
+    stencil, Q, weight, fixed_mask, fixed_vals, ncell = case
+    Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals)
+    A = Kff.toarray()
+    comp = _dense_components(A)
+    loaded = np.isin(comp, comp[b != 0.0])
+    try:
+        y = _solve_constrained(Kff, b)
+    except RuntimeError:
+        block = A[np.ix_(loaded, loaded)]
+        assert np.linalg.matrix_rank(block) < len(block)
+        return
+    assert y.shape == b.shape
+    assert np.all(y[~loaded] == 0.0)
+    if b.size:
+        scale = max(1.0, np.abs(A).max()) * max(1.0, np.abs(y).max())
+        assert np.abs(A @ y - b).max() <= 1e-9 * scale
+
+
 def test_exactly_singular_free_block_raises():
     # four cells on [0, 1], the face between cells 1 and 2 broken and only
-    # cell 0 clamped: cells 2 and 3 float, so the free block is singular
+    # cell 0 clamped: cells 2 and 3 form a singular piece, but it carries no
+    # load, so it stays at zero and cell 1 follows cell 0
     shape, h = (4,), [0.25]
     stencil = _derivative_operator(shape, h, [np.array([False, True, False])], 1)
     fixed_mask = np.array([True, False, False, False])
     fixed_vals = np.array([1.0, 0.0, 0.0, 0.0])
-    Kff, b = _reduced_system(stencil, np.eye(1), 0.25, fixed_mask, fixed_vals,
-                             np.zeros(3, dtype=bool))
-    assert np.any(b)
+    Kff, b = _reduced_system(stencil, np.eye(1), 0.25, fixed_mask, fixed_vals)
+    assert np.array_equal(b != 0.0, [True, False, False])
+    assert np.array_equal(_solve_constrained(Kff, b), [1.0, 0.0, 0.0])
+    # a loaded singular block: a load outside its range has no minimizer
+    K = sp.csc_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(RuntimeError):
-        _solve_constrained(Kff, b)
-    # gauged, the floating cells settle at zero and cell 1 follows cell 0
-    Kff, b = _reduced_system(stencil, np.eye(1), 0.25, fixed_mask, fixed_vals,
-                             np.array([False, True, True]))
-    y = _solve_constrained(Kff, b)
-    assert np.allclose(y, [1.0, 0.0, 0.0], atol=1e-12)
+        _solve_constrained(K, np.array([1.0, 0.0]))
+    # a load in its range: the minimum-norm minimizer
+    assert np.allclose(_solve_constrained(K, np.array([1.0, -1.0])), [0.5, -0.5],
+                       rtol=0.0, atol=1e-15)
+    # no free dof: nothing to solve
+    assert _solve_constrained(sp.csc_matrix((0, 0)), np.zeros(0)).shape == (0,)
 
 
-def _union_find_labels(shape, broken):
-    """Root of each cell (C order) after joining the cells of every open face."""
-    parent = list(range(int(np.prod(shape))))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(len(shape)):
-        for face in zip(*np.nonzero(~broken[a])):
-            lo = np.ravel_multi_index(face, shape)
-            hi = np.ravel_multi_index(tuple(f + (b == a) for b, f in enumerate(face)), shape)
-            parent[root(lo)] = root(hi)
-    return np.array([root(i) for i in range(len(parent))])
+def _bent_plate_datum():
+    """The n = 3 datum ubar = 0, un = |x|^2 / 2, grad_un = x."""
+    return BoundaryDatum(lambda X: np.zeros_like(np.atleast_2d(X)),
+                         lambda X: 0.5 * np.sum(np.atleast_2d(X) ** 2, axis=1),
+                         lambda X: np.atleast_2d(X).copy(), 3)
 
 
-@st.composite
-def _face_pattern(draw):
-    """A shape of rank 1 to 3 (axes of length 1 allowed) and broken faces:
-    none, all, or a random pattern."""
-    rank = draw(st.integers(1, 3))
-    shape = tuple(draw(st.integers(1, {1: 12, 2: 6, 3: 4}[rank])) for _ in range(rank))
-    fill = draw(st.sampled_from(["none", "all", "random"]))
-    broken = []
-    for a in range(rank):
-        s = list(shape)
-        s[a] -= 1
-        size = int(np.prod(s))
-        if fill == "random":
-            flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-        else:
-            flags = [fill == "all"] * size
-        broken.append(np.array(flags, dtype=bool).reshape(s))
-    return shape, broken
+def _faces(rows):
+    return np.array([[c == "1" for c in r] for r in rows.split()])
 
 
-def _film_columns(shape, seed):
-    """A film's shape and face pattern as a crack search leaves it: random
-    plan faces, each broken through every layer (the last axis)."""
-    rng = np.random.default_rng(seed)
-    broken = []
-    for a in range(len(shape)):
-        s = list(shape)
-        s[a] -= 1
-        b = np.zeros(s, dtype=bool)
-        if a < len(shape) - 1:
-            b[rng.random(s[:-1]) < 0.2] = True
-        broken.append(b)
-    return shape, broken
+def test_corner_cell_coupled_across_a_crack_corner_is_solved_exactly():
+    # on a (3, 3) plan with faces broken[0][1, 2] and broken[1][2, 1], cell
+    # (2, 2) has no open face, but cell (1, 1)'s mixed second difference
+    # reaches it across the crack corner; with sides (0, 1) and (1, 1)
+    # released the exact minimizer (a dense min-norm lstsq agrees) puts
+    # un = 25/36 there, the datum, with bulk 28/351
+    cracks = CrackIndicator([_faces("000 001"), _faces("00 00 01")], {(0, 1), (1, 1)})
+    problem = minimize._LimitProblem((3, 3), (0.0, 0.0), (1.0, 1.0), _bent_plate_datum(),
+                                     LameParams(1.0, 1.0, 3))
+    s, e = problem.solve(cracks)
+    assert s.un[2, 2] == pytest.approx(25.0 / 36.0, rel=1e-12)
+    assert e.bulk == pytest.approx(28.0 / 351.0, rel=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_face_pattern())
-@example(_film_columns((32, 64), 0))
-@example(_film_columns((8, 8, 4), 1))
-@example(_film_columns((8, 8, 4), 2))
-def test_connected_components_partition(case):
-    # cells i and j share a label exactly when a union-find over the open
-    # faces puts them in one set; the numbering itself is free
-    shape, broken = case
-    labels = _connected_components(shape, broken)
-    ref = _union_find_labels(shape, broken)
-    assert labels.shape == (int(np.prod(shape)),)
-    assert labels.min() == 0
-    assert np.array_equal(labels[:, None] == labels[None, :], ref[:, None] == ref[None, :])
+def test_singular_loaded_bending_block_gives_the_minimum_norm_minimizer():
+    # a (6, 5) plan whose bending free block is one loaded piece of rank 19
+    # of 20 (the Hessian stencils leave cells (0, 0), (2, 0) and (4, 0) a
+    # joint null vector): the sparse factor is exactly singular, and the
+    # solve returns the dense minimum-norm minimizer
+    cracks = CrackIndicator([_faces("00000 10010 10010 10001 11101"),
+                             _faces("1011 0000 1101 0000 1100 0000")], {(0, 0), (1, 0)})
+    problem = minimize._LimitProblem((6, 5), (0.0, 0.0), (1.0, 1.0), _bent_plate_datum(),
+                                     LameParams(1.0, 1.0, 3))
+    s, e = problem.solve(cracks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimize, "_solve_constrained",
+                   lambda K, b: np.linalg.lstsq(K.toarray(), b, rcond=None)[0])
+        ref, e_ref = problem.solve(cracks)
+    np.testing.assert_allclose(s.un, ref.un, rtol=0.0, atol=1e-12)
+    assert e.total == pytest.approx(e_ref.total, rel=1e-12)
 
 
 def _c0_form(n):
@@ -305,7 +312,7 @@ def _c0_form(n):
 
 def test_reduced_solve_skips_zero_bending_data(monkeypatch):
     # a stretch datum clamps un = 0; cracks at faces 2 and 5 leave cells 3-5
-    # floating, yet the bending solve must not even build its stencil
+    # unclamped, yet the bending solve must not even build its stencil
     def no_stencil(*args):
         raise AssertionError("_hessian_operator called for zero clamp data")
 
