@@ -98,6 +98,8 @@ class CrackSurface:
         self.simplices = np.asarray(self.simplices, dtype=float)
         if self.simplices.ndim != 3 or self.simplices.shape[1] != self.simplices.shape[2]:
             raise ValueError("simplices must have shape (m, n, n)")
+        if not np.all(np.isfinite(self.simplices)):
+            raise ValueError("crack coordinates must be finite")
         if np.any(self._volumes() <= 1e-12):
             raise ValueError("degenerate simplex in crack surface")
         nu = self._normal_vectors()
@@ -224,7 +226,12 @@ def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
     t = _dot(qv, e2) / inv
     hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0) & (t <= 1.0)
 
-    dist = np.where(hit, 0.0, np.inf)
+    # A crossing row is at distance 0; only the other rows need the
+    # candidates below.
+    out = np.zeros(P.shape[0])
+    miss = np.flatnonzero(~hit)
+    P, Q, v0, v1, v2, e1, e2 = (x[miss] for x in (P, Q, v0, v1, v2, e1, e2))
+    dist = np.full(miss.size, np.inf)
     # Edge/edge candidates.
     for ea, eb in ((v0, v1), (v1, v2), (v2, v0)):
         dist = np.minimum(dist, _seg_seg_dist(P, Q, ea, eb))
@@ -245,7 +252,8 @@ def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
         bv = (d00 * d21 - d01 * d20) / den
         inside = (bu >= 0.0) & (bv >= 0.0) & (bu + bv <= 1.0)
         dist = np.where(inside, np.minimum(dist, np.abs(wn / np.sqrt(nn))), dist)
-    return dist
+    out[miss] = dist
+    return out
 
 
 def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
@@ -353,33 +361,69 @@ def _cube_segments(n: int) -> list:
             if np.count_nonzero(a != b) <= 2]
 
 
+def _near_cubes(grid: ShiftedGrid, crack: CrackSurface, tol: float,
+                step) -> tuple[np.ndarray, np.ndarray]:
+    """The cubes whose query may come within tol of the crack.
+
+    The query of cube z lies in the box of the lattice points h (z + y)
+    and h (z + y + step): the step h e's own segment, or with step (1, ..,
+    1) every edge and face diagonal of the cube.  Each simplex's box,
+    inflated by tol and by that reach, becomes an integer index window,
+    widened by one index on each side so that it keeps every cube whose
+    query passes `segments_hit_crack`'s float box test, and clipped to the
+    cube window.  Returns the union of the windows as a mask over the cube
+    window, and the indices of its cubes, shape (k, n), in the order of
+    `cube_indices`.
+    """
+    zmin, zmax = grid.cube_window()
+    near = np.zeros(tuple(zmax - zmin + 1), dtype=bool)
+    step = np.asarray(step, dtype=float)
+    S = crack.simplices
+    lo = np.ceil((S.min(axis=1) - tol) / grid.h - grid.offset - np.maximum(step, 0.0)) - 1.0
+    hi = np.floor((S.max(axis=1) + tol) / grid.h - grid.offset - np.minimum(step, 0.0)) + 1.0
+    # clipped before the cast, so a window off the box stays empty: hi < lo
+    lo = np.clip(lo, zmin, zmax + 1).astype(int) - zmin
+    hi = np.clip(hi, zmin - 1, zmax).astype(int) - zmin + 1
+    for a, b in zip(lo, hi):
+        near[tuple(map(slice, a, b))] = True
+    return near, np.argwhere(near) + zmin
+
+
 def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None) -> CubeClassification:
-    """Mark bad hyper-cubes: the crack meets one of the cube's edges or face diagonals."""
+    """Mark bad hyper-cubes: the crack meets one of the cube's edges or face diagonals.
+
+    Only the cubes of `_near_cubes` are queried; every other cube is good.
+    """
     zmin, zmax = grid.cube_window()
     shape = tuple(int(zmax[i] - zmin[i] + 1) for i in range(grid.n))
     bad = np.zeros(shape, dtype=bool)
     if crack is None or crack.m == 0:
         return CubeClassification(grid, crack, bad, zmin)
     tol = 1e-9 * grid.h
-    corners = grid.corner(grid.cube_indices())
+    near, Z = _near_cubes(grid, crack, tol, np.ones(grid.n))
+    corners = grid.corner(Z)
     flat_bad = np.zeros(corners.shape[0], dtype=bool)
     for a, e in _cube_segments(grid.n):
         todo = ~flat_bad
+        if not np.any(todo):
+            break
         C = corners[todo] + grid.h * a
         flat_bad[todo] = segments_hit_crack(C, C + grid.h * e, crack, tol)
-    bad[:] = flat_bad.reshape(shape)
+    bad[near] = flat_bad
     return CubeClassification(grid, crack, bad, zmin)
 
 
 def discrete_jump_energy(grid: ShiftedGrid, crack: CrackSurface | None) -> float:
-    """h^n * sum_e sum_z 1_{J^{he}}(z + hy) / (h |e|) over enumerated lattice points."""
+    """h^n * sum_e sum_z 1_{J^{he}}(z + hy) / (h |e|) over enumerated lattice points.
+
+    Per direction e, only the lattice points of `_near_cubes` are queried.
+    """
     if crack is None or crack.m == 0:
         return 0.0
     tol = 1e-9 * grid.h
-    Z = grid.cube_indices()
-    P = grid.corner(Z)
     total = 0.0
     for e in direction_set(grid.n).astype(float):
+        P = grid.corner(_near_cubes(grid, crack, tol, e)[1])
         hits = segments_hit_crack(P, P + grid.h * e, crack, tol)
         total += np.count_nonzero(hits) / (grid.h * np.linalg.norm(e))
     return float(grid.h ** grid.n * total)

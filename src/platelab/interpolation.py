@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
-                       _shadow_pieces, classify_cubes, segments_hit_crack)
+                       _near_cubes, _shadow_pieces, classify_cubes,
+                       segments_hit_crack)
 
 
 # lattice points `sample` covers beyond the cube window on each side
@@ -163,15 +164,15 @@ def directional_strain(s: SampledField, e, crack: CrackSurface | None) -> Direct
     v0 = s.value(Z)
     v1 = s.value(Z + e.astype(int))
     quot = ((v1 - v0) @ e) / (grid.h * 1.0)
+    cut = np.ones(shape, dtype=bool)
     if crack is not None and crack.m > 0:
-        P = grid.corner(Z)
-        inJ = segments_hit_crack(P, P + grid.h * e, crack, tol=1e-9 * grid.h)
-        cut = ~inJ
-    else:
-        cut = np.ones(Z.shape[0], dtype=bool)
-    vals = np.where(cut, quot, 0.0)
-    return DirectionalStrainField(grid, e, zmin, vals.reshape(shape),
-                                  cut.reshape(shape))
+        # only the lattice points of the crack's index windows can lie in J^{he}
+        tol = 1e-9 * grid.h
+        near, Zn = _near_cubes(grid, crack, tol, e)
+        P = grid.corner(Zn)
+        cut[near] = ~segments_hit_crack(P, P + grid.h * e, crack, tol=tol)
+    vals = np.where(cut, quot.reshape(shape), 0.0)
+    return DirectionalStrainField(grid, e, zmin, vals, cut)
 
 
 @dataclass

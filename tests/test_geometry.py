@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from platelab.geometry import (CrackSurface, CubeClassification, ShiftedGrid,
                                direction_set, discrete_jump_energy,
                                in_half_neighborhood, projection_measure,
                                segment_hits_crack, segments_hit_crack)
+from platelab.interpolation import directional_strain, sample
 
 VERT = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
 
@@ -43,12 +45,68 @@ def _segments_intersect_exact(p, q, a, b):
             or _on_segment(p, q, a) or _on_segment(p, q, b))
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _orient3(a, b, c, d):
+    """Sign of det[b - a, c - a, d - a]: d above, on or below the plane abc."""
+    u, v, w = ([x - y for x, y in zip(p, a)] for p in (b, c, d))
+    return _sign(u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+                 + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def _in_triangle_2d(p, a, b, c):
+    """p in the closed, nondegenerate triangle abc."""
+    s = [_sign(_ccw(a, b, p)), _sign(_ccw(b, c, p)), _sign(_ccw(c, a, p))]
+    return min(s) >= 0 or max(s) <= 0
+
+
+def _seg_tri_intersect_exact(p, q, a, b, c):
+    """Does the closed segment [p, q] meet the closed triangle abc?
+
+    The float coordinates become Fractions, so every decision is the exact
+    sign of an orientation determinant (Shewchuk, DCG 18, 1997).
+    """
+    p, q, a, b, c = ([Fraction(float(x)) for x in v] for v in (p, q, a, b, c))
+    op, oq = _orient3(a, b, c, p), _orient3(a, b, c, q)
+    if op * oq > 0:  # both ends strictly on one side of the plane
+        return False
+    if op == oq == 0:
+        # coplanar: drop an axis the plane's normal has a component on, and
+        # meet the triangle in 2D through an end inside it or an edge crossing
+        u, v = ([x - y for x, y in zip(w, a)] for w in (b, c))
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0])
+        k = next(i for i in range(3) if normal[i] != 0)
+        p, q, a, b, c = ([x for i, x in enumerate(w) if i != k] for w in (p, q, a, b, c))
+        return (_in_triangle_2d(p, a, b, c) or _in_triangle_2d(q, a, b, c)
+                or any(_segments_intersect_exact(p, q, s, t)
+                       for s, t in ((a, b), (b, c), (c, a))))
+    # the segment meets the plane in one point; it lies in the closed
+    # triangle iff the line pq passes each edge on one side or on it
+    s = [_orient3(p, q, a, b), _orient3(p, q, b, c), _orient3(p, q, c, a)]
+    return min(s) >= 0 or max(s) <= 0
+
+
+def _exact_hits(P, Q, simplex):
+    """Does each closed segment [P_i, Q_i] meet the closed simplex, exactly.
+
+    Closed boxes apart keep the closed sets apart, so only the rows whose
+    boxes meet go to the orientation predicates.
+    """
+    exact = _segments_intersect_exact if simplex.shape[1] == 2 else _seg_tri_intersect_exact
+    meet = (np.all(np.minimum(P, Q) <= simplex.max(axis=0), axis=1)
+            & np.all(np.maximum(P, Q) >= simplex.min(axis=0), axis=1))
+    return np.array([bool(m) and exact(p, q, *simplex) for m, p, q in zip(meet, P, Q)],
+                    dtype=bool)
+
+
 def brute_force_classify(grid, crack):
     """Literal re-implementation of the bad-cube definition.
 
     Every direction from every designated corner, for all cubes at once;
-    hits from the exact orientation predicates for n=2 and from the
-    all-pairs distance kernel (`_all_pairs_hits`) for n=3.
+    hits from `_exact_hits`.
     """
     n = grid.n
     Z = grid.cube_indices()
@@ -77,11 +135,9 @@ def brute_force_classify(grid, crack):
                 eta[i] = b
             corner = grid.h * (Z + grid.offset + eta)
             tip = corner + grid.h * e
-            if n == 2:
-                bad |= [any(_segments_intersect_exact(p, q, s[0], s[1])
-                            for s in crack.simplices) for p, q in zip(corner, tip)]
-            else:
-                bad |= _all_pairs_hits(corner, tip, crack, 1e-9 * grid.h)
+            for s in crack.simplices:
+                todo = ~bad
+                bad[todo] = _exact_hits(corner[todo], tip[todo], s)
     return {tuple(z) for z in Z[bad]}
 
 
@@ -138,6 +194,21 @@ def test_crack_surface_normals_are_not_an_argument():
 def test_crack_surface_rejects_degenerate():
     with pytest.raises(ValueError):
         CrackSurface(np.array([[[0.0, 0.0], [0.0, 0.0]]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_crack_surface_rejects_non_finite(value):
+    simplices = np.array([[[0.5, 0.0], [0.5, 1.0]], [[0.1, 0.8], [0.9, 0.2]]])
+    simplices[1, 0, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        CrackSurface(simplices)
+
+
+def test_crack_surface_load_rejects_non_finite(tmp_path):
+    path = tmp_path / "crack.txt"
+    path.write_text("0.5 0.0 0.5 0.0 1.0 0.0 0.5 1.0 nan\n")
+    with pytest.raises(ValueError, match="finite"):
+        CrackSurface.load(path, 3)
 
 
 def test_crack_surface_file_roundtrip(tmp_path):
@@ -202,15 +273,17 @@ def _all_pairs_hits(P, Q, crack, tol):
 
 
 @st.composite
-def _lattice_scene(draw):
+def _lattice_scene(draw, dims=(2, 3), shifts=(0.0, 0.5, -0.5, 3.0)):
     """A crack and query segments on the lattice h*Z^n, h dyadic.
 
     Small integer coordinates make touching endpoints, lattice points on
     the crack and collinear or coplanar pairs common; dyadic h keeps the
     kernels' arithmetic exact enough that no distance lands near tol
-    except by the deliberate sub-tol shifts.
+    except by the deliberate sub-tol shifts, drawn from `shifts` (in tol).
+    An n = 3 crack may hold a lattice square split along its diagonal, as
+    `axis_plane_crack` splits it, so lattice points fall on a shared edge.
     """
-    n = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from(dims))
     h = 2.0 ** -draw(st.integers(0, 6))
     ints = st.integers(0, 4)
     simplices = []
@@ -220,6 +293,11 @@ def _lattice_scene(draw):
         if n == 3 and draw(st.booleans()):
             verts[:, draw(st.integers(0, 2))] = draw(ints)  # axis-aligned plane
         simplices.append(verts)
+    if n == 3 and draw(st.booleans()):
+        a0, a1 = sorted(draw(st.lists(ints, min_size=2, max_size=2, unique=True)))
+        square = axis_plane_crack(3, draw(st.integers(0, 2)), draw(ints),
+                                  ((a0, a1), (a0, a1))).simplices
+        simplices = simplices[:draw(st.integers(0, 2))] + list(square)
     simplices = np.array(simplices)
     try:
         crack = CrackSurface(h * simplices)
@@ -240,7 +318,7 @@ def _lattice_scene(draw):
             p = v if anchor == "start" else v - L * e
         # near misses: shift the whole segment off the lattice by a few tol
         shift = np.zeros(n)
-        shift[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, 0.5, -0.5, 3.0]))
+        shift[draw(st.integers(0, n - 1))] = draw(st.sampled_from(shifts))
         P.append(h * p + tol * shift)
         Q.append(h * (p + L * e) + tol * shift)
     return np.array(P), np.array(Q), crack, tol
@@ -284,6 +362,27 @@ def test_segments_hit_crack_matches_all_pairs(scene):
     assert none.shape == (0,) and none.dtype == bool
 
 
+_DIAG = np.array([[0.0, 0.0, 0.0], [0.25, 0.25, 0.0], [0.5, 0.5, 0.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_scene(dims=(3,), shifts=(0.0,)))
+# lattice points on the shared diagonal of a split square: segments across
+# it, along it, and ending on it from above
+@example((np.vstack([_DIAG + [0.0, 0.0, -0.25], _DIAG, _DIAG + [0.0, 0.0, 0.25],
+                     _DIAG[:2] + [0.25, -0.25, 0.0]]),
+          np.vstack([_DIAG + [0.0, 0.0, 0.25], _DIAG + 0.25 * np.array([1.0, 1.0, 0.0]),
+                     _DIAG, _DIAG[:2] + [-0.25, 0.25, 0.0]]),
+          axis_plane_crack(3, 2, 0.0, ((0.0, 0.5), (0.0, 0.5))), 1e-12))
+def test_seg_tri_dist_matches_exact_oracle(scene):
+    # a crossing row returns 0 before the edge and endpoint candidates; every
+    # row agrees with the exact orientation predicates on the lattice
+    P, Q, crack, tol = scene
+    for tri in crack.simplices:
+        got = _seg_tri_dist(P, Q, np.broadcast_to(tri, (len(P),) + tri.shape)) <= tol
+        assert np.array_equal(got, _exact_hits(P, Q, tri))
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -312,38 +411,124 @@ def test_classify_matches_brute_force(crack, h, y):
     assert got and got == brute_force_classify(g, crack)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_classify_queries_each_edge_and_face_diagonal_once(n, monkeypatch):
-    # a crack outside the box leaves every cube good, so every cube is
-    # queried along each of its segments: the corner pairs of {0,1}^n one
-    # or two coordinates apart, each once and in one batch call
-    calls = []
-    kernel = geometry.segments_hit_crack
-
-    def recording(P, Q, crack, tol=1e-12):
-        calls.append((P, Q))
-        return kernel(P, Q, crack, tol)
-
-    monkeypatch.setattr(geometry, "segments_hit_crack", recording)
-    g = ShiftedGrid(n, 0.25, (0.3,) * n, (0.0,) * n, (1.0,) * n)
-    far = axis_plane_crack(n, 0, 5.0, ((0.0, 1.0),) * (n - 1))
-    assert classify_cubes(g, far).num_bad == 0
-    corners = list(itertools.product((0, 1), repeat=n))
-    expect = {frozenset((a, b)) for a, b in itertools.combinations(corners, 2)
-              if sum(x != y for x, y in zip(a, b)) <= 2}
-    assert len(calls) == len(expect) == {2: 6, 3: 24}[n]
-    cubes = g.corner(g.cube_indices())
-    segments = [frozenset(tuple(int(v) for v in np.rint((X - cubes[0]) / g.h))
-                          for X in (P[0], Q[0])) for P, Q in calls]
-    assert set(segments) == expect
-    assert all(P.shape == cubes.shape for P, Q in calls)
-
-
 def _arc(m):
     """m-segment circular arc, centre (0.5, 0.5), radius 0.3, upper half."""
     th = np.linspace(0.0, np.pi, m + 1)
     pts = np.stack([0.5 + 0.3 * np.cos(th), 0.5 + 0.3 * np.sin(th)], axis=-1)
     return CrackSurface(np.stack([pts[:-1], pts[1:]], axis=1))
+
+
+def _recorded_queries(monkeypatch):
+    """Record the (P, Q) of every `geometry.segments_hit_crack` call."""
+    calls = []
+    query = geometry.segments_hit_crack
+
+    def recording(P, Q, crack, tol=1e-12):
+        calls.append((P, Q))
+        return query(P, Q, crack, tol)
+
+    monkeypatch.setattr(geometry, "segments_hit_crack", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classify_queries_each_edge_and_face_diagonal_once(n, monkeypatch):
+    # the cubes of the crack's index windows are queried along each of their
+    # segments: the corner pairs of {0,1}^n one or two coordinates apart,
+    # each once and in one batch call; no other cube is queried
+    calls = _recorded_queries(monkeypatch)
+    g = ShiftedGrid(n, 0.125, (0.3,) * n, (0.0,) * n, (1.0,) * n)
+    crack = axis_plane_crack(n, 0, 0.5, ((0.25, 0.75),) * (n - 1))
+    c = classify_cubes(g, crack)
+    assert c.num_bad > 0
+    corners = list(itertools.product((0, 1), repeat=n))
+    expect = {frozenset((a, b)) for a, b in itertools.combinations(corners, 2)
+              if sum(x != y for x, y in zip(a, b)) <= 2}
+    assert len(calls) == len(expect) == {2: 6, 3: 24}[n]
+    # the first batch queries the culled cubes from their lower corners,
+    # strictly fewer than the cubes of the box
+    _, Z = geometry._near_cubes(g, crack, 1e-9 * g.h, np.ones(n))
+    assert np.array_equal(calls[0][0], g.corner(Z))
+    assert len(Z) < len(g.cube_indices())
+    assert {tuple(z) for z in c.bad_indices()} <= {tuple(z) for z in Z}
+    # a bad cube leaves the later batches; the first culled cube stays good,
+    # so it heads every batch and names each batch's segment
+    assert not c.bad_mask[tuple(Z[0] - c.zmin)]
+    first = g.corner(Z[:1])[0]
+    segments = [frozenset(tuple(int(v) for v in np.rint((X - first) / g.h))
+                          for X in (P[0], Q[0])) for P, Q in calls]
+    assert set(segments) == expect
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classify_cost_follows_the_crack(n, monkeypatch):
+    calls = _recorded_queries(monkeypatch)
+    h, y = 0.125, (0.3,) * n
+    # a crack outside the box: no query at all
+    far = axis_plane_crack(n, 0, 5.0, ((0.0, 1.0),) * (n - 1))
+    assert classify_cubes(ShiftedGrid(n, h, y, (0.0,) * n, (1.0,) * n), far).num_bad == 0
+    assert calls == []
+    # doubling the box at fixed h queries the same rows for the vertical crack
+    vert = axis_plane_crack(n, 0, 0.5, ((0.0, 1.0),) * (n - 1))
+    rows = []
+    for lo, hi in ((-0.5, 1.5), (-1.5, 2.5)):
+        calls.clear()
+        c = classify_cubes(ShiftedGrid(n, h, y, (lo,) * n, (hi,) * n), vert)
+        rows.append((sum(len(P) for P, _ in calls), c.num_bad))
+    assert rows[0] == rows[1] and rows[0][0] > 0
+
+
+def _all_cubes_reference(grid, crack):
+    """The bad mask, the jump energy and the directional cutoffs from
+    `segments_hit_crack` on every cube of the box."""
+    tol = 1e-9 * grid.h
+    zmin, zmax = grid.cube_window()
+    shape = tuple(zmax - zmin + 1)
+    corners = grid.corner(grid.cube_indices())
+    bad = np.zeros(len(corners), dtype=bool)
+    for a, e in geometry._cube_segments(grid.n):
+        C = corners + grid.h * a
+        bad |= segments_hit_crack(C, C + grid.h * e, crack, tol)
+    total, cutoffs = 0.0, []
+    for e in direction_set(grid.n).astype(float):
+        hits = segments_hit_crack(corners, corners + grid.h * e, crack, tol)
+        total += np.count_nonzero(hits) / (grid.h * np.linalg.norm(e))
+        cutoffs.append(~hits.reshape(shape))
+    return bad.reshape(shape), float(grid.h ** grid.n * total), cutoffs
+
+
+@st.composite
+def _cull_case(draw):
+    """A crack on the 1/8 lattice of [-1, 2]^n, so often partly or wholly
+    outside the unit box, and a dyadic grid over the box at offset 0 (lattice
+    points on the crack) or at a random offset."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(-8, 16), min_size=n, max_size=n)
+    verts = draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=3))
+    try:
+        crack = CrackSurface(np.array(verts, dtype=float) / 8)
+    except ValueError:  # a degenerate simplex
+        assume(False)
+    h = 2.0 ** -draw(st.integers(2, 4 if n == 2 else 3))
+    y = draw(st.one_of(st.just((0.0,) * n),
+                       st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * n)))
+    return ShiftedGrid(n, h, y, (0.0,) * n, (1.0,) * n), crack
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cull_case())
+@example((ShiftedGrid(2, 0.125, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0)), _arc(16)))
+@example((ShiftedGrid(3, 0.125, (0.0,) * 3, (0.0,) * 3, (1.0,) * 3), FLAT3))
+@example((ShiftedGrid(2, 0.25, (0.5, 0.5), (0.0, 0.0), (1.0, 1.0)),
+          axis_plane_crack(2, 0, 5.0, ((0.0, 1.0),))))
+def test_culled_queries_equal_the_all_cubes_reference(case):
+    grid, crack = case
+    bad, energy, cutoffs = _all_cubes_reference(grid, crack)
+    assert np.array_equal(classify_cubes(grid, crack).bad_mask, bad)
+    assert discrete_jump_energy(grid, crack) == energy
+    s = sample(lambda X: X, grid)
+    for e, cut in zip(direction_set(grid.n).astype(float), cutoffs):
+        assert np.array_equal(directional_strain(s, e, crack).cutoff, cut)
 
 
 @pytest.mark.parametrize("crack,kernel", [(_arc(64), "_seg_seg_dist"),

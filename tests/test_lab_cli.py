@@ -284,6 +284,17 @@ def test_cli_rejects_bad_flag_and_config_values(name, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["classify", "approximate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_a_non_finite_crack_file(command, value, tmp_path, capsys):
+    crack_path = tmp_path / "crack.txt"
+    crack_path.write_text(f"0.5 0.0 {value} 1.0\n")
+    assert run_cli([command, "--crack", str(crack_path), "--h", "0.0625"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_classify_runs_an_n3_config_with_the_default_plan(tmp_path, capsys):
     # the plate subcommands reject a plan of n - 2 entries; classify ignores it
     crack_path = tmp_path / "crack.txt"
