@@ -1,11 +1,12 @@
 """Bulk + surface energies: physical, rescaled, limit, and penalized variants.
 
 Every bulk term is the quadratic form the solver of :mod:`.minimize`
-minimizes: (1/2) w sum_c d_c . Q d_c, where d = S x are the per-cell rows
-of the stencil triplets S of :mod:`.kirchhoff_love` (`_derivative_operator`
-for displacements, `_hessian_operator` for the deflection) and Q is the
-cached form matrix `_form`.  Surface terms are sums of broken-face areas,
-weighted by the anisotropic factor phi_rho in the rescaled energy.
+minimizes: (1/2) w sum_c d_c . Q d_c, where d = S x, shape (ncell, k), are
+the per-cell rows that `_apply_stencil` reads off the stencil blocks S of
+:mod:`.kirchhoff_love` (`_derivative_operator` for displacements,
+`_hessian_operator` for the deflection) and Q is the cached form matrix
+`_form`.  Surface terms are sums of broken-face areas, weighted by the
+anisotropic factor phi_rho in the rescaled energy.
 """
 
 from __future__ import annotations
@@ -60,17 +61,6 @@ def _form(p: LameParams, rho: float | None = None) -> np.ndarray:
     return Q
 
 
-def _cell_rows(operator, x: np.ndarray, ncell: int, k: int) -> np.ndarray:
-    """Rows d = S x, shape (ncell, k), of the triplets operator() builds.
-
-    A zero x gives zero rows without building the stencil, as in the
-    solver's zero-data rule.
-    """
-    if not np.any(x):
-        return np.zeros((ncell, k))
-    return _apply_stencil(operator(), x.ravel(), ncell * k).reshape(ncell, k)
-
-
 def _bulk(d: np.ndarray, Q: np.ndarray, weight: float) -> float:
     """(1/2) weight sum_c d_c . Q d_c over the rows of d."""
     return 0.5 * weight * float(np.sum(np.einsum("ki,ij,kj->k", d, Q, d)))
@@ -99,8 +89,7 @@ def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
     g = v.grid
-    d = _cell_rows(lambda: _derivative_operator(g.shape, g.spacings, v.broken, g.n),
-                   v.values, int(np.prod(g.shape)), g.n * g.n)
+    d = _apply_stencil(_derivative_operator(g.shape, g.spacings, v.broken, g.n), v.values)
     surface = sum(np.count_nonzero(v.broken[a]) * v.broken_face_area(a) * phi_rho(rho, nu)
                   for a, nu in enumerate(np.eye(g.n)))
     return EnergyBreakdown(_bulk(d, _form(p, rho), g.cell_volume), float(surface))
@@ -141,10 +130,10 @@ def limit_energy(s: KLState, p: LameParams, layers: int | None = None) -> Energy
         raise ValueError("invalid Lame parameters")
     m = s.n - 1
     ps, h = tuple(s.plan_shape), s.plan_h
-    ncell = int(np.prod(ps))
-    dm = _cell_rows(lambda: _derivative_operator(ps, h, s.crack_cols, m),
-                    s.ubar, ncell, m * m)
-    dh = _cell_rows(lambda: _hessian_operator(ps, h, s.crack_cols), s.un, ncell, m * m)
+    dm = _apply_stencil(_derivative_operator(ps, h, s.crack_cols, m), s.ubar)
+    # a zero deflection has zero rows; its stencil is not built, as in the solver
+    dh = (_apply_stencil(_hessian_operator(ps, h, s.crack_cols), s.un) if np.any(s.un)
+          else np.zeros_like(dm))
     Q = _form(p)
     area = float(np.prod(h))
     if layers is None:

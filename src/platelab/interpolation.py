@@ -125,11 +125,11 @@ def _window_lookup(table: np.ndarray, zmin: np.ndarray, cells: tuple, fill):
     as tuple(base.T) for scattered cells or np.ix_ arrays for a tensor grid.
     """
     idx = [c - z for c, z in zip(cells, zmin)]
-    inside = True
+    out = table[tuple(np.clip(i, 0, k - 1) for i, k in zip(idx, table.shape))]
     for i, k in zip(idx, table.shape):
-        inside = inside & (i >= 0) & (i < k)
-    return np.where(inside, table[tuple(np.clip(i, 0, k - 1)
-                                        for i, k in zip(idx, table.shape))], fill)
+        # one axis at a time, so the gather is the only array of the full shape
+        np.copyto(out, fill, where=(i < 0) | (i >= k))
+    return out
 
 
 def interpolate(s: SampledField, X) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Displacements live at cell centers of a tensor grid over omega x (z_lo, z_hi);
 cracks are unions of cell faces, encoded by per-axis break-indicator arrays.
-The break-aware stencil triplets `_derivative_operator` and
-`_hessian_operator` are the one discretization that the solver of
-:mod:`.minimize` and the energies of :mod:`.energy` share.
+The break-aware stencils `_derivative_operator` and `_hessian_operator` are
+the one discretization that the solver of :mod:`.minimize` and the
+energies of :mod:`.energy` share.  A stencil is a pair of blocks (cols,
+vals) of shape (ncell, k, w): row r of cell c is the sum over its w slots
+of vals[c, r, s] x[cols[c, r, s]], and `_apply_stencil` evaluates it.
 The thickness layers use a midpoint layout symmetric about z = 0, so the
 x_n-odd part of a lifted field integrates to zero exactly.
 """
@@ -245,52 +247,52 @@ def cell_derivative(vals: np.ndarray, axis: int, h: float,
     return np.where(~bm & ~bp, cen, np.where(~bp, fwd, np.where(~bm, bwd, 0.0)))
 
 
-def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
-    """Stencil triplets (rows, cols, vals) of the map from cell dofs to
-    per-cell derivative matrices D[m, a].
+def _cell_blocks(cols: np.ndarray, vals: np.ndarray):
+    """Stencil blocks (cols, vals) of shape (ncell, k1*k2, w) from arrays of
+    shape (k1, k2, w, *cells).  The builders write row- and slot-major, one
+    contiguous plane of cells at a time, and transpose once here."""
+    k1, k2, w = cols.shape[:3]
+    return tuple(np.moveaxis(x, (0, 1, 2), (-3, -2, -1)).reshape(-1, k1 * k2, w)
+                 for x in (cols, vals))
 
-    Row ordering: cell * (ncomp*nd) + m*nd + a; forward quotients with
-    backward fallback at blocked plus-faces, zero when isolated.
+
+def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
+    """Stencil blocks (cols, vals), shape (ncell, ncomp*nd, 2), of the map
+    from cell dofs to per-cell derivative matrices D[m, a] in row m*nd + a.
+
+    Slot 0 holds the high point, slot 1 the low one: a forward quotient
+    (v[c+e_a] - v[c]) / h, a backward one (v[c] - v[c-e_a]) / h at a
+    blocked plus-face, zero weights when the cell is isolated along a.
     """
     nd = len(shape)
     flat = np.arange(int(np.prod(shape))).reshape(shape)
-    cell = flat.ravel()
-    rows, cols, data = [], [], []
+    cols = np.empty((ncomp, nd, 2) + flat.shape, dtype=int)
+    vals = np.empty(cols.shape)
     for a in range(nd):
         bm, bp = _face_blocked(shape, a, broken[a])
-        h = float(spacings[a])
-        plus = np.roll(flat, -1, axis=a).ravel()
-        minus = np.roll(flat, 1, axis=a).ravel()
-        fwd = np.flatnonzero(~bp)  # (v[c+e_a] - v[c]) / h
-        bwd = np.flatnonzero(bp & ~bm)  # (v[c] - v[c-e_a]) / h
+        hi = np.where(bp, flat, np.roll(flat, -1, axis=a))
+        lo = np.where(bp, np.roll(flat, 1, axis=a), flat)
+        w = np.where(bp & bm, 0.0, 1.0 / float(spacings[a]))
         for m in range(ncomp):
-            r = cell * (ncomp * nd) + m * nd + a
-            for idx, hi, lo in ((fwd, plus, cell), (bwd, cell, minus)):
-                rows += [r[idx], r[idx]]
-                cols += [hi[idx] * ncomp + m, lo[idx] * ncomp + m]
-                data += [np.full(idx.size, 1.0 / h), np.full(idx.size, -1.0 / h)]
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+            cols[m, a] = hi * ncomp + m, lo * ncomp + m
+            vals[m, a] = w, -w
+    return _cell_blocks(cols, vals)
 
 
 def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
-    """Stencil triplets (rows, cols, vals) of the map from un dofs to
-    per-cell Hessian entries H[a, b], row cell * nd*nd + a*nd + b.
+    """Stencil blocks (cols, vals), shape (ncell, nd*nd, 4), of the map from
+    un dofs to per-cell Hessian entries H[a, b] in row a*nd + b.
 
-    Centered second differences where both faces are open, one-sided shifted
-    stencils otherwise, zero rows where no admissible stencil exists.
+    A diagonal row is the centered second difference where both faces are
+    open, a one-sided shifted one otherwise, and zero where no admissible
+    stencil exists; its fourth slot has zero weight.  A mixed row holds the
+    four corners on cells centered along both axes, zero elsewhere.
     """
     nd = len(plan_shape)
     flat = np.arange(int(np.prod(plan_shape))).reshape(plan_shape)
-    cell = flat.ravel()
-    rows, cols, data = [], [], []
-
-    def add(r, mask, points, scale):
-        idx = np.flatnonzero(mask)
-        for at, w in points:
-            rows.append(r[idx])
-            cols.append(at.ravel()[idx])
-            data.append(np.full(idx.size, w / scale))
-
+    cols = np.empty((nd, nd, 4) + flat.shape, dtype=int)
+    cols[...] = flat
+    vals = np.zeros(cols.shape)
     for a in range(nd):
         bm, bp = _face_blocked(plan_shape, a, crack_cols[a])
         m2, m1, p1, p2 = (np.roll(flat, k, axis=a) for k in (2, 1, -1, -2))
@@ -298,26 +300,31 @@ def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
         # shifted forward: the plus-face of the plus neighbor is open too
         fwd = ~centered & ~bp & ~np.roll(bp, -1, axis=a)
         bwd = ~centered & ~fwd & ~bm & ~np.roll(bm, 1, axis=a)
-        r = cell * (nd * nd) + a * nd + a
         h2 = float(plan_h[a]) ** 2
-        add(r, centered, ((m1, 1.0), (flat, -2.0), (p1, 1.0)), h2)
-        add(r, fwd, ((flat, 1.0), (p1, -2.0), (p2, 1.0)), h2)
-        add(r, bwd, ((flat, 1.0), (m1, -2.0), (m2, 1.0)), h2)
+        # slots (m1, c, p1) centered, (c, p1, p2) forward, (c, m1, m2) backward
+        cols[a, a, 0] = np.where(centered, m1, flat)
+        cols[a, a, 1] = np.where(centered, flat, np.where(fwd, p1, m1))
+        cols[a, a, 2] = np.where(centered, p1, np.where(fwd, p2, m2))
+        on = centered | fwd | bwd
+        for slot, w in enumerate((1.0, -2.0, 1.0)):
+            vals[a, a, slot] = on * (w / h2)
         for b in range(a + 1, nd):
             # mixed second differences on cells centered in both axes
             bmb, bpb = _face_blocked(plan_shape, b, crack_cols[b])
-            corners = [(np.roll(np.roll(flat, -i, axis=a), -j, axis=b), 0.25 * i * j)
-                       for i, j in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+            mixed = centered & ~bmb & ~bpb
             hab = float(plan_h[a]) * float(plan_h[b])
-            for r_ab in (cell * (nd * nd) + a * nd + b, cell * (nd * nd) + b * nd + a):
-                add(r_ab, centered & ~bmb & ~bpb, corners, hab)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+            for slot, (i, j) in enumerate(((1, 1), (-1, -1), (1, -1), (-1, 1))):
+                corner = np.where(mixed, np.roll(np.roll(flat, -i, axis=a), -j, axis=b), flat)
+                cols[a, b, slot] = cols[b, a, slot] = corner
+                vals[a, b, slot] = vals[b, a, slot] = mixed * (0.25 * i * j / hab)
+    return _cell_blocks(cols, vals)
 
 
-def _apply_stencil(stencil, x: np.ndarray, nrows: int) -> np.ndarray:
-    """S x for the stencil triplets S = (rows, cols, vals) with nrows rows."""
-    rows, cols, vals = stencil
-    return np.bincount(rows, weights=vals * x[cols], minlength=nrows)
+def _apply_stencil(stencil, x: np.ndarray) -> np.ndarray:
+    """Rows d = S x, shape (ncell, k), of the stencil blocks S = (cols, vals):
+    d[c, r] = sum_s vals[c, r, s] x[cols[c, r, s]], added in slot order."""
+    cols, vals = stencil
+    return sum(np.moveaxis(vals * np.ravel(x)[cols], -1, 0))
 
 
 def cell_strains(u: PlateField) -> np.ndarray:
@@ -325,8 +332,7 @@ def cell_strains(u: PlateField) -> np.ndarray:
     symmetrized derivative matrices D of `_derivative_operator`."""
     g = u.grid
     n = g.n
-    D = _apply_stencil(_derivative_operator(g.shape, g.spacings, u.broken, n),
-                       u.values.ravel(), int(np.prod(g.shape)) * n * n)
+    D = _apply_stencil(_derivative_operator(g.shape, g.spacings, u.broken, n), u.values)
     D = D.reshape(g.shape + (n, n))  # D[..., m, a] = d u_m / d x_a
     return 0.5 * (D + np.swapaxes(D, -1, -2))
 

@@ -81,7 +81,7 @@ def recovery_sequence(s: KLState, p: LameParams, rho: float,
     coeff = -p.lam / (p.lam + 2.0 * p.mu)
     nd = s.n - 1
     slope = _apply_stencil(_derivative_operator(s.plan_shape, ph, s.crack_cols, 1),
-                           s.un.ravel(), s.un.size * nd).reshape(s.un.shape + (nd,))
+                           s.un).reshape(s.un.shape + (nd,))
     div_ubar = np.zeros(tuple(s.plan_shape))
     lap_un = np.zeros(tuple(s.plan_shape))
     for a in range(nd):

@@ -75,24 +75,18 @@ def empty_cracks(shape: tuple) -> CrackIndicator:
 def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):
     """Free block Kff and load b = -K_free,fixed x_fixed of the bulk quadratic.
 
-    K = weight * S^T (I kron Q) S for the stencil triplets S = (rows, cols,
-    vals) with row = cell * len(Q) + alpha, assembled cell by cell:
-    K[i, j] += weight * S[c alpha, i] Q[alpha, beta] S[c beta, j] over all
-    pairs of a cell's entries (cells padded to the widest stencil).  Only
-    pairs with a free row are kept; K itself is never formed.
+    K = weight * S^T (I kron Q) S for the stencil blocks S = (cols, vals)
+    of shape (ncell, k, w), k = len(Q), assembled cell by cell:
+    K[i, j] += weight * vals[c, a, s] Q[a, b] vals[c, b, t] with
+    i = cols[c, a, s] and j = cols[c, b, t], over all pairs of a cell's
+    k * w slots.  Only pairs with a free row and a nonzero value are kept,
+    so zero-weight slots drop out; K itself is never formed.
     """
-    rows, cols, vals = stencil
-    cell, alpha = np.divmod(rows, len(Q))
-    order = np.argsort(cell, kind="stable")
-    cell, alpha, cols, vals = cell[order], alpha[order], cols[order], vals[order]
-    counts = np.bincount(cell, minlength=1)
-    slot = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    pad = (counts.size, int(counts.max()))
-    A = np.zeros(pad, dtype=int)
-    J = np.zeros(pad, dtype=int)
-    V = np.zeros(pad)
-    A[cell, slot], J[cell, slot], V[cell, slot] = alpha, cols, vals
-    pair = (weight * V[:, :, None]) * Q[A[:, :, None], A[:, None, :]] * V[:, None, :]
+    cols, vals = stencil
+    ncell, k, w = vals.shape
+    A = np.repeat(np.arange(k), w)  # the row of each of a cell's slots
+    J, V = cols.reshape(ncell, k * w), vals.reshape(ncell, k * w)
+    pair = (weight * V[:, :, None]) * Q[A[:, None], A] * V[:, None, :]
     i = np.broadcast_to(J[:, :, None], pair.shape)
     j = np.broadcast_to(J[:, None, :], pair.shape)
 
@@ -149,8 +143,9 @@ def _solve_constrained(Kff, b):
 def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):
     """Minimize the bulk quadratic with x = fixed_vals on the fixed dofs.
 
-    operator() builds the stencil triplets; it is not called when every
-    clamped value is zero, since the zero field is then the minimizer.
+    operator() builds the stencil blocks (cols, vals) that
+    `_reduced_system` assembles; it is not called when every clamped value
+    is zero, since the zero field is then the minimizer.
     """
     x = np.where(fixed_mask, fixed_vals, 0.0)
     if not np.any(x):

@@ -33,7 +33,24 @@ def _on_segment(a, b, p):
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def _segments_intersect_exact(p, q, a, b):
+def _point_segment_sq_dist(p, a, b):
+    """Squared distance from the point p to the closed segment [a, b]."""
+    d = [y - x for x, y in zip(a, b)]
+    w = [y - x for x, y in zip(a, p)]
+    dd = d[0] * d[0] + d[1] * d[1]
+    t = min(max((w[0] * d[0] + w[1] * d[1]) / dd, 0), 1) if dd else 0
+    return (w[0] - t * d[0]) ** 2 + (w[1] - t * d[1]) ** 2
+
+
+def _segments_intersect_exact(p, q, a, b, tol=0.0):
+    """Does the closed segment [p, q] come within tol of the closed segment [a, b]?
+
+    The coordinates and tol become Fractions, so each orientation sign and
+    each squared distance is exact on any float input, not only on dyadic
+    ones.  tol = 0 asks whether the segments meet; two disjoint segments
+    are nearest at an endpoint of one of them.
+    """
+    p, q, a, b = ([Fraction(x) for x in v] for v in (p, q, a, b))
     d1 = _ccw(a, b, p)
     d2 = _ccw(a, b, q)
     d3 = _ccw(p, q, a)
@@ -41,8 +58,12 @@ def _segments_intersect_exact(p, q, a, b):
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 \
             and d3 != 0 and d4 != 0:
         return True
-    return (_on_segment(a, b, p) or _on_segment(a, b, q)
-            or _on_segment(p, q, a) or _on_segment(p, q, b))
+    if (_on_segment(a, b, p) or _on_segment(a, b, q)
+            or _on_segment(p, q, a) or _on_segment(p, q, b)):
+        return True
+    tol = Fraction(tol)
+    return tol > 0 and min(_point_segment_sq_dist(x, s, t) for x, s, t in
+                           ((p, a, b), (q, a, b), (a, p, q), (b, p, q))) <= tol * tol
 
 
 def _sign(x):
@@ -89,16 +110,23 @@ def _seg_tri_intersect_exact(p, q, a, b, c):
     return min(s) >= 0 or max(s) <= 0
 
 
-def _exact_hits(P, Q, simplex):
+def _exact_hits(P, Q, simplex, tol=0.0):
     """Does each closed segment [P_i, Q_i] meet the closed simplex, exactly.
 
-    Closed boxes apart keep the closed sets apart, so only the rows whose
-    boxes meet go to the orientation predicates.
+    A segment (n = 2) counts when it comes within tol, the closed-set
+    convention of `segments_hit_crack`; a triangle (n = 3) only when it
+    meets the segment.  Boxes more than tol apart keep the closed sets
+    more than tol apart, so only the other rows go to the exact predicates.
     """
-    exact = _segments_intersect_exact if simplex.shape[1] == 2 else _seg_tri_intersect_exact
-    meet = (np.all(np.minimum(P, Q) <= simplex.max(axis=0), axis=1)
-            & np.all(np.maximum(P, Q) >= simplex.min(axis=0), axis=1))
-    return np.array([bool(m) and exact(p, q, *simplex) for m, p, q in zip(meet, P, Q)],
+    if simplex.shape[1] == 2:
+        def exact(p, q):
+            return _segments_intersect_exact(p, q, *simplex, tol)
+    else:
+        def exact(p, q):
+            return _seg_tri_intersect_exact(p, q, *simplex)
+    meet = (np.all(np.minimum(P, Q) <= simplex.max(axis=0) + tol, axis=1)
+            & np.all(np.maximum(P, Q) >= simplex.min(axis=0) - tol, axis=1))
+    return np.array([bool(m) and exact(p, q) for m, p, q in zip(meet, P, Q)],
                     dtype=bool)
 
 
@@ -106,7 +134,9 @@ def brute_force_classify(grid, crack):
     """Literal re-implementation of the bad-cube definition.
 
     Every direction from every designated corner, for all cubes at once;
-    hits from `_exact_hits`.
+    hits from `_exact_hits`, within the classifier's tol for n = 2.  (The
+    segment (0.1, 0.8)-(0.9, 0.2) misses the lattice point (0.5, 0.5) by
+    3e-17 in binary; the classifier, at tol 1e-9 h, counts it.)
     """
     n = grid.n
     Z = grid.cube_indices()
@@ -137,7 +167,7 @@ def brute_force_classify(grid, crack):
             tip = corner + grid.h * e
             for s in crack.simplices:
                 todo = ~bad
-                bad[todo] = _exact_hits(corner[todo], tip[todo], s)
+                bad[todo] = _exact_hits(corner[todo], tip[todo], s, 1e-9 * grid.h)
     return {tuple(z) for z in Z[bad]}
 
 

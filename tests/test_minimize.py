@@ -9,7 +9,7 @@ from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
 from platelab import minimize
 from platelab.energy import (BoundaryDatum, EnergyBreakdown, penalized_energies,
                              stretch_datum)
-from platelab.kirchhoff_love import PlateGrid
+from platelab.kirchhoff_love import PlateGrid, _apply_stencil
 from platelab.minimize import (CrackIndicator, SolverConfig, _derivative_operator,
                                _hessian_operator, _clamped_cells, _reduced_solve,
                                _reduced_system, _solve_constrained,
@@ -189,11 +189,16 @@ def _stencil_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_stencil_case())
 def test_reduced_system_matches_dense_reference(case):
-    # Kff and b = -K_free,fixed x_fixed against K = w S^T (I kron Q) S, dense
+    # Kff and b = -K_free,fixed x_fixed against K = w S^T (I kron Q) S, dense,
+    # and the rows S x that the energies read against the same S
     stencil, Q, weight, fixed_mask, fixed_vals, ncell = case
-    rows, cols, vals = stencil
-    S = np.zeros((ncell * len(Q), fixed_mask.size))
-    np.add.at(S, (rows, cols), vals)
+    cols, vals = stencil
+    k, w = vals.shape[1:]
+    S = np.zeros((ncell * k, fixed_mask.size))
+    np.add.at(S, (np.repeat(np.arange(ncell * k), w), cols.ravel()), vals.ravel())
+    # the per-cell rows, zero-weight slots included, are S x in row cell * k + r
+    np.testing.assert_allclose(_apply_stencil(stencil, fixed_vals),
+                               (S @ fixed_vals).reshape(ncell, k), rtol=1e-13, atol=1e-13)
     K = weight * S.T @ np.kron(np.eye(ncell), Q) @ S
     free = ~fixed_mask
     Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, fixed_vals)
@@ -621,6 +626,36 @@ def test_winner_check_rejects_a_score_above_the_solved_field():
     state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((5,)), 1)
     assert np.flatnonzero(cracks.broken[0]).tolist() == [0]
     assert trace == [2.0, 1.0 + 5e-13 + 1e-6] and e.total == trace[-1]
+
+
+class _ExhaustibleProblem:
+    """A (2,) plan: its one column lowers the total by 3, each released
+    side by 2; every move is solved (score_moves gives None)."""
+
+    plan_shape = (2,)
+    column_area = [1.0]
+
+    def __init__(self):
+        self.offered = []
+
+    def solve(self, cracks):
+        cut = int(np.all(cracks.broken[0]))
+        return None, EnergyBreakdown(10.0 - 4.0 * cut - 2.0 * len(cracks.released),
+                                     float(cut))
+
+    def score_moves(self, cracks, moves):
+        self.offered.append(moves)
+        return None
+
+
+def test_greedy_search_stops_when_no_move_is_left():
+    # the column, then side 0 (tied with side 1, so the first), then side 1;
+    # the fourth round offers nothing and ends the search below the round cap
+    problem = _ExhaustibleProblem()
+    state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((2,)), 6)
+    assert problem.offered == [[(0, (0,)), (0, 0), (0, 1)], [(0, 0), (0, 1)], [(0, 1)]]
+    assert cracks.broken[0].tolist() == [True] and cracks.released == {(0, 0), (0, 1)}
+    assert trace == [10.0, 7.0, 5.0, 3.0] and e.total == 3.0
 
 
 def test_winner_keeps_its_solved_total_at_small_rho():
