@@ -20,6 +20,8 @@ from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
 
 # lattice points `sample` covers beyond the cube window on each side
 _SAMPLE_MARGIN = 2
+# grid points `ApproximantField.blocks` evaluates at once
+_BLOCK_POINTS = 2 ** 15
 
 
 @dataclass
@@ -48,15 +50,14 @@ def sample(v, grid: ShiftedGrid) -> SampledField:
     zmin, zmax = grid.cube_window()
     zmin = zmin - _SAMPLE_MARGIN
     zmax = zmax + 1 + _SAMPLE_MARGIN  # cube corners go one past the last cube index
-    axes = [np.arange(zmin[i], zmax[i] + 1) for i in range(grid.n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    Z = np.stack([g.ravel() for g in grids], axis=-1)
-    P = grid.corner(Z)
-    vals = np.asarray(v(P), dtype=float)
+    # the corners h (z + y) of each axis, as grid.corner computes them
+    axes = [grid.h * (np.arange(zmin[i], zmax[i] + 1) + grid.offset[i])
+            for i in range(grid.n)]
+    P = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    vals = np.asarray(v(P.reshape(-1, grid.n)), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    shape = tuple(len(a) for a in axes)
-    return SampledField(grid, zmin, vals.reshape(shape + (vals.shape[-1],)))
+    return SampledField(grid, zmin, vals.reshape(P.shape[:-1] + (vals.shape[-1],)))
 
 
 def _locate_axis(s: SampledField, a: int, x):
@@ -119,10 +120,11 @@ def _hat_gradient(s: SampledField, base: np.ndarray, frac: np.ndarray) -> np.nda
 
 
 def _window_lookup(table: np.ndarray, zmin: np.ndarray, cells: tuple, fill):
-    """table[cells - zmin] for cells inside the table's index window, else fill.
+    """table[cells - zmin] for scattered cells inside the table's index window,
+    else fill.
 
-    `cells` holds one integer index array per axis; they broadcast together,
-    as tuple(base.T) for scattered cells or np.ix_ arrays for a tensor grid.
+    `cells` holds one integer index array per axis, all of one length, as
+    tuple(base.T) gives them.
     """
     idx = [c - z for c, z in zip(cells, zmin)]
     out = table[tuple(np.clip(i, 0, k - 1) for i, k in zip(idx, table.shape))]
@@ -191,30 +193,53 @@ class ApproximantField:
         vals[_window_lookup(c.bad_mask, c.zmin, tuple(base.T), False)] = 0.0
         return vals
 
-    def on_grid(self, axes) -> np.ndarray:
+    def blocks(self, axes):
         """The approximant on the tensor product of the 1D coordinate arrays
-        `axes`, shape (*[len(a) for a in axes], ncomp).
+        `axes`, in blocks of consecutive indices of axes[0].
 
-        Each axis is located once, and the interpolant is n linear blends,
-        one per axis, of the sampled values.
+        Yields (rows, values): a slice of axes[0], and the approximant on
+        axes[0][rows] x axes[1] x ..., shape (len(axes[0][rows]),
+        *[len(a) for a in axes[1:]], ncomp).  A block holds at most
+        _BLOCK_POINTS grid points, and at least one index of axes[0].  Each
+        axis is located once per call; in a block the interpolant is n linear
+        blends, one per axis, of the sampled values, and the bad mask is read
+        with one take per axis.
         """
         s = self.source
-        located = [_locate_axis(s, a, x) for a, x in enumerate(axes)]
-        vals = s.values
-        for a, (base, frac) in enumerate(located):
-            i = base - s.zmin[a]
-            f = frac.reshape((-1,) + (1,) * (vals.ndim - a - 1))
-            # (1 - f) v_i + f v_{i+1}, in place: two grid-sized arrays, not four
-            lower = np.take(vals, i, axis=a)
-            lower *= 1.0 - f
-            upper = np.take(vals, i + 1, axis=a)
-            upper *= f
-            lower += upper
-            vals = lower
         c = self.classification
-        cells = np.ix_(*(b for b, _ in located))
-        vals[_window_lookup(c.bad_mask, c.zmin, cells, False)] = 0.0
-        return vals
+        n = s.grid.n
+        # per axis: window index of each base cell, its fraction shaped to
+        # broadcast along the later axes, and its cell in the padded bad mask
+        located = [_locate_axis(s, a, x) for a, x in enumerate(axes)]
+        per_axis = [(b - s.zmin[a], f.reshape((-1,) + (1,) * (n - 1 - a)),
+                     np.clip(b - c.zmin[a] + 1, 0, c.bad_mask.shape[a] + 1))
+                    for a, (b, f) in enumerate(located)]
+        # components first, so each blend's inner loop runs along a grid axis
+        table = np.ascontiguousarray(np.moveaxis(s.values, -1, 0))
+        # a layer of False around the mask stands for every cell outside it
+        bad = np.pad(c.bad_mask, 1)
+        step = max(1, _BLOCK_POINTS // max(1, int(np.prod([len(x) for x in axes[1:]]))))
+        for start in range(0, len(axes[0]), step):
+            rows = slice(start, start + step)
+            vals, mask = table, bad
+            block = [tuple(p[rows] for p in per_axis[0])] + per_axis[1:]
+            for a, (i, f, cell) in enumerate(block):
+                # (1 - f) v_i + f v_{i+1}, in place: two block-sized arrays, not four
+                lower = np.take(vals, i, axis=a + 1)
+                lower *= 1.0 - f
+                upper = np.take(vals, i + 1, axis=a + 1)
+                upper *= f
+                lower += upper
+                vals = lower
+                mask = np.take(mask, cell, axis=a)
+            np.copyto(vals, 0.0, where=mask)
+            yield rows, np.moveaxis(vals, 0, -1)
+
+    def on_grid(self, axes) -> np.ndarray:
+        """The approximant on the tensor product of the 1D coordinate arrays
+        `axes`, shape (*[len(a) for a in axes], ncomp): the blocks of
+        `blocks(axes)` joined along axis 0."""
+        return np.concatenate([vals for _, vals in self.blocks(axes)])
 
 
 def build_approximant(v, grid: ShiftedGrid, crack: CrackSurface | None,

@@ -289,15 +289,17 @@ def approximate_experiment(crack: CrackSurface, h_list, lo, hi) -> list:
         m = 4 * int(round((hi[0] - lo[0]) / h))
         axes = [np.linspace(V[0][a], V[1][a], m, endpoint=False)
                 + (V[1][a] - V[0][a]) / (2 * m) for a in range(n)]
-        vals = vk.on_grid(axes)
-        # v on the same grid, broadcast from the axes: x_1 plus the jump in
-        # component 0, zero in the others
-        grid_axes = np.ix_(*axes)
-        exceed = np.abs(vals[..., 0] - (grid_axes[0] + beyond(grid_axes))) > _EXCEED_TOL
-        for c in range(1, n):
-            exceed |= np.abs(vals[..., c]) > _EXCEED_TOL
+        misses = 0
+        for block, vals in vk.blocks(axes):
+            # v on the block, broadcast from its axes: x_1 plus the jump in
+            # component 0, zero in the others
+            grid_axes = np.ix_(axes[0][block], *axes[1:])
+            exceed = np.abs(vals[..., 0] - (grid_axes[0] + beyond(grid_axes))) > _EXCEED_TOL
+            for c in range(1, n):
+                exceed |= np.abs(vals[..., c]) > _EXCEED_TOL
+            misses += int(np.count_nonzero(exceed))
         cellvol = float(np.prod([(V[1][a] - V[0][a]) / m for a in range(n)]))
-        bad_measure = float(np.count_nonzero(exceed)) * cellvol
+        bad_measure = float(misses) * cellvol
         vol = float(np.prod([V[1][a] - V[0][a] for a in range(n)]))
         rows.append({"h": h, "exceed_measure": bad_measure,
                      "region_volume": vol,

@@ -29,6 +29,21 @@ def test_sample_reproduces_lattice_values():
     assert np.allclose(s.value(z), v(g.corner(z)))
 
 
+def test_sample_evaluates_the_field_at_the_lattice_corners():
+    # the points are the corners h (z + y) of the whole index window, in C
+    # order, equal to grid.corner's (h and y are not dyadic, so a different
+    # rounding would show)
+    g = ShiftedGrid(3, 0.1, (0.3, 0.7, 0.55), (-0.2, 0.0, 0.1), (0.9, 1.3, 0.6))
+    seen = []
+    s = sample(lambda X: seen.append(X) or X, g)
+    zmin, zmax = g.cube_window()
+    axes = [np.arange(a - 2, b + 4) for a, b in zip(zmin, zmax)]
+    Z = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert len(seen) == 1 and np.array_equal(seen[0], g.corner(Z))
+    assert np.array_equal(s.zmin, zmin - 2)
+    assert np.array_equal(s.value(Z), g.corner(Z))
+
+
 def test_sample_window_raises_outside():
     g = ShiftedGrid(2, 0.25, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
     s = sample(lambda X: np.atleast_2d(X)[:, :1], g)
@@ -317,6 +332,44 @@ def test_on_grid_matches_the_approximant_at_the_meshgrid_points(n, ncomp, h, see
         vk.on_grid(axes)
     with pytest.raises(ValueError, match="outside covered region"):
         vk(X)
+
+
+@pytest.mark.parametrize("n, ncomp, lengths", [
+    (2, 1, (1, 300)), (2, 2, (13, 300)), (2, 3, (250, 300)), (2, 1, (3, 40000)),
+    (3, 3, (1, 40, 40)), (3, 1, (7, 40, 40)), (3, 2, (45, 40, 40))])
+def test_blocks_join_to_the_approximant_at_the_meshgrid_points(n, ncomp, lengths):
+    # dyadic offset and points, so that both paths locate every point with
+    # the same exact fraction; the blends then agree bit for bit
+    rng = np.random.default_rng(sum(lengths) + ncomp)
+    h = 0.125
+    lo, hi = -2 * n * h, 1 + 2 * n * h
+    g = ShiftedGrid(n, h, tuple(rng.integers(0, 4, n) / 4), (lo,) * n, (hi,) * n)
+    # across the last axis, so that a single row of axis 0 meets bad cubes
+    crack = axis_plane_crack(n, n - 1, 0.5, ((lo - 1, hi + 1),) * (n - 1))
+    vk = build_approximant(lambda X: np.zeros((np.atleast_2d(X).shape[0], ncomp)),
+                           g, crack, ((0.0,) * n, (1.0,) * n))
+    s = SampledField(g, vk.source.zmin, rng.standard_normal(vk.source.values.shape))
+    vk = interpolation.ApproximantField(s, vk.classification, vk.region)
+    cells = np.array(s.values.shape[:-1]) - 1
+    # each axis starts at the crack's point (0.5, .., 0.5), then points anywhere
+    # in the covered cells
+    axes = [np.append(0.5, h * (s.zmin[a] + rng.integers(0, cells[a], k - 1) + g.offset[a]
+                                + rng.integers(0, 8, k - 1) / 8))
+            for a, k in enumerate(lengths)]
+    blocks = list(vk.blocks(axes))
+    # the blocks tile axes[0] in order, each index once; a grid that fits in
+    # one block is one block, and only a one-row block may exceed the bound
+    assert np.array_equal(np.concatenate([np.arange(lengths[0])[r] for r, _ in blocks]),
+                          np.arange(lengths[0]))
+    assert (len(blocks) > 1) == (np.prod(lengths) > interpolation._BLOCK_POINTS)
+    for _, vals in blocks:
+        assert vals.shape[1:] == lengths[1:] + (ncomp,)
+        assert vals.shape[0] == 1 or vals[..., 0].size <= interpolation._BLOCK_POINTS
+    got = np.concatenate([vals for _, vals in blocks])
+    X = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert np.array_equal(got, vk(X).reshape(got.shape))
+    assert np.array_equal(vk.on_grid(axes), got)
+    assert np.any(got == 0.0) and np.any(got != 0.0)
 
 
 def test_strain_bound_zero_over_zero_counts_as_zero():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -466,21 +467,49 @@ def test_approximate_experiment_counts_misses_as_the_stacked_meshgrid_does(
 
     def spy(v, grid, crack, V):
         vk = build(v, grid, crack, V)
-        on_grid = vk.on_grid
-        vk.on_grid = lambda axes: seen.append((v, axes, on_grid(axes))) or seen[-1][2]
+        blocks = vk.blocks
+
+        def recorded(axes):
+            seen.append((v, axes, list(blocks(axes))))
+            return iter(seen[-1][2])
+
+        vk.blocks = recorded
         return vk
 
     monkeypatch.setattr(interpolation, "build_approximant", spy)
+    # blocks small enough that each grid takes several, of one row in 3D
+    monkeypatch.setattr(interpolation, "_BLOCK_POINTS", 1000)
     crack = CrackSurface(np.array([simplex], dtype=float))
     n = crack.n
     rows = lab.approximate_experiment(crack, [1.0 / 16, 1.0 / 32] if n == 2 else [1.0 / 8],
                                       (0.0,) * n, (1.0,) * n)
     assert len(seen) == len(rows)
-    for row, (v, axes, vals) in zip(rows, seen):
+    for row, (v, axes, blocks) in zip(rows, seen):
+        # the blocks tile axes[0] in order, each index once
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate([np.arange(len(axes[0]))[r] for r, _ in blocks]),
+                              np.arange(len(axes[0])))
+        vals = np.concatenate([b for _, b in blocks])
         X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
         misses = np.any(np.abs(vals.reshape(X.shape) - v(X)) > lab._EXCEED_TOL, axis=1)
         assert 0 < np.count_nonzero(misses) < X.shape[0]
         assert round(row["exceed_fraction"] * X.shape[0]) == np.count_nonzero(misses)
+
+
+@pytest.mark.parametrize("n, h, lo, hi", [(2, 1.0 / 128, -0.5, 1.5), (3, 1.0 / 32, 0.0, 1.0)],
+                         ids=["vertical-2d", "flat-3d"])
+def test_approximate_experiment_memory_stays_bounded(n, h, lo, hi):
+    # the midpoint grid holds 1024^2 (2D) or 128^3 (3D) points; evaluated in
+    # blocks, the traced peak stays far below one full-grid array of
+    # components (16 MB in 2D, 50 MB in 3D)
+    crack = axis_plane_crack(n, 0, 0.5, ((0.0, 1.0),) * (n - 1))
+    tracemalloc.start()
+    try:
+        lab.approximate_experiment(crack, [h], (lo,) * n, (hi,) * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_approximate_field_puts_points_on_an_oblique_crack_plane_on_side_zero(monkeypatch):
