@@ -140,11 +140,6 @@ def interpolate(s: SampledField, X) -> np.ndarray:
     return _hat(s.values, base - s.zmin + frac)
 
 
-def interpolant_gradient(s: SampledField, X) -> np.ndarray:
-    """Exact gradient of the multilinear interpolant, shape (k, ncomp, n)."""
-    return _hat_gradient(s, *_locate(s, X))
-
-
 @dataclass
 class DirectionalStrainField:
     """Per-cube difference-quotient strains in one lattice direction."""
@@ -246,10 +241,14 @@ def build_approximant(v, grid: ShiftedGrid, crack: CrackSurface | None,
                       V: tuple) -> ApproximantField:
     """Sample v, classify cubes against the crack, and assemble the approximant.
 
-    V = (lo, hi) must sit inside the grid box with margin at least 2 n h.
+    V = (lo, hi) must have lo < hi on every axis and sit inside the grid box
+    with margin at least 2 n h.
     """
     lo = np.asarray(V[0], dtype=float)
     hi = np.asarray(V[1], dtype=float)
+    if not np.all(lo < hi):
+        raise ValueError(f"evaluation region V is empty or inverted: lo {lo.tolist()}, "
+                         f"hi {hi.tolist()}")
     blo = np.asarray(grid.lo, dtype=float)
     bhi = np.asarray(grid.hi, dtype=float)
     margin = 2 * grid.n * grid.h

@@ -5,12 +5,11 @@ piece of the stiffness's graph that the clamped values do not load stays
 zero; the loaded pieces are minimized by one sparse LU solve.  Each round
 of crack activation offers moves, every open vertical face column and
 every unreleased side, and keeps the best strict improvement.  One greedy
-search loop serves the rescaled and the limit problem.  On a 1D plan
-every move of a round is scored in closed form: after a move no piece
-holds two clamp columns, and a clamp column of a lifted datum is a rigid
-motion, so each piece is zero, a clamp column alone, or that column
-continued rigidly at zero strain.  The round's winner is then solved once
-for its state, which also checks the score.
+search loop serves the rescaled and the limit problem.  On a 1D plan no
+piece holds two clamp columns after any move, so every move's total is
+the energy of its rigid state: each piece zero, or its clamp column's
+datum continued rigidly at zero strain.  The round's winner is then
+solved once for its state, which also checks the score.
 """
 
 from __future__ import annotations
@@ -18,12 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elasticity import LameParams
-from .energy import (BoundaryDatum, EnergyBreakdown, _form, penalized_energies,
-                     rescaled_energy)
+from .energy import BoundaryDatum, EnergyBreakdown, _form, penalized_energies
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
                              _check_plan, _empty_breaks, _hessian_operator, _plan_h,
                              _plan_points, _side, reduced_gradient)
@@ -82,6 +78,8 @@ def _reduced_system(stencil, Q: np.ndarray, weight: float, fixed_mask, fixed_val
     k * w slots.  Only pairs with a free row and a nonzero value are kept,
     so zero-weight slots drop out; K itself is never formed.
     """
+    import scipy.sparse as sp  # loaded here, not by `import platelab`
+
     cols, vals = stencil
     ncell, k, w = vals.shape
     A = np.repeat(np.arange(k), w)  # the row of each of a cell's slots
@@ -116,6 +114,7 @@ def _solve_constrained(Kff, b):
     least-squares solution, and RuntimeError when that misses the load.
     """
     # loaded here, at the first solve, not by `import platelab`
+    import scipy.sparse.linalg as spla
     from scipy.sparse.csgraph import connected_components
 
     y = np.zeros(b.size)
@@ -159,25 +158,6 @@ def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask, fixed
 # moves of a 1D plan
 
 
-def _cut_bulks(ends, broken) -> np.ndarray:
-    """Minimum bulk after cutting each unbroken face of a 1D chain of columns.
-
-    ends: the bulks of the first and of the last column alone with their
-    clamped values (0 for a released side); broken: flags of the faces
-    between columns (entry k for the face after column k).
-
-    A cut leaves the two clamp columns in different pieces, and the clamp
-    column of a lifted datum, (ubar - z grad_un, un) at one plan point, is a
-    rigid motion: the free columns of its piece continue it at zero strain,
-    and a piece with no clamp is zero.  So a piece scores only when it is a
-    clamp column alone: the first column when the cut or an earlier break is
-    face 0, the last when the cut or a later break is face N - 2.
-    """
-    k = np.arange(broken.size)
-    return (ends[0] * ((k == 0) | broken[0])
-            + ends[1] * ((k == broken.size - 1) | broken[-1]))
-
-
 def _piece_clamps(broken, released) -> np.ndarray:
     """The clamp column in the piece of each column of a 1D chain, or -1.
 
@@ -196,21 +176,31 @@ def _piece_clamps(broken, released) -> np.ndarray:
 def _line_scores(problem, cracks: CrackIndicator, moves) -> np.ndarray:
     """Exact total of each move of a 1D plan, with no solve.
 
-    Cuts are problem._cut_totals(cracks).  A release leaves no piece with
-    two clamp columns (a break already parts them, or the release drops
-    one), so its minimizer is problem._rigid_state(broken, released), the
-    field of each piece fixed by the piece's clamp column alone, and its
-    total is that state's energy.
+    After any move no piece holds two clamp columns: a through-cut parts
+    the chain's ends and a release drops one.  So a move's minimizer is
+    problem._rigid_state(broken, released), the field of each piece fixed
+    by its clamp column alone, and its total is that state's energy.  A
+    cut adds one whole column of faces, and its pieces are zero, a clamp
+    column alone, or a clamp column continued at zero strain; so its total
+    depends only on whether it leaves the first column alone and whether
+    it leaves the last one alone.  A broken end face leaves its column
+    alone after every cut, so among the open faces that is decided by
+    whether the cut is the first or the last face.  One cut of each kind
+    is evaluated and its total reused.
     """
-    cuts = None
+    kinds = {}  # (first face, last face) -> total
     totals = []
-    for _, where in moves:
+    for axis, where in moves:
         if isinstance(where, tuple):
-            if cuts is None:
-                cuts = problem._cut_totals(cracks)
-            totals.append(cuts[where[0]])
+            kind = (where[0] == 0, where[0] == len(cracks.broken[axis]) - 1)
+            if kind not in kinds:
+                broken = [b.copy() for b in cracks.broken]
+                broken[axis][where] = True
+                kinds[kind] = problem._energy(
+                    problem._rigid_state(broken, cracks.released)).total
+            totals.append(kinds[kind])
         else:
-            state = problem._rigid_state(cracks.broken, cracks.released | {(0, where)})
+            state = problem._rigid_state(cracks.broken, cracks.released | {(axis, where)})
             totals.append(problem._energy(state).total)
     return np.array(totals, dtype=float)
 
@@ -346,28 +336,6 @@ class _FilmProblem:
         """Totals of `moves` by `_line_scores` (None on a 2D plan)."""
         return _line_scores(self, cracks, moves) if self.grid.n == 2 else None
 
-    def _cut_totals(self, cracks: CrackIndicator) -> np.ndarray:
-        """Totals of the through-cuts of a 1D plan.
-
-        Surface and penalty are those of the field that is the datum on the
-        clamped cells and zero elsewhere: after any cut a released side lies
-        in a piece with no clamp, whose field is zero.  (The penalty's trace
-        tolerance scales with the largest clamped value, the field's maximum
-        for a translation datum such as a stretch.)  The bulk is that of the
-        clamp columns a cut leaves alone (`_cut_bulks`).
-        """
-        grid = self.grid
-        clamped = _clamped_cells(grid.shape, 1, cracks.released)[..., None]
-        datum = np.where(clamped, _datum_values(grid, self.g), 0.0)
-        e = self._energy(PlateField(grid, datum, cracks.broken))
-        apart = [np.ones_like(cracks.broken[0]), *cracks.broken[1:]]
-        ends = [rescaled_energy(PlateField(grid, np.where(end[:, None, None], datum, 0.0),
-                                           apart), self.p, self.rho).bulk
-                for end in (_clamped_cells(grid.plan_shape, 1, {(0, 1 - side)})
-                            for side in (0, 1))]
-        bulk = _cut_bulks(ends, np.all(cracks.broken[0], axis=1))
-        return bulk + (e.surface + self.column_area[0]) + e.boundary_penalty
-
     def _rigid_state(self, broken, released) -> PlateField:
         """The film on a 1D plan whose every piece holds at most one clamp column.
 
@@ -465,22 +433,6 @@ class _LimitProblem:
         if np.any(np.asarray(self.g.un(self.points), dtype=float).reshape(-1)[fixed]):
             return None
         return _line_scores(self, cracks, moves)
-
-    def _cut_totals(self, cracks: CrackIndicator) -> np.ndarray:
-        """Totals of the through-cuts of a 1D plan with zero un clamps.
-
-        Every piece a cut leaves has zero bulk (`_cut_bulks`; a lone cell
-        has no membrane strain).  Surface and penalty are those of the state
-        whose ubar is the datum on the clamped cells and zero elsewhere:
-        after any cut a released side lies in a piece with no clamp, whose
-        field is zero, and by the maximum principle of the membrane no value
-        exceeds the clamps.
-        """
-        N = self.plan_shape[0]
-        fixed = _clamped_cells(self.plan_shape, 1, cracks.released)
-        e = self._energy(self._state(np.where(fixed[:, None], self._ubar(), 0.0),
-                                     cracks.broken))
-        return np.full(N - 1, (e.surface + self.column_area[0]) + e.boundary_penalty)
 
     def _rigid_state(self, broken, released) -> KLState:
         """The state with zero un on a 1D plan whose every piece holds at most

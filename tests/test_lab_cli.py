@@ -296,6 +296,24 @@ def test_cli_rejects_a_non_finite_crack_file(command, value, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n, h", [(2, "0.25"), (3, "0.125")])
+def test_cli_approximate_rejects_an_h_that_leaves_no_region(n, h, tmp_path, capsys):
+    # V is the box less a margin of 2 n h on each side: inverted in 2D at
+    # h = 1/4 and in 3D at h = 1/8, an input error rather than a traceback
+    # or a negative region volume
+    crack = axis_plane_crack(n, 0, 0.5, ((0.0, 1.0),) * (n - 1))
+    crack_path = tmp_path / "crack.txt"
+    crack.save(crack_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = {n}\n")
+    assert run_cli(["approximate", "--config", str(cfg), "--crack", str(crack_path),
+                    "--h", h]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "region V" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_classify_runs_an_n3_config_with_the_default_plan(tmp_path, capsys):
     # the plate subcommands reject a plan of n - 2 entries; classify ignores it
     crack_path = tmp_path / "crack.txt"
@@ -406,12 +424,12 @@ def test_module_entry_point_runs_under_warnings_as_errors():
 def test_import_loads_no_scipy_ndimage_or_special():
     # every CLI run pays for what `import platelab` loads; scipy.ndimage and
     # the scipy.special it pulls in were most of it, and the solver loads
-    # scipy.sparse.csgraph only at its first solve
+    # scipy.sparse only at its first solve
     src = str(Path(lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     probe = ("import sys, platelab, platelab.cli; print(' '.join(m for m in sys.modules"
-             " if m.startswith(('scipy.ndimage', 'scipy.special', 'scipy.sparse.csgraph'))))")
+             " if m.startswith(('scipy.ndimage', 'scipy.special', 'scipy.sparse'))))")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -481,7 +499,7 @@ def test_approximate_experiment_counts_misses_as_the_stacked_meshgrid_does(
     monkeypatch.setattr(interpolation, "_BLOCK_POINTS", 1000)
     crack = CrackSurface(np.array([simplex], dtype=float))
     n = crack.n
-    rows = lab.approximate_experiment(crack, [1.0 / 16, 1.0 / 32] if n == 2 else [1.0 / 8],
+    rows = lab.approximate_experiment(crack, [1.0 / 16, 1.0 / 32] if n == 2 else [1.0 / 16],
                                       (0.0,) * n, (1.0,) * n)
     assert len(seen) == len(rows)
     for row, (v, axes, blocks) in zip(rows, seen):

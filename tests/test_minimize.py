@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -428,6 +429,16 @@ def test_score_moves_matches_per_candidate_solves(case):
     assert len(scores) == len(moves)
     for score, total in zip(scores, _solved_totals(problem, cracks, moves)):
         assert abs(score - total) <= max(1e-10 * abs(total), 1e-12 * max(1.0, abs(total)))
+    # a cut's total depends only on which end columns it leaves alone, so
+    # reusing one cut's total per kind matches every cut's own rigid state
+    for score, (axis, where) in zip(scores, moves):
+        cand = cracks.copy()
+        if isinstance(where, tuple):
+            cand.broken[axis][where] = True
+        else:
+            cand.released.add((axis, where))
+        E = problem._energy(problem._rigid_state(cand.broken, cand.released)).total
+        assert abs(score - E) <= 1e-12 * max(1.0, abs(E))
 
 
 def _bent_film_scores(layers, released, prebroken):
@@ -579,13 +590,13 @@ def test_alternate_minimize_factors_at_most_twice(monkeypatch):
     # one initial solve and the round-1 winner's; every move of both rounds
     # is scored in closed form
     calls = []
-    splu = minimize.spla.splu
+    splu = spla.splu
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(minimize.spla, "splu", counting)
+    monkeypatch.setattr(spla, "splu", counting)
     grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
     u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.05,
                                              SolverConfig())
