@@ -1,6 +1,6 @@
 """Command-line front end: experiment dispatch, config parsing, CSV output.
 
-Exit codes: 0 success, 1 validation/input error, 2 solver failure.
+Exit codes: 0 success or --help; 1 input or usage error, or a closed stdout; 2 solver failure.
 """
 
 from __future__ import annotations
@@ -17,18 +17,6 @@ from .geometry import CrackSurface
 from .minimize import SolverConfig
 
 
-# flags each subcommand reads; any other flag given is an error
-_FLAGS = {
-    "classify": ("seed", "h", "crack"),
-    "jump-energy": ("seed", "h", "crack"),
-    "approximate": ("h", "crack"),
-    "recover": ("rho", "datum"),
-    "liminf": ("rho", "datum"),
-    "minimize": ("datum",),
-    "sweep": ("rho", "datum"),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, an input error, not argparse's 2."""
 
@@ -37,50 +25,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="platelab",
-        description="Numerical experiments for thin-plate fracture energies.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("classify", "bad-cube classification statistics for a crack"),
-        ("jump-energy", "Monte Carlo discrete jump energy over grid offsets"),
-        ("approximate", "approximant accuracy across an h schedule"),
-        ("recover", "recovery-sequence energy sweep over rho"),
-        ("liminf", "lower-bound margins for the recovery family"),
-        ("minimize", "single minimization of the reduced or rescaled energy"),
-        ("sweep", "minima-convergence sweep over rho"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--seed", help="global RNG seed")
-        p.add_argument("--h", help="grid spacing")
-        p.add_argument("--rho", help="thickness parameter")
-        p.add_argument("--crack", help="crack surface text file")
-        p.add_argument("--datum", help="boundary datum, e.g. stretch:0.5")
-    return ap
-
-
-def _make_config(args) -> lab.ExperimentConfig:
-    """The config file's mapping with each given flag as one more entry, validated once."""
-    for flag in ("seed", "h", "rho", "crack", "datum"):
-        if getattr(args, flag) is not None and flag not in _FLAGS[args.command]:
-            raise ValueError(f"--{flag} is not used by {args.command}")
-    mapping = {}
-    if args.config:
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(f"config file not found: {args.config}")
-        mapping = lab.load_config(args.config)
-    stretch = None
-    if args.datum is not None:
-        kind, _, stretch = args.datum.partition(":")
-        if kind != "stretch":
-            raise ValueError(f"unsupported datum spec: {args.datum}")
-    flags = {"out": args.out, "seed": args.seed, "h": args.h, "rho_list": args.rho,
-             "crack_path": args.crack, "stretch": stretch}
-    mapping.update((k, v) for k, v in flags.items() if v is not None)
-    return lab.config_from_mapping(mapping)
+# each flag a subcommand may read: the config key it sets (its dest) and its help
+_FLAG_ARGS = {"seed": ("seed", "global RNG seed"), "h": ("h", "grid spacing"),
+              "rho": ("rho_list", "thickness parameter"),
+              "crack": ("crack_path", "crack surface text file"),
+              "datum": ("stretch", "boundary datum, e.g. stretch:0.5")}
 
 
 def _load_crack(cfg: lab.ExperimentConfig) -> CrackSurface:
@@ -95,61 +44,111 @@ def _box(cfg):
     return (0.0,) * cfg.n, (1.0,) * cfg.n
 
 
-def _dispatch(command: str, cfg: lab.ExperimentConfig) -> list:
-    if command == "classify":
-        crack = _load_crack(cfg)
-        lo, hi = _box(cfg)
-        return lab.classify_experiment(crack, cfg.h, lo, hi, seed=cfg.seed,
-                                       samples=min(cfg.samples, 20))
-    if command == "jump-energy":
-        crack = _load_crack(cfg)
-        lo, hi = _box(cfg)
-        return lab.jump_energy_experiment(crack, cfg.h, lo, hi,
-                                          samples=cfg.samples, seed=cfg.seed)
-    if command == "approximate":
-        crack = _load_crack(cfg)
-        lo, hi = _box(cfg)
-        base = cfg.h
-        return lab.approximate_experiment(crack, [base, base / 2, base / 4], lo, hi)
-    if command == "recover":
-        s = lab.membrane_crack_state(cfg.stretch, cfg.plan,
-                                     cfg.omega_lo, cfg.omega_hi, cfg.n)
-        return lab.recovery_sweep(s, cfg.lame, cfg.rho_list, layers=cfg.layers)
-    if command == "liminf":
-        s = lab.membrane_crack_state(cfg.stretch, cfg.plan,
-                                     cfg.omega_lo, cfg.omega_hi, cfg.n)
+def _membrane(cfg):
+    return lab.membrane_crack_state(cfg.stretch, cfg.plan, cfg.omega_lo, cfg.omega_hi, cfg.n)
 
-        def family(rho):
-            return lab.recovery_sequence(s, cfg.lame, rho, np.sqrt(rho),
-                                         layers=cfg.layers)
 
-        return lab.liminf_probe(family, s, cfg.lame, cfg.rho_list)
-    if command == "minimize":
-        g = stretch_datum(cfg.stretch, cfg.n)
-        scfg = SolverConfig()
-        s, cracks, e, trace = lab.minimize_limit(cfg.plan, cfg.omega_lo,
-                                                 cfg.omega_hi, g, cfg.lame, scfg)
-        cracked = any(np.any(c) for c in cracks.broken) or bool(cracks.released)
-        return [{"stretch": cfg.stretch, "bulk": e.bulk, "surface": e.surface,
-                 "penalty": e.boundary_penalty, "total": e.total,
-                 "cracked": int(cracked), "rounds": len(trace)}]
-    # sweep: argparse admits no other subcommand
-    g = stretch_datum(cfg.stretch, cfg.n)
-    return lab.minima_sweep(g, cfg.lame, cfg.rho_list, cfg.plan,
-                            cfg.omega_lo, cfg.omega_hi,
-                            layers=cfg.layers, cfg=SolverConfig())
+def _datum(cfg):
+    return stretch_datum(cfg.stretch, cfg.n)
+
+
+def _liminf(cfg):
+    s = _membrane(cfg)
+    return lab.liminf_probe(
+        lambda rho: lab.recovery_sequence(s, cfg.lame, rho, np.sqrt(rho), layers=cfg.layers),
+        s, cfg.lame, cfg.rho_list)
+
+
+def _minimize(cfg):
+    s, cracks, e, trace = lab.minimize_limit(cfg.plan, cfg.omega_lo, cfg.omega_hi, _datum(cfg),
+                                             cfg.lame, SolverConfig())
+    cracked = any(np.any(c) for c in cracks.broken) or bool(cracks.released)
+    return [{"stretch": cfg.stretch, "bulk": e.bulk, "surface": e.surface,
+             "penalty": e.boundary_penalty, "total": e.total,
+             "cracked": int(cracked), "rounds": len(trace)}]
+
+
+# each subcommand: its help, the _FLAG_ARGS it reads, and its driver from the
+# validated ExperimentConfig to CSV rows
+_COMMANDS = {
+    "classify": (
+        "bad-cube classification statistics for a crack", ("seed", "h", "crack"),
+        lambda cfg: lab.classify_experiment(_load_crack(cfg), cfg.h, *_box(cfg),
+                                            seed=cfg.seed, samples=min(cfg.samples, 20))),
+    "jump-energy": (
+        "Monte Carlo discrete jump energy over grid offsets", ("seed", "h", "crack"),
+        lambda cfg: lab.jump_energy_experiment(_load_crack(cfg), cfg.h, *_box(cfg),
+                                               samples=cfg.samples, seed=cfg.seed)),
+    "approximate": (
+        "approximant accuracy across an h schedule", ("h", "crack"),
+        lambda cfg: lab.approximate_experiment(_load_crack(cfg), [cfg.h, cfg.h / 2, cfg.h / 4],
+                                               *_box(cfg))),
+    "recover": (
+        "recovery-sequence energy sweep over rho", ("rho", "datum"),
+        lambda cfg: lab.recovery_sweep(_membrane(cfg), cfg.lame, cfg.rho_list,
+                                       layers=cfg.layers)),
+    "liminf": ("lower-bound margins for the recovery family", ("rho", "datum"), _liminf),
+    "minimize": ("single minimization of the reduced or rescaled energy", ("datum",), _minimize),
+    "sweep": (
+        "minima-convergence sweep over rho", ("rho", "datum"),
+        lambda cfg: lab.minima_sweep(_datum(cfg), cfg.lame, cfg.rho_list, cfg.plan, cfg.omega_lo,
+                                     cfg.omega_hi, layers=cfg.layers, cfg=SolverConfig())),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: `--h` would otherwise match `--help` on a subcommand without --h
+    ap = _Parser(prog="platelab", allow_abbrev=False,
+                 description="Numerical experiments for thin-plate fracture energies.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (helptext, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--out", help="output CSV path")
+        for flag in flags:
+            dest, flaghelp = _FLAG_ARGS[flag]
+            p.add_argument(f"--{flag}", dest=dest, metavar=flag.upper(), help=flaghelp)
+    return ap
+
+
+def _make_config(args, unused) -> lab.ExperimentConfig:
+    """The config file's mapping with each given flag as one more entry, validated
+    once.  `unused` are argparse's leftovers: flags this subcommand does not read."""
+    if unused:
+        raise ValueError(f"{unused[0].partition('=')[0]} is not used by {args.command}")
+    mapping = {}
+    if args.config:
+        if not os.path.exists(args.config):
+            raise FileNotFoundError(f"config file not found: {args.config}")
+        mapping = lab.load_config(args.config)
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config")}
+    if "stretch" in flags:
+        kind, _, flags["stretch"] = flags["stretch"].partition(":")
+        if kind != "stretch":
+            raise ValueError(f"unsupported datum spec: {args.stretch}")
+    mapping.update(flags)
+    return lab.config_from_mapping(mapping)
 
 
 def run_cli(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _make_config(args)
-        rows = _dispatch(args.command, cfg)
+        args, unused = _build_parser().parse_known_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already printed
+        return exc.code
+    try:
+        cfg = _make_config(args, unused)
+        rows = _COMMANDS[args.command][2](cfg)
         if cfg.out:
             lab.write_csv(rows, cfg.out)
             print(f"wrote {len(rows)} rows to {cfg.out}")
         else:
             lab.write_rows(rows, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the exit flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -140,16 +140,29 @@ def rescale_strain(E: np.ndarray, rho: float) -> np.ndarray:
     """Map the strain of the rescaled field to e^rho.
 
     In-plane entries unchanged, (alpha, n) entries divided by rho and the
-    (n, n) entry by rho^2.
+    (n, n) entry by rho^2.  E is one n x n matrix or a (..., n, n) stack.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     E = np.asarray(E, dtype=float)
     out = E.copy()
-    out[:-1, -1] /= rho
-    out[-1, :-1] /= rho
-    out[-1, -1] /= rho ** 2
+    out[..., :-1, -1] /= rho
+    out[..., -1, :-1] /= rho
+    out[..., -1, -1] /= rho ** 2
     return out
+
+
+def _scaled_transverse(f, scale):
+    """x -> f(x) with scale applied to the last coordinate of x and of f(x)."""
+
+    def g(x):
+        y = np.array(x, dtype=float)
+        y[..., -1] = scale(y[..., -1])
+        out = np.array(f(y), dtype=float)
+        out[..., -1] = scale(out[..., -1])
+        return out
+
+    return g
 
 
 def rescale_displacement(u, rho: float):
@@ -162,31 +175,11 @@ def rescale_displacement(u, rho: float):
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-
-    def v(x):
-        x = np.asarray(x, dtype=float)
-        y = x.copy()
-        y[..., -1] *= rho
-        val = np.asarray(u(y), dtype=float)
-        out = val.copy()
-        out[..., -1] *= rho
-        return out
-
-    return v
+    return _scaled_transverse(u, lambda a: a * rho)
 
 
 def rescale_displacement_inverse(v, rho: float):
     """Inverse of :func:`rescale_displacement`: recover u on the thin domain."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        y = x.copy()
-        y[..., -1] /= rho
-        val = np.asarray(v(y), dtype=float)
-        out = val.copy()
-        out[..., -1] /= rho
-        return out
-
-    return u
+    return _scaled_transverse(v, lambda a: a / rho)

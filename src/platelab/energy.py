@@ -74,12 +74,7 @@ def griffith_energy(u: PlateField, p: LameParams) -> EnergyBreakdown:
 
 def rescaled_strains(v: PlateField, rho: float) -> np.ndarray:
     """Per-cell strains of v with the thin-film scaling applied."""
-    E = cell_strains(v)
-    n = v.grid.n
-    E[..., : n - 1, n - 1] /= rho
-    E[..., n - 1, : n - 1] /= rho
-    E[..., n - 1, n - 1] /= rho ** 2
-    return E
+    return rescale_strain(cell_strains(v), rho)
 
 
 def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown:

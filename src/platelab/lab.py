@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elasticity import LameParams, validate_lame
-from .energy import (BoundaryDatum, boundary_penalty, compactness_check,
-                     limit_energy, penalized_energies, rescaled_energy)
+from .energy import BoundaryDatum, compactness_check, limit_energy, rescaled_energy
+# unused here; bench/tracer.py wraps these names in this module
+from .energy import boundary_penalty, penalized_energies  # noqa: F401
 from .geometry import (CrackSurface, ShiftedGrid, bad_cube_boundary_measure,
                        classify_cubes, direction_set, discrete_jump_energy,
                        projection_measure)
@@ -415,9 +416,13 @@ def write_rows(rows: list, f) -> None:
 
 
 def write_csv(rows: list, path) -> None:
-    """Atomic `write_rows` to path, through a temporary file in the same directory."""
+    """Atomic `write_rows` to path, through a temporary file in the same
+    directory; an error making that file is an OSError naming path."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".csv.tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".csv.tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
             write_rows(rows, f)

@@ -138,6 +138,10 @@ def test_rescale_strain_roundtrip():
         assert np.allclose(rescale_strain(forward, rho), E, atol=1e-13)
         inplane = np.diag([1.0] * (n - 1) + [0.0])
         assert np.allclose(rescale_strain(inplane, 0.01), inplane)
+        # a (..., n, n) stack maps matrix by matrix, to the same bits
+        stack = np.array([[random_sym(rng, n) for _ in range(3)] for _ in range(2)])
+        per_matrix = np.array([[rescale_strain(M, rho) for M in row] for row in stack])
+        assert np.array_equal(rescale_strain(stack, rho), per_matrix)
 
 
 def test_rescale_displacement_composition():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -405,6 +406,67 @@ def test_console_script_exit_codes(argv, code, monkeypatch, capsys):
         cli.main()
     assert exit_info.value.code == code
     assert code == 0 or "error: " in capsys.readouterr().err
+
+
+# the flags each subcommand reads, besides --config and --out
+_OWN_FLAGS = {"classify": {"--seed", "--h", "--crack"},
+              "jump-energy": {"--seed", "--h", "--crack"},
+              "approximate": {"--h", "--crack"},
+              "recover": {"--rho", "--datum"}, "liminf": {"--rho", "--datum"},
+              "minimize": {"--datum"}, "sweep": {"--rho", "--datum"}}
+
+
+@pytest.mark.parametrize("command", sorted(_OWN_FLAGS))
+def test_cli_help_lists_only_the_flags_a_subcommand_reads(command, capsys):
+    assert run_cli([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    listed = set(re.findall(r"^\s+(-[\w-]+)", options, re.M))
+    assert listed == {"-h", "--config", "--out", *_OWN_FLAGS[command]}
+
+
+@pytest.mark.parametrize("argv,code", [([], 1), (["bogus"], 1), (["minimize", "--help"], 0)])
+def test_run_cli_returns_argparse_exit_status(argv, code, capsys):
+    # run_cli returns the status of every run, argparse's own exits included
+    assert run_cli(argv) == code
+
+
+def test_cli_rejects_an_abbreviated_flag(tmp_path, capsys):
+    crack_path = tmp_path / "crack.txt"
+    axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
+    assert run_cli(["classify", "--cr", str(crack_path), "--h", "0.0625"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--cr" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_out_error_names_the_requested_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "rows.csv"
+    assert run_cli(["minimize", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert ".csv.tmp" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_exits_quietly_when_stdout_is_closed(unbuffered):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # fails whatever the output size: exit 1 with nothing on stderr
+    src = str(Path(lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "platelab.cli",
+                               "minimize", "--datum", "stretch:1.2"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_module_entry_point_runs_under_warnings_as_errors():
