@@ -149,7 +149,7 @@ def run_cli(argv=None) -> int:
         # the reader closed stdout; point it at devnull so the exit flush is quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a missing or unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, RuntimeError) as exc:

@@ -18,9 +18,9 @@ import numpy as np
 
 from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
                          quadratic_form_C0, rescale_strain, validate_lame)
-from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil,
-                             _derivative_operator, _hessian_operator, _side,
-                             cell_strains)
+from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil, _check_plan,
+                             _derivative_operator, _hessian_operator, _lift, _plan_points,
+                             _side, cell_strains)
 # unused here; bench/tracer.py wraps these names in this module
 from .kirchhoff_love import cell_derivative, kl_lift  # noqa: F401
 
@@ -150,18 +150,18 @@ class BoundaryDatum:
     grad_un: callable  # (k, n-1) -> (k, n-1)
     n: int = 2
 
-    def lift(self, Xp: np.ndarray, z) -> np.ndarray:
-        """Full displacement (ubar - z grad_un, un) at plan points Xp, height z,
-        shape (len(Xp), *shape(z), n)."""
-        Xp = np.atleast_2d(np.asarray(Xp, dtype=float))
-        z = np.asarray(z, dtype=float)[..., None]
-        column = (Xp.shape[0],) + (1,) * (z.ndim - 1)  # one plan point per row
-        ub = np.reshape(self.ubar(Xp), column + (self.n - 1,))
-        g = np.reshape(self.grad_un(Xp), column + (self.n - 1,))
-        un = np.reshape(self.un(Xp), column + (1,))
-        membrane = ub - z * g
-        return np.concatenate([membrane, np.broadcast_to(un, membrane.shape[:-1] + (1,))],
-                              axis=-1)
+    def state(self, plan_shape, omega_lo, omega_hi) -> KLState:
+        """The datum sampled at the plan cell centers, as an uncracked KLState.
+
+        The only place the callables are evaluated; the plan is checked first.
+        """
+        plan_shape = tuple(plan_shape)
+        _check_plan(self.n, plan_shape, omega_lo, omega_hi)
+        X = _plan_points(plan_shape, omega_lo, omega_hi).reshape(-1, self.n - 1)
+        vector = plan_shape + (self.n - 1,)
+        return KLState(self.n, plan_shape, tuple(omega_lo), tuple(omega_hi),
+                       np.reshape(self.ubar(X), vector), np.reshape(self.un(X), plan_shape),
+                       np.reshape(self.grad_un(X), vector))
 
 
 def stretch_datum(t: float, n: int = 2) -> BoundaryDatum:
@@ -186,25 +186,24 @@ def boundary_penalty(obj, g: BoundaryDatum) -> float:
     """Lateral-boundary area where the trace differs from the datum.
 
     The trace has one row per plan cell: a PlateField's values over all
-    layers against the lifted datum, or a KLState's (ubar, un, grad_un)
-    against the datum's.  Every side is charged, released or not: this
-    function only measures mismatch.  A cell differs when some entry of its
-    row is off by more than _TRACE_TOL times max(1, max |trace|); each side
-    is charged its area times its fraction of differing cells.
+    layers against the lifted datum state, or a KLState's (ubar, un,
+    grad_un) against the datum state's.  Every side is charged, released or
+    not: this function only measures mismatch.  A cell differs when some
+    entry of its row is off by more than _TRACE_TOL times max(1, max |trace|);
+    each side is charged its area times its fraction of differing cells.
     """
     if isinstance(obj, PlateField):
-        ps, h = obj.grid.plan_shape, obj.grid.plan_h
-        Xp = obj.grid.plan_points().reshape(-1, len(ps))
-        trace = obj.values.reshape(ps + (-1,))
-        datum = g.lift(Xp, obj.grid.z_centers())
+        grid = obj.grid
+        d = g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
+        trace, datum = obj.values, _lift(d, grid.z_centers())
     elif isinstance(obj, KLState):
-        ps, h = tuple(obj.plan_shape), obj.plan_h
-        Xp = obj.plan_points().reshape(-1, len(ps))
-        trace = np.concatenate([obj.ubar, obj.un[..., None], obj.grad_un], axis=-1)
-        datum = np.concatenate([np.reshape(f(Xp), (len(Xp), -1))
-                                for f in (g.ubar, g.un, g.grad_un)], axis=-1)
+        d = g.state(obj.plan_shape, obj.omega_lo, obj.omega_hi)
+        trace, datum = (np.concatenate([x.ubar, x.un[..., None], x.grad_un], axis=-1)
+                        for x in (obj, d))
     else:
         raise TypeError("expected PlateField or KLState")
+    ps, h = d.plan_shape, d.plan_h
+    trace = trace.reshape(ps + (-1,))
     scale = max(1.0, float(np.max(np.abs(trace))))
     gap = np.max(np.abs(trace - datum.reshape(trace.shape)), axis=-1)
     mism = gap > _TRACE_TOL * scale

@@ -341,21 +341,22 @@ def cell_strains(u: PlateField) -> np.ndarray:
 # lift / average / slice operations
 
 
+def _lift(s: KLState, z) -> np.ndarray:
+    """(ubar - z grad_un, un) at the heights z, shape (*plan_shape, len(z), n)."""
+    z = np.asarray(z, dtype=float)[:, None]
+    membrane = s.ubar[..., None, :] - z * s.grad_un[..., None, :]
+    un = np.broadcast_to(s.un[..., None, None], membrane.shape[:-1] + (1,))
+    return np.concatenate([membrane, un], axis=-1)
+
+
 def kl_lift(s: KLState, layers: int) -> PlateField:
     """3D displacement u_alpha = ubar_alpha - x_n d_alpha u_n, u_n = un, on
-    the unit thickness (-1/2, 1/2)."""
+    the unit thickness (-1/2, 1/2), broken on crack_cols x (all layers)."""
     grid = PlateGrid(s.n, tuple(s.plan_shape), layers, s.omega_lo, s.omega_hi)
-    z = grid.z_centers()
-    shape = grid.shape
-    vals = np.zeros(shape + (s.n,))
-    zb = z.reshape((1,) * (s.n - 1) + (layers,))
-    for a in range(s.n - 1):
-        vals[..., a] = s.ubar[..., a][..., None] - zb * s.grad_un[..., a][..., None]
-    vals[..., s.n - 1] = s.un[..., None]
-    broken = _empty_breaks(shape)
+    broken = _empty_breaks(grid.shape)
     for a in range(s.n - 1):
         broken[a][:] = s.crack_cols[a][..., None]
-    return PlateField(grid, vals, broken)
+    return PlateField(grid, _lift(s, grid.z_centers()), broken)
 
 
 def kl_average(u: PlateField) -> np.ndarray:
@@ -410,7 +411,8 @@ def kl_verify(u: PlateField) -> dict:
     of u_n along uncut columns, and (on square cells) the residual of the
     diagonal-difference identity
     d_alpha u_n = 2 d_xi (u . xi) - d_alpha u_alpha - d_n u_alpha,
-    xi = (e_alpha + e_n)/sqrt(2).
+    xi = (e_alpha + e_n)/sqrt(2).  Its right side is d_alpha u_n + d_n u_n,
+    so it holds only where d_n u_n = 0, which un_thickness_variation checks.
     """
     g = u.grid
     n = g.n
@@ -478,14 +480,8 @@ def kl_verify(u: PlateField) -> dict:
 
 def jump_decomposition_check(s: KLState, u: PlateField) -> bool:
     """Broken faces of u must be exactly crack_cols x (all layers), vertical only."""
-    n = s.n
-    if np.any(u.broken[n - 1]):
-        return False
-    for a in range(n - 1):
-        expect = np.broadcast_to(s.crack_cols[a][..., None], u.broken[a].shape)
-        if not np.array_equal(u.broken[a], expect):
-            return False
-    return True
+    return all(np.array_equal(b, e)
+               for b, e in zip(u.broken, kl_lift(s, u.grid.layers).broken))
 
 
 def reduced_gradient(un: np.ndarray, plan_h, crack_cols: list) -> np.ndarray:

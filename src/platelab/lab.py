@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elasticity import LameParams, validate_lame
-from .energy import BoundaryDatum, compactness_check, limit_energy, rescaled_energy
+from .energy import (BoundaryDatum, compactness_check, limit_energy, rescaled_energy,
+                     stretch_datum)
 # unused here; bench/tracer.py wraps these names in this module
 from .energy import boundary_penalty, penalized_energies  # noqa: F401
 from .geometry import (CrackSurface, ShiftedGrid, bad_cube_boundary_measure,
@@ -235,19 +236,18 @@ def membrane_crack_state(t: float, plan: tuple, omega_lo, omega_hi,
 
     ubar_1 has slope t on both sides of the crack with a unit jump across it;
     un = 0.  For n = 3 the crack is a full line of faces across the plan.
+    The crack column needs an interior face on axis 0: plan[0] >= 2.
     """
-    plan = tuple(plan)
-    nd = n - 1
-    lo = np.asarray(omega_lo, dtype=float)
-    hi = np.asarray(omega_hi, dtype=float)
-    s = KLState(n, plan, tuple(lo), tuple(hi), np.zeros(plan + (nd,)),
-                np.zeros(plan), np.zeros(plan + (nd,)))
+    s = stretch_datum(t, n).state(plan, omega_lo, omega_hi)
+    if s.plan_shape[0] < 2:
+        raise ValueError("plan needs at least 2 cells on axis 0 for the crack column")
+    lo, hi = float(omega_lo[0]), float(omega_hi[0])
     x = s.plan_points()[..., 0]
-    xc = lo[0] + 0.5 * (hi[0] - lo[0])
-    s.ubar[..., 0] = t * x + np.where(x > xc, 1.0, 0.0)
+    xc = lo + 0.5 * (hi - lo)
+    s.ubar[..., 0] += np.where(x > xc, 1.0, 0.0)
     # crack column at the grid face nearest to xc
-    j = int(round((xc - lo[0]) / s.plan_h[0])) - 1
-    s.crack_cols[0][min(max(j, 0), plan[0] - 2)] = True
+    j = int(round((xc - lo) / s.plan_h[0])) - 1
+    s.crack_cols[0][min(max(j, 0), s.plan_shape[0] - 2)] = True
     return s
 
 
@@ -417,17 +417,17 @@ def write_rows(rows: list, f) -> None:
 
 def write_csv(rows: list, path) -> None:
     """Atomic `write_rows` to path, through a temporary file in the same
-    directory; an error making that file is an OSError naming path."""
+    directory that no failure leaves behind; an error making, writing or
+    renaming that file is an OSError naming path."""
     d = os.path.dirname(os.path.abspath(path)) or "."
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".csv.tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
         with os.fdopen(fd, "w", newline="\n") as f:
             write_rows(rows, f)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise

@@ -14,15 +14,15 @@ solved once for its state, which also checks the score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .elasticity import LameParams
 from .energy import BoundaryDatum, EnergyBreakdown, _form, penalized_energies
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
-                             _check_plan, _empty_breaks, _hessian_operator, _plan_h,
-                             _plan_points, _side, reduced_gradient)
+                             _empty_breaks, _hessian_operator, _lift, _side,
+                             reduced_gradient)
 # unused here; bench/tracer.py wraps these names in this module
 from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
 from .energy import boundary_penalty, limit_energy  # noqa: F401
@@ -209,12 +209,6 @@ def _line_scores(problem, cracks: CrackIndicator, moves) -> np.ndarray:
 # rescaled (full-thickness) problem
 
 
-def _datum_values(grid: PlateGrid, g: BoundaryDatum) -> np.ndarray:
-    """The lifted datum at every cell, shape (*grid.shape, n)."""
-    Xp = grid.plan_points().reshape(-1, grid.n - 1)
-    return g.lift(Xp, grid.z_centers()).reshape(grid.shape + (grid.n,))
-
-
 def _clamped_cells(shape: tuple, plan_axes: int, released) -> np.ndarray:
     """Cells on the lateral sides of the first `plan_axes` axes of `shape`,
     except the sides in `released`."""
@@ -231,7 +225,7 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
     """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased sides."""
     n = grid.n
     shape = grid.shape
-    gv = _datum_values(grid, g)
+    gv = _lift(g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi), grid.z_centers())
     fixed_cells = _clamped_cells(shape, n - 1, cracks.released)
     x = _fixed_crack_solve(
         lambda: _derivative_operator(shape, grid.spacings, cracks.broken, n),
@@ -321,6 +315,7 @@ class _FilmProblem:
     def __init__(self, grid: PlateGrid, g: BoundaryDatum, p: LameParams, rho: float):
         self.grid, self.g, self.p, self.rho = grid, g, p, rho
         self.plan_shape = grid.plan_shape
+        self.datum = g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
         # a vertical column adds grid.layers faces of this area (weight 1)
         self.column_area = [grid.layers * float(np.prod(np.delete(grid.spacings, a)))
                             for a in range(grid.n - 1)]
@@ -340,21 +335,21 @@ class _FilmProblem:
         """The film on a 1D plan whose every piece holds at most one clamp column.
 
         A piece with no clamp is zero.  A piece with clamp column c carries
-        the lifted datum of c continued rigidly, (ubar(x_c) - z g(x_c),
-        un(x_c) + g(x_c) (x - x_c)) with g = grad_un, which is c's datum on c
+        the datum state of c continued rigidly, ubar(x_c), grad_un(x_c) and
+        un(x_c) + grad_un(x_c) (x - x_c), lifted; that is c's datum on c
         and has zero discrete strain.  With one layer the z-difference is
         zero, so the continuation is the translation (slope 0).
         """
-        grid = self.grid
+        grid, d = self.grid, self.datum
         clamp = _piece_clamps(np.all(broken[0], axis=1), released)
-        held = clamp >= 0
-        x = grid.plan_points().reshape(-1)
-        xc = x[np.maximum(clamp, 0)]
-        values = self.g.lift(xc[:, None], grid.z_centers())
+        c = np.maximum(clamp, 0)
+        un = d.un[c]
         if grid.layers > 1:
-            slope = np.reshape(self.g.grad_un(xc[:, None]), -1)
-            values[..., 1] += (slope * (x - xc))[:, None]
-        return PlateField(grid, np.where(held[:, None, None], values, 0.0), broken)
+            x = d.plan_points().reshape(-1)
+            un = un + d.grad_un[c, 0] * (x - x[c])
+        values = _lift(replace(d, ubar=d.ubar[c], un=un, grad_un=d.grad_un[c]),
+                       grid.z_centers())
+        return PlateField(grid, np.where((clamp >= 0)[:, None, None], values, 0.0), broken)
 
 
 def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
@@ -371,51 +366,42 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
 # reduced (limit) problem
 
 
-def _reduced_solve(plan_shape, omega_lo, omega_hi, cracks: CrackIndicator,
-                   g: BoundaryDatum, Q: np.ndarray) -> KLState:
-    """Minimize the bulk of E_0 at fixed cracks; Q is the C0 form matrix."""
+def _reduced_solve(d: KLState, cracks: CrackIndicator, Q: np.ndarray) -> KLState:
+    """Minimize the bulk of E_0 at fixed cracks, clamped to the datum state d
+    on the unreleased sides; Q is the C0 form matrix."""
+    plan_shape, plan_h = d.plan_shape, d.plan_h
     nd = len(plan_shape)
-    n = nd + 1
-    plan_h = _plan_h(plan_shape, omega_lo, omega_hi)
-    Xp = _plan_points(plan_shape, omega_lo, omega_hi).reshape(-1, nd)
     area = float(np.prod(plan_h))
     fixed_cells = _clamped_cells(plan_shape, nd, cracks.released)
 
     # membrane solve for ubar
-    gub = np.atleast_2d(np.asarray(g.ubar(Xp), dtype=float))
     ubar = _fixed_crack_solve(
         lambda: _derivative_operator(plan_shape, plan_h, cracks.broken, nd),
-        Q, area, np.repeat(fixed_cells.ravel(), nd), gub.reshape(-1))
-    ubar = ubar.reshape(plan_shape + (nd,))
+        Q, area, np.repeat(fixed_cells.ravel(), nd), d.ubar.reshape(-1))
 
     # bending solve for un (weight 1/12 from the thickness integral)
-    gun = np.asarray(g.un(Xp), dtype=float).reshape(-1)
     un = _fixed_crack_solve(
         lambda: _hessian_operator(plan_shape, plan_h, cracks.broken),
-        Q, area / 12.0, fixed_cells.ravel(), gun)
-    un = un.reshape(plan_shape)
+        Q, area / 12.0, fixed_cells.ravel(), d.un.reshape(-1)).reshape(plan_shape)
 
-    grad_un = reduced_gradient(un, plan_h, cracks.broken)
-    return KLState(n, tuple(plan_shape), tuple(omega_lo), tuple(omega_hi),
-                   ubar, un, grad_un, [b.copy() for b in cracks.broken])
+    return replace(d, ubar=ubar.reshape(d.ubar.shape), un=un,
+                   grad_un=reduced_gradient(un, plan_h, cracks.broken),
+                   crack_cols=[b.copy() for b in cracks.broken])
 
 
 class _LimitProblem:
     """E_0^g on a fixed plan grid, for `_greedy_search`; states are KLStates."""
 
     def __init__(self, plan_shape, omega_lo, omega_hi, g: BoundaryDatum, p: LameParams):
-        self.plan_shape = tuple(plan_shape)
-        self.omega_lo, self.omega_hi, self.g, self.p = omega_lo, omega_hi, g, p
-        self.Q = _form(p)
-        nd = len(self.plan_shape)
-        self.points = _plan_points(self.plan_shape, omega_lo, omega_hi).reshape(-1, nd)
+        self.g, self.p, self.Q = g, p, _form(p)
+        self.datum = g.state(plan_shape, omega_lo, omega_hi)
+        self.plan_shape = self.datum.plan_shape
         # crack column measure: 1 for n=2, face length for n=3
-        plan_h = _plan_h(self.plan_shape, omega_lo, omega_hi)
-        self.column_area = [float(np.prod(np.delete(plan_h, a))) for a in range(nd)]
+        self.column_area = [float(np.prod(np.delete(self.datum.plan_h, a)))
+                            for a in range(len(self.plan_shape))]
 
     def solve(self, cracks: CrackIndicator):
-        s = _reduced_solve(self.plan_shape, self.omega_lo, self.omega_hi, cracks,
-                           self.g, self.Q)
+        s = _reduced_solve(self.datum, cracks, self.Q)
         return s, self._energy(s)
 
     def _energy(self, s: KLState) -> EnergyBreakdown:
@@ -429,25 +415,18 @@ class _LimitProblem:
         """
         if len(self.plan_shape) != 1:
             return None
-        fixed = _clamped_cells(self.plan_shape, 1, cracks.released)
-        if np.any(np.asarray(self.g.un(self.points), dtype=float).reshape(-1)[fixed]):
+        if np.any(self.datum.un[_clamped_cells(self.plan_shape, 1, cracks.released)]):
             return None
         return _line_scores(self, cracks, moves)
 
     def _rigid_state(self, broken, released) -> KLState:
         """The state with zero un on a 1D plan whose every piece holds at most
         one clamp cell: ubar is the clamp's datum on its piece, zero elsewhere."""
+        d = self.datum
         clamp = _piece_clamps(broken[0], released)
-        ubar = np.where((clamp >= 0)[:, None], self._ubar()[np.maximum(clamp, 0)], 0.0)
-        return self._state(ubar, broken)
-
-    def _ubar(self) -> np.ndarray:
-        return np.asarray(self.g.ubar(self.points), dtype=float).reshape(-1, 1)
-
-    def _state(self, ubar, broken) -> KLState:
-        N = self.plan_shape[0]
-        return KLState(2, self.plan_shape, tuple(self.omega_lo), tuple(self.omega_hi),
-                       ubar, np.zeros(N), np.zeros((N, 1)), broken)
+        ubar = np.where((clamp >= 0)[:, None], d.ubar[np.maximum(clamp, 0)], 0.0)
+        return replace(d, ubar=ubar, un=np.zeros_like(d.un),
+                       grad_un=np.zeros_like(d.grad_un), crack_cols=broken)
 
 
 def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,
@@ -457,6 +436,5 @@ def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,
     Returns (KLState, cracks, EnergyBreakdown, energy_trace).
     """
     plan_shape = tuple(plan_shape)
-    _check_plan(g.n, plan_shape, omega_lo, omega_hi)
     return _greedy_search(_LimitProblem(plan_shape, omega_lo, omega_hi, g, p),
                           empty_cracks(plan_shape), cfg.altmin_max_rounds)

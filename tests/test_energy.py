@@ -216,12 +216,41 @@ def test_change_of_variables_identity_is_exact():
 
 
 def test_stretch_datum_lift_values():
-    g = stretch_datum(0.5, 2)
-    X = np.array([[0.4]])
-    out = g.lift(X, np.array([-0.25, 0.25]))
-    assert out.shape == (1, 2, 2)
-    assert np.allclose(out[0, :, 0], 0.2)
-    assert np.allclose(out[0, :, 1], 0.0)
+    # the cell centers of (5,) on (0, 2) are 0.2, 0.6, ...: ubar = 0.5 x there
+    d = stretch_datum(0.5, 2).state((5,), (0.0,), (2.0,))
+    out = kl_lift(d, 2).values
+    assert out.shape == (5, 2, 2)
+    assert np.allclose(out[0, :, 0], 0.1)
+    assert np.allclose(out[:, 1, 0], 0.5 * (0.2 + 0.4 * np.arange(5)))
+    assert np.allclose(out[..., 1], 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_boundary_datum_state_samples_the_cell_centers(n):
+    # cell centers 0.25, 0.75, 1.25, 1.75 on (0, 2), and -0.5, 0.5, 1.5 on (-1, 2)
+    plan, lo, hi = ((4,), (0.0,), (2.0,)) if n == 2 else ((4, 3), (0.0, -1.0), (2.0, 2.0))
+    g = BoundaryDatum(lambda X: 2.0 * X, lambda X: X.sum(axis=1), lambda X: X ** 2, n)
+    d = g.state(plan, lo, hi)
+    assert (d.n, d.plan_shape, d.omega_lo, d.omega_hi) == (n, plan, lo, hi)
+    assert d.ubar.shape == d.grad_un.shape == plan + (n - 1,)
+    assert d.un.shape == plan
+    X = np.stack(np.meshgrid(*[[0.25, 0.75, 1.25, 1.75], [-0.5, 0.5, 1.5]][:n - 1],
+                             indexing="ij"), axis=-1)
+    assert np.array_equal(d.ubar, 2.0 * X)
+    assert np.array_equal(d.un, X.sum(axis=-1))
+    assert np.array_equal(d.grad_un, X ** 2)
+    assert not any(np.any(c) for c in d.crack_cols)
+
+
+@pytest.mark.parametrize("plan, lo, hi", [((4, 4), (0.0,), (1.0,)),
+                                          ((4,), (0.0, 0.0), (1.0, 1.0)),
+                                          ((4,), (0.0,), (1.0, 1.0))])
+def test_boundary_datum_state_checks_the_plan_first(plan, lo, hi):
+    def never(X):
+        raise AssertionError("datum evaluated before the plan check")
+
+    with pytest.raises(ValueError, match="n - 1"):
+        BoundaryDatum(never, never, never, 2).state(plan, lo, hi)
 
 
 def test_boundary_penalty_klstate():

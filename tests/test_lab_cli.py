@@ -256,7 +256,11 @@ _BAD_CONFIGS = {"no samples": ("jump-energy", "samples = 0"),
                 "long plan recover": ("recover", "plan = 8 8"),
                 "long omega": ("minimize", "omega_lo = 0 0\nomega_hi = 1 1"),
                 "long omega liminf": ("liminf", "omega_lo = 0 0\nomega_hi = 1 1"),
-                "n 3 short plan": ("recover", "n = 3")}
+                "n 3 short plan": ("recover", "n = 3"),
+                "one cell plan recover": ("recover", "plan = 1"),
+                "one cell plan liminf": ("liminf", "plan = 1"),
+                "n 3 one cell plan recover": ("recover", "n = 3\nplan = 1 6\n"
+                                              "omega_lo = 0 0\nomega_hi = 1 1")}
 
 
 def _bad_value_argv(tmp_path, name):
@@ -445,6 +449,23 @@ def test_cli_out_error_names_the_requested_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert ".csv.tmp" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--config", "--crack"])
+def test_cli_directory_path_is_an_input_error(flag, tmp_path, capsys):
+    # a directory where a file is expected: exit 1 with one error line that
+    # names it, and no temporary CSV left beside it
+    d = tmp_path / "d"
+    d.mkdir()
+    argv = {"--out": ["liminf", "--rho", "0.1", "--out", str(d)],
+            "--config": ["liminf", "--config", str(d)],
+            "--crack": ["classify", "--crack", str(d), "--h", "0.1"]}[flag]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(str(d)) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.rglob("*.csv.tmp"))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -325,8 +325,8 @@ def test_reduced_solve_skips_zero_bending_data(monkeypatch):
     monkeypatch.setattr(minimize, "_hessian_operator", no_stencil)
     broken = np.zeros(7, dtype=bool)
     broken[[2, 5]] = True
-    s = _reduced_solve((8,), (0.0,), (1.0,), CrackIndicator([broken]),
-                       stretch_datum(1.2, 2), _c0_form(2))
+    s = _reduced_solve(stretch_datum(1.2, 2).state((8,), (0.0,), (1.0,)),
+                       CrackIndicator([broken]), _c0_form(2))
     assert np.array_equal(s.un, np.zeros(8))
     assert np.array_equal(s.grad_un, np.zeros((8, 1)))
     # the membrane solve still runs: the clamped cells carry the stretch
@@ -349,7 +349,7 @@ def test_reduced_solve_runs_bending_for_nonzero_data(monkeypatch, c):
     g = BoundaryDatum(lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)),
                       lambda X: 0.5 * (np.atleast_2d(X)[:, 0] ** 2 - c * c),
                       lambda X: np.atleast_2d(X)[:, :1].copy(), 2)
-    s = _reduced_solve((8,), (0.0,), (1.0,), empty_cracks((8,)), g, _c0_form(2))
+    s = _reduced_solve(g.state((8,), (0.0,), (1.0,)), empty_cracks((8,)), _c0_form(2))
     assert len(calls) == 1
     x = (np.arange(8) + 0.5) / 8.0
     assert s.un[0] == 0.5 * (x[0] ** 2 - c * c)
