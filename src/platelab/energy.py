@@ -183,25 +183,31 @@ def stretch_datum(t: float, n: int = 2) -> BoundaryDatum:
 
 
 def boundary_penalty(obj, g: BoundaryDatum) -> float:
-    """Lateral-boundary area where the trace differs from the datum.
+    """Lateral-boundary area where the trace differs from the datum: the
+    `_trace_penalty` of obj against g's state on obj's plan."""
+    if not isinstance(obj, (PlateField, KLState)):
+        raise TypeError("expected PlateField or KLState")
+    plan = obj.grid if isinstance(obj, PlateField) else obj
+    return _trace_penalty(obj, g.state(plan.plan_shape, plan.omega_lo, plan.omega_hi))
 
-    The trace has one row per plan cell: a PlateField's values over all
-    layers against the lifted datum state, or a KLState's (ubar, un,
-    grad_un) against the datum state's.  Every side is charged, released or
-    not: this function only measures mismatch.  A cell differs when some
-    entry of its row is off by more than _TRACE_TOL times max(1, max |trace|);
-    each side is charged its area times its fraction of differing cells.
+
+def _trace_penalty(obj, d: KLState) -> float:
+    """Lateral-boundary area where the trace of obj differs from the datum state d.
+
+    d is a datum sampled on obj's plan (`BoundaryDatum.state`), so a search
+    that samples its datum once can charge every state against it.  The
+    trace has one row per plan cell: a PlateField's values over all layers
+    against the lifted datum state, or a KLState's (ubar, un, grad_un)
+    against d's.  Every side is charged, released or not: this function only
+    measures mismatch.  A cell differs when some entry of its row is off by
+    more than _TRACE_TOL times max(1, max |trace|); each side is charged its
+    area times its fraction of differing cells.
     """
     if isinstance(obj, PlateField):
-        grid = obj.grid
-        d = g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
-        trace, datum = obj.values, _lift(d, grid.z_centers())
-    elif isinstance(obj, KLState):
-        d = g.state(obj.plan_shape, obj.omega_lo, obj.omega_hi)
+        trace, datum = obj.values, _lift(d, obj.grid.z_centers())
+    else:
         trace, datum = (np.concatenate([x.ubar, x.un[..., None], x.grad_un], axis=-1)
                         for x in (obj, d))
-    else:
-        raise TypeError("expected PlateField or KLState")
     ps, h = d.plan_shape, d.plan_h
     trace = trace.reshape(ps + (-1,))
     scale = max(1.0, float(np.max(np.abs(trace))))

@@ -8,8 +8,9 @@ every unreleased side, and keeps the best strict improvement.  One greedy
 search loop serves the rescaled and the limit problem.  On a 1D plan no
 piece holds two clamp columns after any move, so every move's total is
 the energy of its rigid state: each piece zero, or its clamp column's
-datum continued rigidly at zero strain.  The round's winner is then
-solved once for its state, which also checks the score.
+datum continued rigidly at zero strain.  The round's winner takes that
+rigid state, certified a minimizer of the bulk, with no solve; so such a
+search factors only its starting state.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .elasticity import LameParams
-from .energy import BoundaryDatum, EnergyBreakdown, _form, penalized_energies
+from .energy import (BoundaryDatum, EnergyBreakdown, _form, _trace_penalty, limit_energy,
+                     rescaled_energy)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
                              _empty_breaks, _hessian_operator, _lift, _side,
                              reduced_gradient)
 # unused here; bench/tracer.py wraps these names in this module
 from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
-from .energy import boundary_penalty, limit_energy  # noqa: F401
+from .energy import boundary_penalty, penalized_energies  # noqa: F401
 from .kirchhoff_love import _face_blocked  # noqa: F401
 
 
@@ -33,7 +35,7 @@ from .kirchhoff_love import _face_blocked  # noqa: F401
 _DESCENT_SLACK = 1e-10
 # relative width of a tie between candidate totals: the earlier candidate wins
 _TIE_SLACK = 1e-12
-# relative amount by which a winner's closed-form score may exceed its solve
+# relative slack of a scored winner's certificate: its bulk and |total - score|
 _CHECK_SLACK = 1e-10
 # relative residual of a singular block's least-squares minimizer
 _RESIDUAL_SLACK = 1e-9
@@ -222,10 +224,12 @@ def _clamped_cells(shape: tuple, plan_axes: int, released) -> np.ndarray:
 
 def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
                   p: LameParams, rho: float) -> PlateField:
-    """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased sides."""
+    """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased
+    sides; g is a BoundaryDatum or its state on the grid's plan (`g.state`)."""
     n = grid.n
     shape = grid.shape
-    gv = _lift(g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi), grid.z_centers())
+    d = g if isinstance(g, KLState) else g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
+    gv = _lift(d, grid.z_centers())
     fixed_cells = _clamped_cells(shape, n - 1, cracks.released)
     x = _fixed_crack_solve(
         lambda: _derivative_operator(shape, grid.spacings, cracks.broken, n),
@@ -235,17 +239,33 @@ def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
                       [b.copy() for b in cracks.broken])
 
 
-def _solve_move(problem, cracks: CrackIndicator, move):
+def _solve_move(problem, cracks: CrackIndicator, move, score=None):
     """(candidate, state, EnergyBreakdown) of `cracks` after one move (axis,
     where): `where` is a face index of that axis's broken array for a column
-    and a side (0 or 1) for a release.  Only here is a candidate built."""
+    and a side (0 or 1) for a release.  Only here is a candidate built.
+
+    An unscored move is solved.  A scored one takes problem._rigid_state:
+    the bulk is >= 0, so a state that holds the datum on the candidate's
+    clamped cells (problem._clamp_pairs) with zero bulk minimizes it.
+    RuntimeError unless so and its total is `score`, to _CHECK_SLACK relative.
+    """
     axis, where = move
     cand = cracks.copy()
     if isinstance(where, tuple):
         cand.broken[axis][where] = True
     else:
         cand.released.add((axis, where))
-    return (cand, *problem.solve(cand))
+    if score is None:
+        return (cand, *problem.solve(cand))
+    state = problem._rigid_state(cand.broken, cand.released)
+    e = problem._energy(state)
+    clamped = _clamped_cells(problem.plan_shape, len(problem.plan_shape), cand.released)
+    slack = _CHECK_SLACK * max(1.0, abs(e.total))
+    if not (all(np.array_equal(x[clamped], d[clamped]) for x, d in problem._clamp_pairs(state))
+            and e.bulk <= slack and abs(e.total - score) <= slack):
+        raise RuntimeError(f"move {move!r} scored {float(score)!r}, but its rigid state "
+                           f"(bulk {e.bulk!r}, total {e.total!r}) is not certified")
+    return cand, state, e
 
 
 def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
@@ -254,7 +274,9 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
     `problem` has `plan_shape`, `column_area` (the surface a new face column
     along each plan axis adds) and two methods: solve(cracks) -> (state,
     EnergyBreakdown), and score_moves(cracks, moves), the exact total of
-    every offered move, or None where they have no closed form.
+    every offered move, or None where they have no closed form.  A problem
+    that scores also has _rigid_state(broken, released), _energy(state) and
+    _clamp_pairs(state), with which `_solve_move` certifies a scored winner.
 
     Each round offers moves: the open columns of each plan axis (a column
     is open unless every face in it is broken), in index order, then the
@@ -263,13 +285,9 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
     otherwise each is solved on its candidate crack (`_solve_move`).  The
     lowest total wins; totals within _TIE_SLACK (relative) of it tie, and a
     tie goes to the earliest move.  A winner that lowers the total is kept.
-    A scored winner is solved for its state: that state is a field of the
-    candidate, so a score above its total (by more than _CHECK_SLACK
-    relative) is wrong and raises RuntimeError.  The solve's total is the
-    one kept; it lies above the exact score only by the solve's rounding,
-    which grows as the rescaled film stiffens (for a bent datum on a (32,)
-    x 8 grid, up to 4e-14 at rho = 1e-2, 4e-7 at rho = 1e-3 and 13 at
-    rho = 1e-4).  At most `rounds` rounds.
+    A scored winner is not solved: its state is its certified rigid state
+    (`_solve_move` with its score), so a search that scores every round
+    factors only its starting state.  At most `rounds` rounds.
 
     Returns (state, cracks, EnergyBreakdown, energy_trace).
     """
@@ -289,22 +307,17 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
         if not moves:
             break
         scores = problem.score_moves(cracks, moves)
-        solved = {}  # move index -> (candidate, state, EnergyBreakdown)
+        solved = None  # (candidate, state, EnergyBreakdown) of each unscored move
         if scores is None:
-            solved = {i: _solve_move(problem, cracks, move) for i, move in enumerate(moves)}
-            scores = [solved[i][2].total for i in range(len(moves))]
+            solved = [_solve_move(problem, cracks, move) for move in moves]
+            scores = [s[2].total for s in solved]
         totals = np.asarray(scores, dtype=float)
         best = totals.min()
         win = int(np.argmax(totals <= best + _TIE_SLACK * max(1.0, abs(best))))
         if totals[win] >= floor:
             break
-        if win not in solved:
-            solved[win] = _solve_move(problem, cracks, moves[win])
-            total = solved[win][2].total
-            if totals[win] > total + _CHECK_SLACK * max(1.0, abs(total)):
-                raise RuntimeError(f"move {moves[win]!r} scored {float(totals[win])!r}, "
-                                   f"above the {float(total)!r} of its solved field")
-        cracks, state, e = solved[win]
+        cracks, state, e = (solved[win] if solved is not None
+                            else _solve_move(problem, cracks, moves[win], totals[win]))
         trace.append(e.total)
     return state, cracks, e, trace
 
@@ -313,7 +326,7 @@ class _FilmProblem:
     """E_rho^g on a fixed grid, for `_greedy_search`; states are PlateFields."""
 
     def __init__(self, grid: PlateGrid, g: BoundaryDatum, p: LameParams, rho: float):
-        self.grid, self.g, self.p, self.rho = grid, g, p, rho
+        self.grid, self.p, self.rho = grid, p, rho
         self.plan_shape = grid.plan_shape
         self.datum = g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
         # a vertical column adds grid.layers faces of this area (weight 1)
@@ -321,11 +334,12 @@ class _FilmProblem:
                             for a in range(grid.n - 1)]
 
     def solve(self, cracks: CrackIndicator):
-        u = elastic_solve(self.grid, cracks, self.g, self.p, self.rho)
+        u = elastic_solve(self.grid, cracks, self.datum, self.p, self.rho)
         return u, self._energy(u)
 
     def _energy(self, u: PlateField) -> EnergyBreakdown:
-        return penalized_energies(u, self.p, self.g, self.rho)
+        return replace(rescaled_energy(u, self.p, self.rho),
+                       boundary_penalty=_trace_penalty(u, self.datum))
 
     def score_moves(self, cracks: CrackIndicator, moves):
         """Totals of `moves` by `_line_scores` (None on a 2D plan)."""
@@ -350,6 +364,10 @@ class _FilmProblem:
         values = _lift(replace(d, ubar=d.ubar[c], un=un, grad_un=d.grad_un[c]),
                        grid.z_centers())
         return PlateField(grid, np.where((clamp >= 0)[:, None, None], values, 0.0), broken)
+
+    def _clamp_pairs(self, u: PlateField):
+        """(values, clamped datum values) of u, plan axes first."""
+        return [(u.values, _lift(self.datum, self.grid.z_centers()))]
 
 
 def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
@@ -393,7 +411,7 @@ class _LimitProblem:
     """E_0^g on a fixed plan grid, for `_greedy_search`; states are KLStates."""
 
     def __init__(self, plan_shape, omega_lo, omega_hi, g: BoundaryDatum, p: LameParams):
-        self.g, self.p, self.Q = g, p, _form(p)
+        self.p, self.Q = p, _form(p)
         self.datum = g.state(plan_shape, omega_lo, omega_hi)
         self.plan_shape = self.datum.plan_shape
         # crack column measure: 1 for n=2, face length for n=3
@@ -405,7 +423,7 @@ class _LimitProblem:
         return s, self._energy(s)
 
     def _energy(self, s: KLState) -> EnergyBreakdown:
-        return penalized_energies(s, self.p, self.g)
+        return replace(limit_energy(s, self.p), boundary_penalty=_trace_penalty(s, self.datum))
 
     def score_moves(self, cracks: CrackIndicator, moves):
         """Totals of `moves` by `_line_scores`, by the membrane alone.
@@ -427,6 +445,10 @@ class _LimitProblem:
         ubar = np.where((clamp >= 0)[:, None], d.ubar[np.maximum(clamp, 0)], 0.0)
         return replace(d, ubar=ubar, un=np.zeros_like(d.un),
                        grad_un=np.zeros_like(d.grad_un), crack_cols=broken)
+
+    def _clamp_pairs(self, s: KLState):
+        """(values, clamped datum values) of s's ubar and un, plan axes first."""
+        return [(s.ubar, self.datum.ubar), (s.un, self.datum.un)]
 
 
 def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,

@@ -293,13 +293,13 @@ def test_in_half_neighborhood():
 
 
 def _all_pairs_hits(P, Q, crack, tol):
-    """Reference: the distance kernel on every (query, simplex) pair."""
-    hit = np.zeros(len(P), dtype=bool)
-    for s in crack.simplices:
-        S = np.broadcast_to(s, (len(P),) + s.shape)  # the simplex on every row
-        d = _seg_seg_dist(P, Q, S[:, 0], S[:, 1]) if crack.n == 2 else _seg_tri_dist(P, Q, S)
-        hit |= d <= tol
-    return hit
+    """Reference: the distance kernel on every (query, simplex) pair, one row
+    per pair (query-major) in one kernel call."""
+    m = crack.m
+    A, B = np.repeat(P, m, axis=0), np.repeat(Q, m, axis=0)
+    S = np.tile(crack.simplices, (len(P), 1, 1))  # the simplices on every query's rows
+    d = _seg_seg_dist(A, B, S[:, 0], S[:, 1]) if crack.n == 2 else _seg_tri_dist(A, B, S)
+    return (d <= tol).reshape(len(P), m).any(axis=1)
 
 
 @st.composite

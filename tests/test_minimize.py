@@ -520,33 +520,50 @@ def test_bent_film_cuts_face_one_as_per_candidate_solves_do():
 
 class _NearTieProblem:
     """One round on a 1D plan: cut totals that differ by less than the tie
-    slack, and a total for releasing either side."""
+    slack, and a total for releasing either side.  A rigid state is its
+    (broken, released) pair; its bulk, an offset of its total from its
+    score and a gap from the datum on its clamped cells are set per test."""
 
     plan_shape = (5,)
     column_area = [0.0]
     scores = np.array([1.0 + 5e-13, 1.0, 1.0 + 1e-13, 2.0])
     release = 3.0
-    solve_offset = 0.0  # added to the solved total of every move
+    bulk = 0.0
+    offset = 0.0
+    clamp_gap = 0.0
+
+    def _total(self, broken, released):
+        faces = np.flatnonzero(broken[0])
+        if not (faces.size or released):
+            return 2.0
+        return self.scores[faces].sum() + self.release * len(released)
 
     def solve(self, cracks):
-        faces = np.flatnonzero(cracks.broken[0])
-        if not (faces.size or cracks.released):
-            return None, EnergyBreakdown(2.0, 0.0)
-        total = self.scores[faces].sum() + self.release * len(cracks.released)
-        return None, EnergyBreakdown(total + self.solve_offset, 0.0)
+        return None, EnergyBreakdown(self._total(cracks.broken, cracks.released), 0.0)
 
     def score_moves(self, cracks, moves):
         return np.array([self.scores[where[0]] if isinstance(where, tuple) else self.release
                          for _, where in moves])
 
+    def _rigid_state(self, broken, released):
+        return broken, released
+
+    def _energy(self, state):
+        total = self._total(*state) + self.offset
+        return EnergyBreakdown(self.bulk, total - self.bulk)
+
+    def _clamp_pairs(self, state):
+        return [(np.full(self.plan_shape, self.clamp_gap), np.zeros(self.plan_shape))]
+
 
 def test_greedy_search_breaks_near_ties_by_candidate_order():
     # face 1 is lowest by 5e-13 relative, a tie: the earlier face 0 wins,
-    # and its solve agrees with its score
+    # with the total of its rigid state
     state, cracks, e, trace = minimize._greedy_search(_NearTieProblem(),
                                                       empty_cracks((5,)), 1)
     assert np.flatnonzero(cracks.broken[0]).tolist() == [0]
     assert trace == [2.0, 1.0 + 5e-13]
+    assert state == (cracks.broken, cracks.released)
 
 
 def _count_solves(monkeypatch, problem_cls):
@@ -558,15 +575,16 @@ def _count_solves(monkeypatch, problem_cls):
     return solves
 
 
-def test_scored_release_wins_and_is_solved(monkeypatch):
-    # the release is scored, wins, and only then is solved and checked
+def test_scored_release_wins_without_a_solve(monkeypatch):
+    # the release is scored, wins and takes its certified rigid state: only
+    # the start is solved
     solves = _count_solves(monkeypatch, _NearTieProblem)
     problem = _NearTieProblem()
     problem.release = 0.5
     state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((5,)), 1)
     assert cracks.released == {(0, 0)} and not np.any(cracks.broken[0])
-    assert trace == [2.0, 0.5] and len(solves) == 2
-    problem.solve_offset = -1e-6
+    assert trace == [2.0, 0.5] and len(solves) == 1
+    problem.bulk = 1e-6
     with pytest.raises(RuntimeError, match=r"move \(0, 0\) scored 0\.5"):
         minimize._greedy_search(problem, empty_cracks((5,)), 1)
 
@@ -574,7 +592,7 @@ def test_scored_release_wins_and_is_solved(monkeypatch):
 def test_thick_film_releases_a_side(monkeypatch):
     # z extent 2: a column costs surface 2, a released side the penalty of
     # its plan measure, 1; releasing side 0 (tied with side 1, so the first)
-    # frees the stretch, and the search solves only the start and that winner
+    # frees the stretch, and the search solves only the start
     solves = _count_solves(monkeypatch, minimize._FilmProblem)
     grid = PlateGrid(2, (16,), 4, (0.0,), (1.0,), (-1.0, 1.0))
     u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.1,
@@ -583,12 +601,18 @@ def test_thick_film_releases_a_side(monkeypatch):
     assert len(trace) == 2 and trace[0] > 3.0
     assert trace[-1] == e.total == pytest.approx(1.0, abs=1e-12)
     assert e.boundary_penalty == 1.0 and e.surface == 0.0
-    assert len(solves) == 2
+    assert len(solves) == 1
 
 
-def test_alternate_minimize_factors_at_most_twice(monkeypatch):
-    # one initial solve and the round-1 winner's; every move of both rounds
-    # is scored in closed form
+@pytest.mark.parametrize("search", [
+    lambda: alternate_minimize(PlateGrid(2, (16,), 8, (0.0,), (1.0,)),
+                               stretch_datum(1.2, 2), P2, 0.05, SolverConfig()),
+    lambda: minimize_limit((128,), (0.0,), (1.0,), stretch_datum(1.2, 2), P2,
+                           SolverConfig()),
+], ids=["film-16x8", "limit-128"])
+def test_1d_search_factors_only_its_start(monkeypatch, search):
+    # every move of every round is scored in closed form and the winner
+    # takes its rigid state: the one factorization is the starting state's
     calls = []
     splu = spla.splu
 
@@ -597,11 +621,9 @@ def test_alternate_minimize_factors_at_most_twice(monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
-    grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
-    u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.05,
-                                             SolverConfig())
-    assert len(trace) == 2
-    assert len(calls) <= 2
+    _, cracks, _, trace = search()
+    assert len(trace) == 2 and np.any(cracks.broken[0])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("search", [
@@ -612,7 +634,7 @@ def test_alternate_minimize_factors_at_most_twice(monkeypatch):
 ], ids=["limit-128", "film-32x64"])
 def test_search_builds_a_candidate_only_to_solve_it(monkeypatch, search):
     # a round offers moves; a scored move is never copied into a crack
-    # unless it wins and is solved
+    # unless it wins, and a scored winner is not solved
     copies, solves = [], []
     copy = CrackIndicator.copy
     monkeypatch.setattr(CrackIndicator, "copy",
@@ -623,20 +645,24 @@ def test_search_builds_a_candidate_only_to_solve_it(monkeypatch, search):
     _, cracks, _, trace = search()
     assert len(trace) == 2 and np.any(cracks.broken[0])
     assert len(copies) <= len(solves) + len(trace) - 1
-    assert len(solves) == 2
+    assert len(solves) == 1
 
 
-def test_winner_check_rejects_a_score_above_the_solved_field():
-    # a solved field below its score proves the score wrong; a solve above
-    # it is kept with its own total
+@pytest.mark.parametrize("attr, value", [("bulk", 1e-6), ("offset", -1e-6),
+                                         ("offset", 1e-6), ("clamp_gap", 1e-300)])
+def test_winner_certificate_rejects_a_state_it_cannot_certify(attr, value):
+    # a rigid state with a nonzero bulk, a total off its score or a value off
+    # the datum on a clamped cell is not a certified minimizer: the search
+    # raises, naming the move; a total within the slack is kept as it is
     problem = _NearTieProblem()
-    problem.solve_offset = -1e-6
+    setattr(problem, attr, value)
     with pytest.raises(RuntimeError, match=r"move \(0, \(0,\)\) scored"):
         minimize._greedy_search(problem, empty_cracks((5,)), 1)
-    problem.solve_offset = 1e-6
+    problem = _NearTieProblem()
+    problem.offset = 1e-11
     state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((5,)), 1)
     assert np.flatnonzero(cracks.broken[0]).tolist() == [0]
-    assert trace == [2.0, 1.0 + 5e-13 + 1e-6] and e.total == trace[-1]
+    assert trace == [2.0, 1.0 + 5e-13 + 1e-11] and e.total == trace[-1]
 
 
 class _ExhaustibleProblem:
@@ -669,10 +695,10 @@ def test_greedy_search_stops_when_no_move_is_left():
     assert trace == [10.0, 7.0, 5.0, 3.0] and e.total == 3.0
 
 
-def test_winner_keeps_its_solved_total_at_small_rho():
-    # at rho = 1e-3 the solve of a bent film is off by about 1e-9: the
-    # search returns the solved field with its own total, just above the
-    # exact score of 1 shared by every cut from face 1 to face 29
+def test_winner_total_is_its_score_at_small_rho():
+    # every cut from face 1 to face 29 of a bent film scores exactly 1; the
+    # winner takes its rigid state, so the search reports exactly 1 where a
+    # solve of the stiff rescaled film is off by its rounding
     grid = PlateGrid(2, (32,), 8, (0.0,), (1.0,))
     problem = minimize._FilmProblem(grid, _bent_datum(1.2, 0.5), P2, 1e-3)
     cracks = empty_cracks(grid.shape)
@@ -682,8 +708,29 @@ def test_winner_keeps_its_solved_total_at_small_rho():
                                              SolverConfig())
     assert np.argwhere(np.all(cracks.broken[0], axis=1)).tolist() == [[1]]
     assert not cracks.released
-    assert trace[-1] == e.total == problem.solve(cracks)[1].total
-    assert 1.0 < e.total < 1.0 + 1e-7
+    assert e.total == trace[-1] == 1.0
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1e-4])
+def test_bent_film_total_is_exactly_one_at_small_rho(rho):
+    grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
+    u, cracks, e, trace = alternate_minimize(grid, _bent_datum(1.2, 2.0), P2, rho,
+                                             SolverConfig())
+    assert np.any(cracks.broken[0])
+    assert e.total == trace[-1] == 1.0
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.05])
+def test_rigid_winner_is_the_solved_field_of_its_cracks(rho):
+    # where the solve is well conditioned, the certified rigid state is the
+    # field a solve of the final cracks returns
+    grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
+    g = _bent_datum(1.2, 2.0)
+    u, cracks, e, trace = alternate_minimize(grid, g, P2, rho, SolverConfig())
+    assert np.any(cracks.broken[0])
+    solved, _ = minimize._FilmProblem(grid, g, P2, rho).solve(cracks)
+    scale = np.max(np.abs(solved.values))
+    assert np.max(np.abs(u.values - solved.values)) <= 1e-9 * scale
 
 
 def test_limit_sweep_declines_bending_data():
