@@ -2,9 +2,12 @@
 
 At fixed crack the bulk term is a convex quadratic in the cell values.  A
 piece of the stiffness's graph that the clamped values do not load stays
-zero; the loaded pieces are minimized by one sparse LU solve.  Each round
-of crack activation offers moves, every open vertical face column and
-every unreleased side, and keeps the best strict improvement.  One greedy
+zero; the loaded pieces are minimized by one direct solve, factored in this
+order: a banded Cholesky in reverse Cuthill-McKee order; a symmetric-mode
+sparse LU when the Cholesky meets a non-positive pivot; a dense
+minimum-norm least squares when the LU factor is exactly singular.  Each
+round of crack activation offers moves, every open vertical face column
+and every unreleased side, and keeps the best strict improvement.  One greedy
 search loop serves the rescaled and the limit problem.  On a 1D plan no
 piece holds two clamp columns after any move, so every move's total is
 the energy of its rigid state: each piece zero, or its clamp column's
@@ -110,14 +113,10 @@ def _solve_constrained(Kff, b):
 
     A component of Kff's graph whose load b is zero stays at exactly 0, the
     minimum-norm minimizer of its part.  The loaded ones (all of Kff when
-    every one is loaded) are factored by a symmetric-mode sparse LU
-    (``scipy.sparse.linalg.splu``, minimum degree on A^T + A, diagonal
-    pivots); an exactly singular factor falls back to the dense minimum-norm
-    least-squares solution, and RuntimeError when that misses the load.
+    every one is loaded) are solved together by `_solve_block`: banded
+    Cholesky, then sparse LU, then dense least squares.
     """
-    # loaded here, at the first solve, not by `import platelab`
-    import scipy.sparse.linalg as spla
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.csgraph import connected_components  # not by `import platelab`
 
     y = np.zeros(b.size)
     ncomp, comp = connected_components(Kff, directed=False)
@@ -126,19 +125,75 @@ def _solve_constrained(Kff, b):
     if not loaded.any():
         return y
     keep = loaded[comp]
-    A, rhs = (Kff if loaded.all() else Kff[keep][:, keep]), b[keep]
+    y[keep] = _solve_block(Kff if loaded.all() else Kff[keep][:, keep], b[keep])
+    return y
+
+
+def _solve_block(A, rhs):
+    """y with A y = rhs, for A a sparse CSC block with no duplicate entries,
+    symmetric positive semidefinite.  Every factorization of a loaded block
+    is made here, in this order:
+
+    1. LAPACK's banded Cholesky (dpbtrf and dpbtrs, called directly: the
+       checks of scipy.linalg.cholesky_banded cost more than the factor of
+       a small block) of A in reverse Cuthill-McKee order, unless A's own
+       order has the narrowest band any order can have, as a chain does.
+       The upper band is packed straight from the CSC arrays.  The solve
+       takes one step of iterative refinement on a residual summed in
+       np.longdouble (80-bit on x86), which keeps the ill-conditioned film
+       accurate at small rho.
+    2. When the Cholesky meets a non-positive pivot (A singular, or too
+       ill-conditioned, as the film is at rho <= 1e-4): a symmetric-mode
+       sparse LU (``scipy.sparse.linalg.splu``, minimum degree on A^T + A,
+       diagonal pivots).
+    3. When that factor is exactly singular: the dense minimum-norm
+       least-squares solution, and RuntimeError when it misses the load.
+    """
+    # loaded here, at the first solve, not by `import platelab`
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = rhs.size
+    counts = np.diff(A.indptr)
+    r, c = A.indices, np.repeat(np.arange(n), counts)  # entry (r, c) of A
+    # no order has a band narrower than half the most neighbours a dof has
+    # (counts less its diagonal), rounded up; keep A's order when it has
+    # that band already
+    perm = None
+    if 2 * np.max(np.abs(c - r), initial=0) > counts.max(initial=0):
+        perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.intp)
+        rank[perm] = np.arange(n)
+        r, c = rank[r], rank[c]  # entry (r, c) of A[perm][:, perm]
+    upper = r <= c
+    r, c = r[upper], c[upper]
+    width = int(np.max(c - r, initial=0))
+    # LAPACK's upper band storage ab[width + r - c, c], column-major
+    ab = np.zeros(n * (width + 1))
+    ab[(c + 1) * width + r] = A.data[upper]
+    cb, info = dpbtrf(ab.reshape(n, width + 1).T, overwrite_ab=1)
+    if info == 0:  # info > 0: a non-positive pivot
+        def solve(v):
+            return dpbtrs(cb, v)[0] if perm is None else dpbtrs(cb, v[perm])[0][rank]
+
+        y = solve(rhs)
+        # A is symmetric, so (A y)_j sums column j; no column of a definite
+        # A is empty
+        Ay = np.add.reduceat(np.multiply(A.data, y[A.indices], dtype=np.longdouble),
+                             A.indptr[:-1])
+        return y + solve(rhs - Ay)
+    import scipy.sparse.linalg as spla
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError:  # exactly singular
         A = A.toarray()
-        y[keep] = z = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        z = np.linalg.lstsq(A, rhs, rcond=None)[0]
         scale = max(1.0, np.abs(A).max()) * max(1.0, np.abs(z).max())
         if np.abs(A @ z - rhs).max() > _RESIDUAL_SLACK * scale:
             raise RuntimeError("singular free block with a load outside its range") from None
-    else:
-        y[keep] = lu.solve(rhs)
-    return y
+        return z
+    return lu.solve(rhs)
 
 
 def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):

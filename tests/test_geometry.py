@@ -335,20 +335,27 @@ def _lattice_scene(draw, dims=(2, 3), shifts=(0.0, 0.5, -0.5, 3.0)):
         assume(False)
     tol = draw(st.sampled_from([1e-12, 1e-9 * h]))
     dirs = direction_set(n)
+    # each query segment's fields, drawn as one tuple: direction, sign,
+    # length in h (up to twice the crack's extent), anchor, a free start,
+    # a crack vertex (simplex, corner), and the axis and size in tol of a
+    # near-miss shift
+    segment = st.tuples(st.integers(0, len(dirs) - 1), st.sampled_from([-1, 1]),
+                        st.integers(1, 8), st.sampled_from(["free", "start", "end"]),
+                        st.lists(st.integers(-2, 6), min_size=n, max_size=n),
+                        st.integers(0, len(simplices) - 1), st.integers(0, n - 1),
+                        st.integers(0, n - 1), st.sampled_from(shifts))
     P, Q = [], []
-    for _ in range(draw(st.integers(1, 30))):
-        e = dirs[draw(st.integers(0, len(dirs) - 1))] * draw(st.sampled_from([-1, 1]))
-        L = draw(st.integers(1, 8))  # up to twice the crack's extent
-        anchor = draw(st.sampled_from(["free", "start", "end"]))
+    for k, sign, L, anchor, free, s, corner, axis, off in draw(
+            st.lists(segment, min_size=1, max_size=30)):
+        e = dirs[k] * sign
         if anchor == "free":
-            p = np.array(draw(st.lists(st.integers(-2, 6), min_size=n, max_size=n)))
+            p = np.array(free)
         else:
-            v = simplices[draw(st.integers(0, len(simplices) - 1)),
-                          draw(st.integers(0, n - 1))]
+            v = simplices[s, corner]
             p = v if anchor == "start" else v - L * e
         # near misses: shift the whole segment off the lattice by a few tol
         shift = np.zeros(n)
-        shift[draw(st.integers(0, n - 1))] = draw(st.sampled_from(shifts))
+        shift[axis] = off
         P.append(h * p + tol * shift)
         Q.append(h * (p + L * e) + tol * shift)
     return np.array(P), np.array(Q), crack, tol

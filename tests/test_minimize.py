@@ -268,6 +268,129 @@ def test_exactly_singular_free_block_raises():
     assert _solve_constrained(sp.csc_matrix((0, 0)), np.zeros(0)).shape == (0,)
 
 
+_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _counting(monkeypatch, owner, name):
+    """The shape of the matrix of every owner.name call from here on."""
+    calls, f = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _loaded_block(Kff, b):
+    """Kff dense, the mask of its loaded pieces, and whether their block is
+    nonsingular (full numerical rank)."""
+    A = Kff.toarray()
+    comp = _dense_components(A)
+    loaded = np.isin(comp, comp[b != 0.0])
+    block = A[np.ix_(loaded, loaded)]
+    return A, loaded, loaded.any() and np.linalg.matrix_rank(block) == len(block)
+
+
+def _random_crack_blocks(kind, n, shape, rho, count, rng):
+    """(Kff, b) of `count` random cracks: faces broken with probability 0.3,
+    each side released with 0.25, clamped values standard normal.  kind is
+    "membrane" (the limit membrane on a plan) or "film" (grid cells)."""
+    p = LameParams(1.0, 1.0, n)
+    h = [1.0 / s for s in shape]
+    ncomp = n if kind == "film" else n - 1
+    Q = minimize._form(p, rho)
+    for _ in range(count):
+        broken = [rng.random(b.shape) < 0.3 for b in minimize._empty_breaks(shape)]
+        released = {(a, s) for a in range(n - 1) for s in (0, 1) if rng.random() < 0.25}
+        fixed_mask = np.repeat(_clamped_cells(shape, n - 1, released).ravel(), ncomp)
+        yield _reduced_system(_derivative_operator(shape, h, broken, ncomp), Q,
+                              float(np.prod(h)), fixed_mask,
+                              rng.standard_normal(fixed_mask.size))
+
+
+def _stretch_film_block(n, plan, layers, rho):
+    """(Kff, b) of the uncracked film on [0, 1]^(n-1) clamped to stretch 1.2."""
+    grid = PlateGrid(n, plan, layers, (0.0,) * (n - 1), (1.0,) * (n - 1))
+    d = stretch_datum(1.2, n).state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
+    fixed_mask = np.repeat(_clamped_cells(grid.shape, n - 1, set()).ravel(), n)
+    return _reduced_system(
+        _derivative_operator(grid.shape, grid.spacings, empty_cracks(grid.shape).broken, n),
+        minimize._form(LameParams(1.0, 1.0, n), rho), grid.cell_volume, fixed_mask,
+        minimize._lift(d, grid.z_centers()).reshape(-1))
+
+
+def test_cholesky_solve_agrees_with_lu_and_min_norm_lstsq(monkeypatch):
+    # seeded random membrane cracks (n = 2 and 3) and small uncracked films
+    # at rho 0.1 and 0.01: every nonsingular loaded block is solved by the
+    # banded Cholesky (no LU), to 1e-12 of a direct splu solve and 1e-10 of
+    # the dense minimum-norm least squares, relative to max |y|.  At rho =
+    # 0.01 the film's conditioning leaves the dense lstsq itself about 2e-9
+    # from the splu solve, so there it is not a reference.
+    splu = spla.splu
+    calls = _counting(monkeypatch, spla, "splu")
+    rng = np.random.default_rng(25)
+    cases = [(f"membrane-n{n}-{k}", None, K, b) for n, plan in ((2, (24,)), (3, (6, 5)))
+             for k, (K, b) in enumerate(_random_crack_blocks("membrane", n, plan, None, 8, rng))]
+    cases += [(f"film-{plan}x{layers}-rho{rho}", rho, *_stretch_film_block(n, plan, layers, rho))
+              for n, plan, layers in ((2, (8,), 4), (2, (16,), 4), (3, (4, 4), 2))
+              for rho in (0.1, 0.01)]
+    solved = 0
+    for name, rho, Kff, b in cases:
+        A, loaded, nonsingular = _loaded_block(Kff, b)
+        if not nonsingular:
+            continue
+        y = _solve_constrained(Kff, b)
+        assert not calls, name
+        lu = np.zeros_like(b)
+        lu[loaded] = splu(sp.csc_matrix(A[np.ix_(loaded, loaded)]),
+                          **_SPLU_OPTIONS).solve(b[loaded])
+        scale = np.abs(lu).max()
+        assert np.all(y[~loaded] == 0.0), name
+        assert np.abs(y - lu).max() <= 1e-12 * scale, name
+        if rho != 0.01:
+            lstsq = np.linalg.lstsq(A, b, rcond=None)[0]
+            assert np.abs(y - lstsq).max() <= 1e-10 * scale, name
+        solved += 1
+    assert solved >= 16
+
+
+def test_cholesky_solve_is_backward_stable_on_random_film_cracks(monkeypatch):
+    # random cracks of small n = 2 and 3 films at rho 0.1 and 0.01 leave
+    # loaded blocks with condition numbers up to about 1e10; every
+    # nonsingular one is solved by the banded Cholesky with a residual at
+    # rounding level, |A y - b| <= 1e-15 max|A| max|y|
+    calls = _counting(monkeypatch, spla, "splu")
+    rng = np.random.default_rng(25)
+    solved = 0
+    for n, shape in ((2, (8, 4)), (3, (4, 3, 2))):
+        for rho in (0.1, 0.01):
+            for Kff, b in _random_crack_blocks("film", n, shape, rho, 6, rng):
+                A, loaded, nonsingular = _loaded_block(Kff, b)
+                if not nonsingular:
+                    continue
+                y = _solve_constrained(Kff, b)
+                assert not calls
+                assert np.all(y[~loaded] == 0.0)
+                assert np.abs(A @ y - b).max() <= 1e-15 * np.abs(A).max() * np.abs(y).max()
+                solved += 1
+    assert solved >= 16
+
+
+def test_ill_conditioned_film_block_takes_the_lu(monkeypatch):
+    # the uncracked (32,) x 64 stretch film at rho = 1e-4: its rho^-4
+    # conditioning defeats the Cholesky, and the block's values are bitwise
+    # those of the symmetric-mode LU
+    Kff, b = _stretch_film_block(2, (32,), 64, 1e-4)
+    ref = spla.splu(Kff, **_SPLU_OPTIONS).solve(b)
+    calls = _counting(monkeypatch, spla, "splu")
+    y = _solve_constrained(Kff, b)
+    assert calls == [Kff.shape]
+    assert np.array_equal(y, ref)
+
+
 def _bent_plate_datum():
     """The n = 3 datum ubar = 0, un = |x|^2 / 2, grad_un = x."""
     return BoundaryDatum(lambda X: np.zeros_like(np.atleast_2d(X)),
@@ -613,14 +736,7 @@ def test_thick_film_releases_a_side(monkeypatch):
 def test_1d_search_factors_only_its_start(monkeypatch, search):
     # every move of every round is scored in closed form and the winner
     # takes its rigid state: the one factorization is the starting state's
-    calls = []
-    splu = spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
+    calls = _counting(monkeypatch, minimize, "_solve_block")
     _, cracks, _, trace = search()
     assert len(trace) == 2 and np.any(cracks.broken[0])
     assert len(calls) == 1
@@ -718,6 +834,40 @@ def test_bent_film_total_is_exactly_one_at_small_rho(rho):
                                              SolverConfig())
     assert np.any(cracks.broken[0])
     assert e.total == trace[-1] == 1.0
+
+
+def _exact_refinement(K, b):
+    """K^-1 b: a splu solve refined on residuals b - K y taken in exact
+    rational arithmetic."""
+    from fractions import Fraction
+    C = K.tocoo()
+    entries = list(zip(C.row.tolist(), C.col.tolist(), C.data.tolist()))
+    lu = spla.splu(K, **_SPLU_OPTIONS)
+    y = lu.solve(b)
+    for _ in range(6):
+        r = [Fraction(v) for v in b.tolist()]
+        for i, j, v in entries:
+            r[i] -= Fraction(v) * Fraction(y[j])
+        y = y + lu.solve(np.array([float(x) for x in r]))
+    return y
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_bent_film_start_is_accurate_at_small_rho(a):
+    # the uncracked bent film (16,) x 8 at rho = 1e-3 is a stiffness of
+    # condition number about 3e13; against its minimizer refined on exact
+    # residuals, the solve's field is within 1e-7 and its total within
+    # 1e-11, relative (a symmetric-mode LU alone misses by about 1e-6 and
+    # 2e-11 at a = 0.5, 3e-6 and 3e-10 at a = 2)
+    grid = PlateGrid(2, (16,), 8, (0.0,), (1.0,))
+    problem = minimize._FilmProblem(grid, _bent_datum(1.2, a), P2, 1e-3)
+    u, e = problem.solve(empty_cracks(grid.shape))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimize, "_solve_constrained", _exact_refinement)
+        ref, e_ref = problem.solve(empty_cracks(grid.shape))
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(u.values - ref.values)) <= 1e-7 * scale
+    assert e.total == pytest.approx(e_ref.total, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.05])
