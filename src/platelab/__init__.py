@@ -35,10 +35,9 @@ from .energy import (BoundaryDatum, EnergyBreakdown, boundary_penalty,
 from .minimize import (CrackIndicator, SolverConfig, alternate_minimize,
                        elastic_solve, empty_cracks, minimize_limit)
 from .lab import (ExperimentConfig, approximate_experiment,
-                  classify_experiment, jump_energy_experiment, liminf_probe,
-                  load_config, membrane_crack_state, minima_sweep,
-                  projection_experiment, recovery_sequence, recovery_sweep,
-                  write_csv)
+                  classify_experiment, jump_energy_experiment, load_config,
+                  membrane_crack_state, minima_sweep, projection_experiment,
+                  recovery_sequence, recovery_sweep, write_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

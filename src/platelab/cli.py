@@ -52,13 +52,6 @@ def _datum(cfg):
     return stretch_datum(cfg.stretch, cfg.n)
 
 
-def _liminf(cfg):
-    s = _membrane(cfg)
-    return lab.liminf_probe(
-        lambda rho: lab.recovery_sequence(s, cfg.lame, rho, np.sqrt(rho), layers=cfg.layers),
-        s, cfg.lame, cfg.rho_list)
-
-
 def _minimize(cfg):
     s, cracks, e, trace = lab.minimize_limit(cfg.plan, cfg.omega_lo, cfg.omega_hi, _datum(cfg),
                                              cfg.lame, SolverConfig())
@@ -87,7 +80,6 @@ _COMMANDS = {
         "recovery-sequence energy sweep over rho", ("rho", "datum"),
         lambda cfg: lab.recovery_sweep(_membrane(cfg), cfg.lame, cfg.rho_list,
                                        layers=cfg.layers)),
-    "liminf": ("lower-bound margins for the recovery family", ("rho", "datum"), _liminf),
     "minimize": ("single minimization of the reduced or rescaled energy", ("datum",), _minimize),
     "sweep": (
         "minima-convergence sweep over rho", ("rho", "datum"),

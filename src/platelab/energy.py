@@ -11,6 +11,7 @@ anisotropic factor phi_rho in the rescaled energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,10 +39,6 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.bulk + self.surface + self.boundary_penalty
 
-    def row(self, rho=None) -> dict:
-        return {"rho": rho, "bulk": self.bulk, "surface": self.surface,
-                "penalty": self.boundary_penalty, "total": self.total}
-
 
 @lru_cache(maxsize=8)
 def _form(p: LameParams, rho: float | None = None) -> np.ndarray:
@@ -62,8 +59,12 @@ def _form(p: LameParams, rho: float | None = None) -> np.ndarray:
 
 
 def _bulk(d: np.ndarray, Q: np.ndarray, weight: float) -> float:
-    """(1/2) weight sum_c d_c . Q d_c over the rows of d."""
-    return 0.5 * weight * float(np.sum(np.einsum("ki,ij,kj->k", d, Q, d)))
+    """(1/2) weight sum_c d_c . Q d_c over the rows of d.  A sum that is not
+    finite is an input error: a search cannot compare it with another total."""
+    bulk = 0.5 * weight * float(np.sum(np.einsum("ki,ij,kj->k", d, Q, d)))
+    if not math.isfinite(bulk):
+        raise ValueError("bulk energy is not finite; is the boundary datum too large?")
+    return bulk
 
 
 def griffith_energy(u: PlateField, p: LameParams) -> EnergyBreakdown:

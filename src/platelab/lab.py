@@ -1,4 +1,4 @@
-"""Experiment drivers: recovery sweeps, lower-bound probes, minima sweeps.
+"""Experiment drivers: recovery sweeps, minima sweeps, lattice experiments.
 
 Each driver returns a list of plain-dict rows (one per parameter value)
 that serialize to CSV; the CLI in :mod:`.cli` wraps these.
@@ -119,18 +119,6 @@ def recovery_sweep(s: KLState, p: LameParams, rho_list, layers: int = 32) -> lis
             "e_nn_norm": comp["e_nn_norm"],
             "bound_nn": comp["bound_nn"],
         })
-    return rows
-
-
-def liminf_probe(family, s: KLState, p: LameParams, rho_list) -> list:
-    """Margins E_rho(v_rho) - E_0(s) for a user-supplied rho-indexed family."""
-    e0 = limit_energy(s, p).total
-    rows = []
-    for rho in rho_list:
-        v = family(rho)
-        e = rescaled_energy(v, p, rho)
-        rows.append({"rho": rho, "e_rho": e.total, "e_limit": e0,
-                     "margin": e.total - e0})
     return rows
 
 

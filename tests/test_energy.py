@@ -37,7 +37,6 @@ def bending_state(N=64):
 def test_energy_breakdown_total():
     e = EnergyBreakdown(1.0, 2.0, 0.5)
     assert e.total == 3.5
-    assert e.row(0.1)["total"] == 3.5
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,41 @@ def _on_segment(a, b, p):
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
+def _sub(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def _fdot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def _point_segment_sq_dist(p, a, b):
     """Squared distance from the point p to the closed segment [a, b]."""
-    d = [y - x for x, y in zip(a, b)]
-    w = [y - x for x, y in zip(a, p)]
-    dd = d[0] * d[0] + d[1] * d[1]
-    t = min(max((w[0] * d[0] + w[1] * d[1]) / dd, 0), 1) if dd else 0
-    return (w[0] - t * d[0]) ** 2 + (w[1] - t * d[1]) ** 2
+    d, w = _sub(b, a), _sub(p, a)
+    dd = _fdot(d, d)
+    t = min(max(_fdot(w, d) / dd, 0), 1) if dd else 0
+    return sum((x - t * y) ** 2 for x, y in zip(w, d))
+
+
+def _box_sq_gap(p, q, a, b):
+    """Squared distance between the boxes of [p, q] and [a, b]: at most the
+    segments' squared distance."""
+    return sum(max(0, min(x, y) - max(s, t), min(s, t) - max(x, y)) ** 2
+               for x, y, s, t in zip(p, q, a, b))
+
+
+def _segment_segment_sq_dist(p, q, a, b):
+    """Squared distance between the closed segments [p, q] and [a, b]: at the
+    lines' nearest pair when it lies on both, else at an end of one of them."""
+    d1, d2, r = _sub(q, p), _sub(b, a), _sub(p, a)
+    A, B, C, D, E = _fdot(d1, d1), _fdot(d1, d2), _fdot(d2, d2), _fdot(d1, r), _fdot(d2, r)
+    den = A * C - B * B
+    if den:
+        s, t = (B * E - C * D) / den, (A * E - B * D) / den
+        if 0 <= s <= 1 and 0 <= t <= 1:
+            return sum((x + s * y - t * z) ** 2 for x, y, z in zip(r, d1, d2))
+    return min(_point_segment_sq_dist(p, a, b), _point_segment_sq_dist(q, a, b),
+               _point_segment_sq_dist(a, p, q), _point_segment_sq_dist(b, p, q))
 
 
 def _segments_intersect_exact(p, q, a, b, tol=0.0):
@@ -83,50 +111,62 @@ def _in_triangle_2d(p, a, b, c):
     return min(s) >= 0 or max(s) <= 0
 
 
-def _seg_tri_intersect_exact(p, q, a, b, c):
-    """Does the closed segment [p, q] meet the closed triangle abc?
+def _seg_tri_intersect_exact(p, q, a, b, c, tol=0.0):
+    """Does the closed segment [p, q] come within tol of the closed triangle abc?
 
-    The float coordinates become Fractions, so every decision is the exact
-    sign of an orientation determinant (Shewchuk, DCG 18, 1997).
+    The float coordinates and tol become Fractions, so every decision is
+    exact: whether they meet is the sign of orientation determinants
+    (Shewchuk, DCG 18, 1997), and for tol > 0 the squared distance of two
+    disjoint sets is rational.  It is taken at an end of the segment over
+    the triangle's interior, or between the segment and an edge.
     """
     p, q, a, b, c = ([Fraction(float(x)) for x in v] for v in (p, q, a, b, c))
-    op, oq = _orient3(a, b, c, p), _orient3(a, b, c, q)
-    if op * oq > 0:  # both ends strictly on one side of the plane
-        return False
-    if op == oq == 0:
-        # coplanar: drop an axis the plane's normal has a component on, and
-        # meet the triangle in 2D through an end inside it or an edge crossing
-        u, v = ([x - y for x, y in zip(w, a)] for w in (b, c))
-        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                  u[0] * v[1] - u[1] * v[0])
-        k = next(i for i in range(3) if normal[i] != 0)
-        p, q, a, b, c = ([x for i, x in enumerate(w) if i != k] for w in (p, q, a, b, c))
-        return (_in_triangle_2d(p, a, b, c) or _in_triangle_2d(q, a, b, c)
-                or any(_segments_intersect_exact(p, q, s, t)
-                       for s, t in ((a, b), (b, c), (c, a))))
-    # the segment meets the plane in one point; it lies in the closed
-    # triangle iff the line pq passes each edge on one side or on it
-    s = [_orient3(p, q, a, b), _orient3(p, q, b, c), _orient3(p, q, c, a)]
-    return min(s) >= 0 or max(s) <= 0
+    tt = Fraction(tol) ** 2
+    u, v = _sub(b, a), _sub(c, a)
+    normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    # dropping an axis the normal has a component on maps the plane onto 2D
+    # one to one, so a point of the plane lies in abc iff its shadow does
+    k = next(i for i in range(3) if normal[i] != 0)
+
+    def in_abc(x):
+        return _in_triangle_2d(*([y for i, y in enumerate(w) if i != k] for w in (x, a, b, c)))
+
+    # the ends' heights over the plane, times |normal|
+    nn = _fdot(normal, normal)
+    hp, hq = _fdot(_sub(p, a), normal), _fdot(_sub(q, a), normal)
+    if hp == hq == 0:
+        # coplanar: an end inside the triangle or an edge crossing
+        flat = [[x for i, x in enumerate(w) if i != k] for w in (p, q, a, b, c)]
+        if in_abc(p) or in_abc(q) or any(_segments_intersect_exact(*flat[:2], *e)
+                                         for e in itertools.combinations(flat[2:], 2)):
+            return True
+    elif hp * hq <= 0:
+        # the segment meets the plane in one point; it lies in the closed
+        # triangle iff the line pq passes each edge on one side or on it
+        s = [_orient3(p, q, a, b), _orient3(p, q, b, c), _orient3(p, q, c, a)]
+        if min(s) >= 0 or max(s) <= 0:
+            return True
+    elif min(hp * hp, hq * hq) > tt * nn:
+        return False  # both ends on one side, farther than tol from the plane
+    # apart: an edge counts only if its box comes within tol of the segment's
+    if any(h * h <= tt * nn and in_abc([y - h / nn * z for y, z in zip(x, normal)])
+           for x, h in ((p, hp), (q, hq))):
+        return True
+    return any(_box_sq_gap(p, q, s, t) <= tt and _segment_segment_sq_dist(p, q, s, t) <= tt
+               for s, t in ((a, b), (b, c), (c, a)))
 
 
 def _exact_hits(P, Q, simplex, tol=0.0):
     """Does each closed segment [P_i, Q_i] meet the closed simplex, exactly.
 
-    A segment (n = 2) counts when it comes within tol, the closed-set
-    convention of `segments_hit_crack`; a triangle (n = 3) only when it
-    meets the segment.  Boxes more than tol apart keep the closed sets
+    A segment counts when it comes within tol, the closed-set convention
+    of `segments_hit_crack`.  Boxes more than tol apart keep the closed sets
     more than tol apart, so only the other rows go to the exact predicates.
     """
-    if simplex.shape[1] == 2:
-        def exact(p, q):
-            return _segments_intersect_exact(p, q, *simplex, tol)
-    else:
-        def exact(p, q):
-            return _seg_tri_intersect_exact(p, q, *simplex)
+    exact = _segments_intersect_exact if simplex.shape[1] == 2 else _seg_tri_intersect_exact
     meet = (np.all(np.minimum(P, Q) <= simplex.max(axis=0) + tol, axis=1)
             & np.all(np.maximum(P, Q) >= simplex.min(axis=0) - tol, axis=1))
-    return np.array([bool(m) and exact(p, q) for m, p, q in zip(meet, P, Q)],
+    return np.array([bool(m) and exact(p, q, *simplex, tol) for m, p, q in zip(meet, P, Q)],
                     dtype=bool)
 
 
@@ -134,7 +174,7 @@ def brute_force_classify(grid, crack):
     """Literal re-implementation of the bad-cube definition.
 
     Every direction from every designated corner, for all cubes at once;
-    hits from `_exact_hits`, within the classifier's tol for n = 2.  (The
+    hits from `_exact_hits`, within the classifier's tol.  (The
     segment (0.1, 0.8)-(0.9, 0.2) misses the lattice point (0.5, 0.5) by
     3e-17 in binary; the classifier, at tol 1e-9 h, counts it.)
     """
@@ -403,7 +443,7 @@ _DIAG = np.array([[0.0, 0.0, 0.0], [0.25, 0.25, 0.0], [0.5, 0.5, 0.0]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_lattice_scene(dims=(3,), shifts=(0.0,)))
+@given(_lattice_scene(dims=(3,), shifts=(0.0, 0.5, -0.5, 2.5)))
 # lattice points on the shared diagonal of a split square: segments across
 # it, along it, and ending on it from above
 @example((np.vstack([_DIAG + [0.0, 0.0, -0.25], _DIAG, _DIAG + [0.0, 0.0, 0.25],
@@ -411,13 +451,20 @@ _DIAG = np.array([[0.0, 0.0, 0.0], [0.25, 0.25, 0.0], [0.5, 0.5, 0.0]])
           np.vstack([_DIAG + [0.0, 0.0, 0.25], _DIAG + 0.25 * np.array([1.0, 1.0, 0.0]),
                      _DIAG, _DIAG[:2] + [-0.25, 0.25, 0.0]]),
           axis_plane_crack(3, 2, 0.0, ((0.0, 0.5), (0.0, 0.5))), 1e-12))
+# segments normal to a triangle that end over its interior, 0.5 tol above,
+# 0.5 tol below and 2.5 tol above it: the end is the nearest point
+@example((np.array([[0.125, 0.375, 0.5e-12], [0.125, 0.375, -0.5e-12],
+                    [0.125, 0.375, 2.5e-12]]),
+          np.array([[0.125, 0.375, 0.25], [0.125, 0.375, -0.25], [0.125, 0.375, 0.25]]),
+          axis_plane_crack(3, 2, 0.0, ((0.0, 0.5), (0.0, 0.5))), 1e-12))
 def test_seg_tri_dist_matches_exact_oracle(scene):
     # a crossing row returns 0 before the edge and endpoint candidates; every
-    # row agrees with the exact orientation predicates on the lattice
+    # row agrees with the exact oracle within tol on the lattice, near
+    # misses shifted a fraction of tol or 2.5 tol off it included
     P, Q, crack, tol = scene
     for tri in crack.simplices:
         got = _seg_tri_dist(P, Q, np.broadcast_to(tri, (len(P),) + tri.shape)) <= tol
-        assert np.array_equal(got, _exact_hits(P, Q, tri))
+        assert np.array_equal(got, _exact_hits(P, Q, tri, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from platelab import lab
 from platelab import cli
 from platelab.cli import run_cli
 from platelab.elasticity import LameParams
+from platelab.energy import limit_energy, rescaled_energy
 from platelab.geometry import axis_plane_crack
 from platelab.kirchhoff_love import KLState, kl_lift, reduced_gradient
 
@@ -89,21 +90,18 @@ def test_box_filter_matches_uniform_filter(shape, data):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(x))
 
 
-def test_liminf_probe_margin_nonnegative():
+def test_recovery_sweep_energy_is_not_below_the_limit():
     s = lab.membrane_crack_state(0.5, (64,), (0.0,), (1.0,))
-
-    def family(rho):
-        return lab.recovery_sequence(s, P2, rho, np.sqrt(rho), layers=8)
-
-    rows = lab.liminf_probe(family, s, P2, [1e-1, 1e-2])
-    assert min(r["margin"] for r in rows) >= -1e-8
+    rows = lab.recovery_sweep(s, P2, [1e-1, 1e-2], layers=8)
+    assert all(r["e_rho"] >= r["e_limit"] - 1e-8 for r in rows)
 
 
-def test_liminf_probe_constant_sequence():
+def test_lift_energy_is_not_below_the_limit():
+    # the plain lift has e_nn = 0, so its E_rho bounds E_0 from above at every rho
     s = lab.membrane_crack_state(0.5, (32,), (0.0,), (1.0,))
-    v = kl_lift(s, 8)
-    rows = lab.liminf_probe(lambda rho: v, s, P2, [1e-1, 1e-2])
-    assert min(r["margin"] for r in rows) >= -1e-8
+    e0 = limit_energy(s, P2).total
+    assert all(rescaled_energy(kl_lift(s, 8), P2, rho).total >= e0 - 1e-8
+               for rho in (1e-1, 1e-2))
 
 
 def test_jump_energy_experiment_mean_row():
@@ -227,8 +225,8 @@ def test_cli_rejects_unknown_datum(capsys):
 
 _IGNORED_FLAGS = (
     [(cmd, "--seed", "3") for cmd in
-     ("approximate", "recover", "liminf", "minimize", "sweep")]
-    + [(cmd, flag, value) for cmd in ("recover", "liminf", "minimize", "sweep")
+     ("approximate", "recover", "minimize", "sweep")]
+    + [(cmd, flag, value) for cmd in ("recover", "minimize", "sweep")
        for flag, value in (("--h", "0.0625"), ("--crack", "crack.txt"))]
     + [(cmd, "--rho", "0.1") for cmd in
        ("classify", "jump-energy", "approximate", "minimize")]
@@ -255,10 +253,9 @@ _BAD_CONFIGS = {"no samples": ("jump-energy", "samples = 0"),
                 "long plan": ("minimize", "plan = 8 8"),
                 "long plan recover": ("recover", "plan = 8 8"),
                 "long omega": ("minimize", "omega_lo = 0 0\nomega_hi = 1 1"),
-                "long omega liminf": ("liminf", "omega_lo = 0 0\nomega_hi = 1 1"),
+                "long omega recover": ("recover", "omega_lo = 0 0\nomega_hi = 1 1"),
                 "n 3 short plan": ("recover", "n = 3"),
                 "one cell plan recover": ("recover", "plan = 1"),
-                "one cell plan liminf": ("liminf", "plan = 1"),
                 "n 3 one cell plan recover": ("recover", "n = 3\nplan = 1 6\n"
                                               "omega_lo = 0 0\nomega_hi = 1 1")}
 
@@ -275,11 +272,18 @@ def _bad_value_argv(tmp_path, name):
     return {"negative rho": ["recover", "--rho", "-0.1"],
             "nan stretch": ["minimize", "--datum", "stretch:nan"],
             "inf stretch": ["minimize", "--datum", "stretch:inf"],
+            # finite, but its bulk energy overflows: no search can compare it
+            "overflowing stretch minimize": ["minimize", "--datum", "stretch:1e200"],
+            "overflowing stretch recover": ["recover", "--rho", "0.1", "--datum",
+                                            "stretch:1e200"],
+            "overflowing stretch sweep": ["sweep", "--rho", "0.1", "--datum", "stretch:1e200"],
             "malformed seed": ["classify", *crack, "--seed", "abc"],
             "malformed h": ["classify", "--crack", str(crack_path), "--h", "1/16"]}[name]
 
 
 @pytest.mark.parametrize("name", ["negative rho", "nan stretch", "inf stretch",
+                                  "overflowing stretch minimize",
+                                  "overflowing stretch recover", "overflowing stretch sweep",
                                   "malformed seed", "malformed h", *_BAD_CONFIGS])
 def test_cli_rejects_bad_flag_and_config_values(name, tmp_path, capsys):
     # flag values go through the same validation as config values, and a
@@ -375,7 +379,7 @@ def test_cli_config_file_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["classify", "jump-energy", "approximate",
-                                     "recover", "liminf", "minimize", "sweep"])
+                                     "recover", "minimize", "sweep"])
 def test_cli_csv_is_byte_identical_across_runs(command, tmp_path, capsys):
     # rows carry no timings, so two runs of one config give the same bytes,
     # and stdout carries the same bytes as the --out file
@@ -400,7 +404,8 @@ def test_cli_csv_is_byte_identical_across_runs(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,code", [(["minimize", "--datum", "stretch:1.2"], 0),
                                        (["minimize", "--h", "0.1"], 1),
-                                       (["bogus"], 1), (["minimize", "--bogus", "1"], 1),
+                                       (["bogus"], 1), (["liminf"], 1),
+                                       (["minimize", "--bogus", "1"], 1),
                                        ([], 1)])
 def test_console_script_exit_codes(argv, code, monkeypatch, capsys):
     # `main` is the `platelab` console script: it reads sys.argv and exits;
@@ -416,7 +421,7 @@ def test_console_script_exit_codes(argv, code, monkeypatch, capsys):
 _OWN_FLAGS = {"classify": {"--seed", "--h", "--crack"},
               "jump-energy": {"--seed", "--h", "--crack"},
               "approximate": {"--h", "--crack"},
-              "recover": {"--rho", "--datum"}, "liminf": {"--rho", "--datum"},
+              "recover": {"--rho", "--datum"},
               "minimize": {"--datum"}, "sweep": {"--rho", "--datum"}}
 
 
@@ -457,8 +462,8 @@ def test_cli_directory_path_is_an_input_error(flag, tmp_path, capsys):
     # names it, and no temporary CSV left beside it
     d = tmp_path / "d"
     d.mkdir()
-    argv = {"--out": ["liminf", "--rho", "0.1", "--out", str(d)],
-            "--config": ["liminf", "--config", str(d)],
+    argv = {"--out": ["recover", "--rho", "0.1", "--out", str(d)],
+            "--config": ["recover", "--config", str(d)],
             "--crack": ["classify", "--crack", str(d), "--h", "0.1"]}[flag]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
