@@ -29,13 +29,22 @@ class ShiftedGrid:
     hi: tuple
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("grid spacing must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError("grid spacing must be positive and finite")
         y = np.asarray(self.y, dtype=float)
-        if y.shape != (self.n,) or np.any(y < 0.0) or np.any(y >= 1.0):
+        if y.shape != (self.n,) or not np.all((y >= 0.0) & (y < 1.0)):
             raise ValueError("offset y must lie in [0,1)^n")
         if len(self.lo) != self.n or len(self.hi) != self.n:
             raise ValueError("box bounds must have length n")
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise ValueError("box bounds must be finite with lo < hi on every axis")
+        # the cube window, widened by a few indices, must hold int64 indices
+        with np.errstate(over="ignore"):
+            reach = np.maximum(np.abs(lo), np.abs(hi)) / self.h
+        if not np.all(reach < 2.0 ** 62):
+            raise ValueError(f"grid spacing {self.h!r} gives cube indices beyond int64")
 
     @property
     def offset(self) -> np.ndarray:
@@ -271,7 +280,10 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     lo = np.minimum(P, Q) - tol
     hi = np.maximum(P, Q) + tol
-    # Lattice batches arrive sorted in x; the stable sort takes them in linear time.
+    # Lattice batches arrive sorted in x: their rows run z_0-major, and a
+    # row's low x is its start's plus one shift per batch, or, in a hit
+    # table block, whose steps have x part 0 or 1, its start's.  On one
+    # sorted run the stable sort (timsort) takes linear time.
     order = np.argsort(lo[:, 0], kind="stable")
     # Running max of the high x in sorted order: every query before the
     # first index where it reaches a simplex's low x ends left of it.
@@ -361,42 +373,124 @@ def _cube_segments(n: int) -> list:
             if np.count_nonzero(a != b) <= 2]
 
 
-def _near_cubes(grid: ShiftedGrid, crack: CrackSurface, tol: float,
-                step) -> tuple[np.ndarray, np.ndarray]:
-    """The cubes whose query may come within tol of the crack.
+def _near_mask(grid: ShiftedGrid, crack: CrackSurface, tol: float, step,
+               zmin: np.ndarray, zmax: np.ndarray, tight: bool = False) -> np.ndarray:
+    """The lattice points z of the index window [zmin, zmax] whose query may
+    come within tol of the crack, as a mask over the window.
 
-    The query of cube z lies in the box of the lattice points h (z + y)
-    and h (z + y + step): the step h e's own segment, or with step (1, ..,
-    1) every edge and face diagonal of the cube.  Each simplex's box,
-    inflated by tol and by that reach, becomes an integer index window,
-    widened by one index on each side so that it keeps every cube whose
-    query passes `segments_hit_crack`'s float box test, and clipped to the
-    cube window.  Returns the union of the windows as a mask over the cube
-    window, and the indices of its cubes, shape (k, n), in the order of
-    `cube_indices`.
+    The query of z lies in the box of the lattice points h (z + y) and
+    h (z + y + step): the step h e's own segment, or with step (1, .., 1)
+    every edge and face diagonal of cube z.  Each simplex's box, inflated
+    by tol and by that reach, becomes an integer index window, clipped to
+    [zmin, zmax], that keeps every z whose query passes
+    `segments_hit_crack`'s float box test: the real bounds are widened by
+    one index on each side, or, if `tight`, by 1e-6 of their magnitude
+    plus 1e-6, far above the rounding of either side of that test.  The
+    mask is the union of these windows.
     """
-    zmin, zmax = grid.cube_window()
     near = np.zeros(tuple(zmax - zmin + 1), dtype=bool)
     step = np.asarray(step, dtype=float)
     S = crack.simplices
-    lo = np.ceil((S.min(axis=1) - tol) / grid.h - grid.offset - np.maximum(step, 0.0)) - 1.0
-    hi = np.floor((S.max(axis=1) + tol) / grid.h - grid.offset - np.minimum(step, 0.0)) + 1.0
+    lo = (S.min(axis=1) - tol) / grid.h - grid.offset - np.maximum(step, 0.0)
+    hi = (S.max(axis=1) + tol) / grid.h - grid.offset - np.minimum(step, 0.0)
+    if tight:  # held just past the window first, so the slack stays finite
+        lo, hi = (np.clip(v, zmin - 2, zmax + 2) for v in (lo, hi))
+        lo = np.ceil(lo - 1e-6 * (1.0 + np.abs(lo)))
+        hi = np.floor(hi + 1e-6 * (1.0 + np.abs(hi)))
+    else:
+        lo = np.ceil(lo) - 1.0
+        hi = np.floor(hi) + 1.0
     # clipped before the cast, so a window off the box stays empty: hi < lo
     lo = np.clip(lo, zmin, zmax + 1).astype(int) - zmin
     hi = np.clip(hi, zmin - 1, zmax).astype(int) - zmin + 1
     for a, b in zip(lo, hi):
         near[tuple(map(slice, a, b))] = True
+    return near
+
+
+def _near_cubes(grid: ShiftedGrid, crack: CrackSurface, tol: float,
+                step) -> tuple[np.ndarray, np.ndarray]:
+    """`_near_mask` over the cube window, and the indices of its cubes,
+    shape (k, n), in the order of `cube_indices`."""
+    zmin, zmax = grid.cube_window()
+    near = _near_mask(grid, crack, tol, step, zmin, zmax)
     return near, np.argwhere(near) + zmin
 
 
-def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None) -> CubeClassification:
+# rows per `segments_hit_crack` call when a hit table is filled: the fill's
+# memory stays bounded on any grid (11 MB traced on the 3D flat crack at
+# h = 1/64), and the benchmark's lattice grids take one call
+_HIT_BLOCK = 6144
+
+
+@dataclass
+class _SegmentHits:
+    """Which undirected lattice segments [z, z + d] of a grid meet the crack.
+
+    d runs over the segment classes, the members of `direction_set` whose
+    first nonzero coordinate is positive (4 for n=2, 9 for n=3), and z over
+    the cube window widened by one index on each side.  Every edge and face
+    diagonal of a cube, and every step e of `direction_set` from a cube's
+    lower corner, is one class's segment there: a step -d from z is class d
+    at z - d.
+    """
+
+    classes: dict  # segment class d (tuple) -> its index in the last axis of hit
+    hit: np.ndarray  # bool, widened window shape + (number of classes,)
+
+    def view(self, start, step) -> np.ndarray:
+        """Hits of the segments [z + start, z + start + step] over the cube
+        window, step being a class or minus one."""
+        step = tuple(int(v) for v in step)
+        start = np.asarray(start, dtype=int)
+        if step not in self.classes:
+            step = tuple(-v for v in step)
+            start = start - step
+        shape = np.array(self.hit.shape[:-1]) - 2
+        window = tuple(slice(1 + s, 1 + s + k) for s, k in zip(start, shape))
+        return self.hit[window + (self.classes[step],)]
+
+
+def _segment_hits(grid: ShiftedGrid, crack: CrackSurface | None) -> _SegmentHits:
+    """The hit table of `grid`: each class's rows of its tight `_near_mask`
+    are queried, in blocks of `_HIT_BLOCK` rows, and every other segment
+    misses.  A whole index of slack would add a layer of rows on each side
+    of the crack to every class, more than doubling the rows of a crack
+    along a lattice plane."""
+    D = np.array([d for d in direction_set(grid.n) if d[np.flatnonzero(d)[0]] > 0])
+    zmin, zmax = grid.cube_window()
+    wmin, wmax = zmin - 1, zmax + 1
+    hit = np.zeros(tuple(wmax - wmin + 1) + (len(D),), dtype=bool)
+    if crack is not None and crack.m > 0:
+        tol = 1e-9 * grid.h
+        for c, d in enumerate(D):  # the near rows first, then their hits
+            hit[..., c] = _near_mask(grid, crack, tol, d, wmin, wmax, tight=True)
+        # flat order runs z_0-major, so every block is sorted in x
+        rows = np.flatnonzero(hit)
+        for i in range(0, rows.size, _HIT_BLOCK):
+            r = rows[i:i + _HIT_BLOCK]
+            *z, c = np.unravel_index(r, hit.shape)
+            P = grid.corner(np.stack(z, axis=-1) + wmin)
+            hit.flat[r] = segments_hit_crack(P, P + grid.h * D[c], crack, tol)
+    return _SegmentHits({tuple(int(v) for v in d): c for c, d in enumerate(D)}, hit)
+
+
+def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None,
+                   hits: _SegmentHits | None = None) -> CubeClassification:
     """Mark bad hyper-cubes: the crack meets one of the cube's edges or face diagonals.
 
-    Only the cubes of `_near_cubes` are queried; every other cube is good.
+    Given the grid's hit table `hits`, the mask is the OR of its views of
+    the cube segments.  Without it, only the cubes of `_near_cubes` are
+    queried, segment by segment, and a bad cube leaves the later queries;
+    every other cube is good.
     """
     zmin, zmax = grid.cube_window()
     shape = tuple(int(zmax[i] - zmin[i] + 1) for i in range(grid.n))
     bad = np.zeros(shape, dtype=bool)
+    if hits is not None:
+        for a, e in _cube_segments(grid.n):
+            bad |= hits.view(a, e)
+        return CubeClassification(grid, crack, bad, zmin)
     if crack is None or crack.m == 0:
         return CubeClassification(grid, crack, bad, zmin)
     tol = 1e-9 * grid.h
@@ -413,19 +507,20 @@ def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None) -> CubeClassif
     return CubeClassification(grid, crack, bad, zmin)
 
 
-def discrete_jump_energy(grid: ShiftedGrid, crack: CrackSurface | None) -> float:
+def discrete_jump_energy(grid: ShiftedGrid, crack: CrackSurface | None,
+                         hits: _SegmentHits | None = None) -> float:
     """h^n * sum_e sum_z 1_{J^{he}}(z + hy) / (h |e|) over enumerated lattice points.
 
-    Per direction e, only the lattice points of `_near_cubes` are queried.
+    Each direction e reads its segments from the grid's hit table, built
+    here unless given as `hits`.
     """
     if crack is None or crack.m == 0:
         return 0.0
-    tol = 1e-9 * grid.h
+    if hits is None:
+        hits = _segment_hits(grid, crack)
     total = 0.0
     for e in direction_set(grid.n).astype(float):
-        P = grid.corner(_near_cubes(grid, crack, tol, e)[1])
-        hits = segments_hit_crack(P, P + grid.h * e, crack, tol)
-        total += np.count_nonzero(hits) / (grid.h * np.linalg.norm(e))
+        total += np.count_nonzero(hits.view((0,) * grid.n, e)) / (grid.h * np.linalg.norm(e))
     return float(grid.h ** grid.n * total)
 
 

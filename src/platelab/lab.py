@@ -18,9 +18,9 @@ from .energy import (BoundaryDatum, compactness_check, limit_energy, rescaled_en
                      stretch_datum)
 # unused here; bench/tracer.py wraps these names in this module
 from .energy import boundary_penalty, penalized_energies  # noqa: F401
-from .geometry import (CrackSurface, ShiftedGrid, bad_cube_boundary_measure,
-                       classify_cubes, direction_set, discrete_jump_energy,
-                       projection_measure)
+from .geometry import (CrackSurface, ShiftedGrid, _segment_hits,
+                       bad_cube_boundary_measure, classify_cubes, direction_set,
+                       discrete_jump_energy, projection_measure)
 from .kirchhoff_love import (KLState, PlateGrid, _apply_stencil, _derivative_operator,
                              cell_derivative, kl_lift)
 from .minimize import SolverConfig, alternate_minimize, minimize_limit
@@ -170,13 +170,15 @@ def classify_experiment(crack: CrackSurface, h: float, lo, hi, seed: int = 0,
     for k in range(samples):
         y = tuple(rng.random(n)) if k > 0 else (0.0,) * n
         grid = ShiftedGrid(n, h, y, tuple(lo), tuple(hi))
-        c = classify_cubes(grid, crack)
+        # both read the one table of the grid's lattice-segment hits
+        hits = _segment_hits(grid, crack)
+        c = classify_cubes(grid, crack, hits)
         rows.append({
             "h": h,
             "sample": k,
             "num_bad": c.num_bad,
             "boundary_measure": bad_cube_boundary_measure(c),
-            "jump_energy": discrete_jump_energy(grid, crack),
+            "jump_energy": discrete_jump_energy(grid, crack, hits),
         })
     return rows
 

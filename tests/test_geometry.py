@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from platelab import geometry
+from platelab import geometry, lab
 from platelab.geometry import (CrackSurface, CubeClassification, ShiftedGrid,
                                _seg_seg_dist, _seg_tri_dist, axis_plane_crack,
                                bad_cube_boundary_measure, classify_cubes,
@@ -220,6 +221,27 @@ def test_grid_validation():
         ShiftedGrid(2, -0.1, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         ShiftedGrid(2, 0.1, (1.5, 0.0), (0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("h,y,lo,hi", [
+    (np.nan, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0)),
+    (np.inf, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0)),
+    (0.1, (np.nan, 0.0), (0.0, 0.0), (1.0, 1.0)),
+    (0.1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),  # inverted on axis 0
+    (0.1, (0.0, 0.0), (0.0, 0.5), (1.0, 0.5)),  # empty on axis 1
+    (0.1, (0.0, 0.0), (0.0, -np.inf), (1.0, 1.0)),
+    (0.1, (0.0, 0.0), (0.0, 0.0), (np.nan, 1.0)),
+    (1e-300, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0)),  # cube indices beyond int64
+    (1.0, (0.0, 0.0), (0.0, 0.0), (1e300, 1.0)),
+])
+def test_grid_rejects_non_finite_inverted_or_overflowing_windows(h, y, lo, hi):
+    with pytest.raises(ValueError):
+        ShiftedGrid(2, h, y, lo, hi)
+
+
+def test_grid_window_holds_large_indices():
+    zmin, zmax = ShiftedGrid(1, 2.0 ** -60, (0.0,), (0.0,), (1.0,)).cube_window()
+    assert zmin[0] == -1 and zmax[0] == 2 ** 60 - 1
 
 
 def test_grid_enumerates_cubes_covering_box():
@@ -615,6 +637,55 @@ def test_culled_queries_equal_the_all_cubes_reference(case):
         assert np.array_equal(directional_strain(s, e, crack).cutoff, cut)
 
 
+# a box far from the origin, where one ulp of a lattice coordinate is about
+# 1e-7 of an index, with a crack through lattice points of its own grid
+_FAR = ShiftedGrid(2, 2.0 ** -10, (0.3, 0.7), (1e6, 1e6), (1e6 + 0.05, 1e6 + 0.05))
+_FAR_Z = _FAR.cube_window()[0] + np.array([[[20, 3], [20, 40]], [[3, 3], [40, 41]]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cull_case())
+@example((_FAR, CrackSurface(_FAR.corner(_FAR_Z[:1]))))
+@example((_FAR, CrackSurface(_FAR.corner(_FAR_Z[1:]))))
+def test_tight_near_mask_keeps_every_row_the_box_test_passes(case):
+    # the hit table's rows: over the widened window and for every step,
+    # each lattice point whose query box meets a simplex box is kept
+    grid, crack = case
+    tol = 1e-9 * grid.h
+    zmin, zmax = grid.cube_window()
+    wmin, wmax = zmin - 1, zmax + 1
+    axes = np.meshgrid(*map(np.arange, wmin, wmax + 1), indexing="ij")
+    P = grid.corner(np.stack([a.ravel() for a in axes], axis=-1))
+    s_lo, s_hi = crack.simplices.min(axis=1), crack.simplices.max(axis=1)
+    for d in direction_set(grid.n):
+        Q = P + grid.h * d
+        lo, hi = (np.minimum(P, Q) - tol)[:, None], (np.maximum(P, Q) + tol)[:, None]
+        meets = np.any(np.all(lo <= s_hi, axis=2) & np.all(hi >= s_lo, axis=2), axis=1)
+        near = geometry._near_mask(grid, crack, tol, d, wmin, wmax, tight=True)
+        assert np.all(near.ravel()[meets])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cull_case(), st.integers(0, 2 ** 32 - 1))
+@example((ShiftedGrid(3, 0.125, (0.0,) * 3, (0.0,) * 3, (1.0,) * 3), FLAT3), 0)
+def test_classify_experiment_rows_equal_the_standalone_functions(case, seed):
+    # the experiment reads its bad mask and jump energy from one shared hit
+    # table; each row equals, bitwise, the standalone functions on its grid
+    grid, crack = case
+    grids = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lab, "ShiftedGrid", lambda *args: grids.append(ShiftedGrid(*args)) or grids[-1])
+        rows = lab.classify_experiment(crack, grid.h, grid.lo, grid.hi, seed=seed, samples=3)
+    assert len(grids) == len(rows) == 3
+    for g, row in zip(grids, rows):
+        c = classify_cubes(g, crack)
+        assert np.array_equal(classify_cubes(g, crack, geometry._segment_hits(g, crack)).bad_mask,
+                              c.bad_mask)
+        assert row["num_bad"] == c.num_bad
+        assert row["boundary_measure"] == bad_cube_boundary_measure(c)
+        assert row["jump_energy"] == discrete_jump_energy(g, crack)
+
+
 @pytest.mark.parametrize("crack,kernel", [(_arc(64), "_seg_seg_dist"),
                                           (FLAT3, "_seg_tri_dist")])
 def test_each_query_batch_makes_one_kernel_call(crack, kernel, monkeypatch):
@@ -643,10 +714,41 @@ def test_each_query_batch_makes_one_kernel_call(crack, kernel, monkeypatch):
     assert classify_cubes(g, crack).num_bad > 0
     assert discrete_jump_energy(g, crack) > 0.0
     assert all(calls == int(candidates) for calls, candidates in batches)
-    if n == 2:  # every arc batch has candidates: one call each
-        assert len(kernel_calls) == len(batches) == 6 + 5
+    if n == 2:  # every arc batch has candidates: one call each, and the
+        # jump energy's whole hit table is one batch
+        assert len(kernel_calls) == len(batches) == 6 + 1
     else:  # batches parallel to the plane and off it have none
         assert {candidates for _, candidates in batches} == {False, True}
+
+
+@pytest.mark.parametrize("crack,h", [(_arc(64), 1.0 / 64), (FLAT3, 1.0 / 16)])
+@pytest.mark.parametrize("y", [0.0, 0.37])
+def test_jump_energy_queries_each_undirected_segment_once(crack, h, y, monkeypatch):
+    # at the lab benchmark's sizes the hit table is one batch, and no lattice
+    # segment is in it twice, in either orientation
+    calls = _recorded_queries(monkeypatch)
+    n = crack.n
+    g = ShiftedGrid(n, h, (y,) * n, (0.0,) * n, (1.0,) * n)
+    assert discrete_jump_energy(g, crack) > 0.0
+    assert len(calls) == 1
+    P, Q = calls[0]
+    ends = [np.rint(X / h - g.offset).astype(int) for X in (P, Q)]
+    segments = {frozenset((tuple(p), tuple(q))) for p, q in zip(*ends)}
+    assert len(segments) == len(P)
+
+
+def test_jump_energy_memory_stays_bounded():
+    # the 3D flat crack at h = 1/64, offset 0, queries about 6e4 segments,
+    # most of them against both triangles; filled in blocks, the traced peak
+    # stays far below the 75 MB of one batch of them all
+    g = ShiftedGrid(3, 1.0 / 64, (0.0,) * 3, (0.0,) * 3, (1.0,) * 3)
+    tracemalloc.start()
+    try:
+        discrete_jump_energy(g, FLAT3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_classify_monotone_in_crack():

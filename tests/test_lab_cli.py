@@ -323,6 +323,18 @@ def test_cli_approximate_rejects_an_h_that_leaves_no_region(n, h, tmp_path, caps
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["classify", "jump-energy", "approximate"])
+def test_cli_rejects_an_h_whose_cube_indices_overflow(command, tmp_path, capsys):
+    # 1/h cubes per unit do not fit int64: one error line, under the suite's
+    # warnings-as-errors, rather than a cast warning and a negative dimension
+    crack_path = tmp_path / "crack.txt"
+    axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)).save(crack_path)
+    assert run_cli([command, "--crack", str(crack_path), "--h", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "int64" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_cli_classify_runs_an_n3_config_with_the_default_plan(tmp_path, capsys):
     # the plate subcommands reject a plan of n - 2 entries; classify ignores it
     crack_path = tmp_path / "crack.txt"
