@@ -107,6 +107,8 @@ class CrackSurface:
         self.simplices = np.asarray(self.simplices, dtype=float)
         if self.simplices.ndim != 3 or self.simplices.shape[1] != self.simplices.shape[2]:
             raise ValueError("simplices must have shape (m, n, n)")
+        if self.n not in (2, 3):
+            raise ValueError(f"crack dimension n = {self.n} is not 2 or 3")
         if not np.all(np.isfinite(self.simplices)):
             raise ValueError("crack coordinates must be finite")
         if np.any(self._volumes() <= 1e-12):
@@ -127,7 +129,7 @@ class CrackSurface:
         d = self.simplices[:, 1:] - self.simplices[:, :1]
         if self.n == 2:
             return np.stack([-d[:, 0, 1], d[:, 0, 0]], axis=1)
-        return np.cross(d[:, 0], d[:, 1])
+        return _cross(d[:, 0], d[:, 1])
 
     def _volumes(self) -> np.ndarray:
         # |normal vector| is (n-1)! times the simplex's measure, and (n-1)! = n-1 here
@@ -189,10 +191,26 @@ def axis_plane_crack(n: int, axis: int, value: float,
 
 # ---------------------------------------------------------------------------
 # distance kernels (vectorized over rows: query segment i against simplex i)
+#
+# The row arithmetic works on coordinate columns: a numpy reduction over a
+# last axis of length 2 or 3 costs several times the products it sums.
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.sum(u * v, axis=1)
+    """Row-wise dot product, summed left to right as `np.sum(u * v, axis=1)`."""
+    out = u[:, 0] * v[:, 0]
+    for j in range(1, u.shape[1]):
+        out += u[:, j] * v[:, j]
+    return out
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (k, 3) rows, by `np.cross`'s component formulas."""
+    out = np.empty(u.shape)
+    out[:, 0] = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+    out[:, 1] = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+    out[:, 2] = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    return out
 
 
 def _seg_seg_dist(P: np.ndarray, Q: np.ndarray,
@@ -214,7 +232,8 @@ def _seg_seg_dist(P: np.ndarray, Q: np.ndarray,
     s = np.clip(np.where(A > 0.0, (bb * t - c) / np.where(A == 0.0, 1.0, A), 0.0), 0.0, 1.0)
     closest1 = P + s[:, None] * d1
     closest2 = a + t[:, None] * d2
-    return np.linalg.norm(closest1 - closest2, axis=1)
+    d = closest1 - closest2
+    return np.sqrt(_dot(d, d))
 
 
 def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -224,13 +243,13 @@ def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
     d = Q - P
     e1 = v1 - v0
     e2 = v2 - v0
-    h = np.cross(d, e2)
+    h = _cross(d, e2)
     det = _dot(h, e1)
     ok = np.abs(det) > 1e-14
     inv = np.where(ok, det, 1.0)
     s = P - v0
     u = _dot(s, h) / inv
-    qv = np.cross(s, e1)
+    qv = _cross(s, e1)
     v = _dot(qv, d) / inv
     t = _dot(qv, e2) / inv
     hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0) & (t <= 1.0)
@@ -246,7 +265,7 @@ def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
         dist = np.minimum(dist, _seg_seg_dist(P, Q, ea, eb))
     # Endpoint/interior candidates: project endpoints onto the plane and
     # test barycentric coordinates against the Gram matrix of (e1, e2).
-    nvec = np.cross(e1, e2)
+    nvec = _cross(e1, e2)
     nn = _dot(nvec, nvec)
     d00 = _dot(e1, e1)
     d01 = _dot(e1, e2)
@@ -276,6 +295,8 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     so the answer equals the all-pairs one while the cost follows the
     queries near each simplex rather than queries x simplices.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     lo = np.minimum(P, Q) - tol
@@ -299,7 +320,9 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     k = np.repeat(np.arange(crack.m), count)
     pos = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     q = order[np.repeat(i0, count) + pos]
-    near = np.all(lo[q] <= s_hi[k], axis=1) & np.all(hi[q] >= s_lo[k], axis=1)
+    near = (lo[q, 0] <= s_hi[k, 0]) & (hi[q, 0] >= s_lo[k, 0])
+    for j in range(1, crack.n):
+        near &= (lo[q, j] <= s_hi[k, j]) & (hi[q, j] >= s_lo[k, j])
     q, k = q[near], k[near]
     hit = np.zeros(P.shape[0], dtype=bool)
     if q.size:
@@ -315,6 +338,8 @@ def segment_hits_crack(p, q, crack: CrackSurface, tol: float = 1e-12) -> bool:
     """True iff the closed segment [p, q] intersects the crack (within tol)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ValueError("query segment ends must be finite")
     if np.array_equal(p, q):
         raise ValueError("degenerate query segment")
     return bool(segments_hit_crack(p[None, :], q[None, :], crack, tol)[0])
@@ -326,8 +351,8 @@ def in_half_neighborhood(p, e, h: float, crack: CrackSurface,
 
     Equivalent formulation: the segment [p, p + h e] meets the crack.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     p = np.asarray(p, dtype=float)
     e = np.asarray(e, dtype=float)
     return segment_hits_crack(p, p + h * e, crack, tol)

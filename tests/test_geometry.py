@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from platelab import geometry, lab
 from platelab.geometry import (CrackSurface, CubeClassification, ShiftedGrid,
-                               _seg_seg_dist, _seg_tri_dist, axis_plane_crack,
-                               bad_cube_boundary_measure, classify_cubes,
-                               direction_set, discrete_jump_energy,
-                               in_half_neighborhood, projection_measure,
-                               segment_hits_crack, segments_hit_crack)
+                               _cross, _dot, _seg_seg_dist, _seg_tri_dist,
+                               axis_plane_crack, bad_cube_boundary_measure,
+                               classify_cubes, direction_set,
+                               discrete_jump_energy, in_half_neighborhood,
+                               projection_measure, segment_hits_crack,
+                               segments_hit_crack)
 from platelab.interpolation import directional_strain, sample
 
 VERT = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
@@ -288,6 +290,13 @@ def test_crack_surface_rejects_degenerate():
         CrackSurface(np.array([[[0.0, 0.0], [0.0, 0.0]]]))
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 4)])
+def test_crack_surface_rejects_dimensions_other_than_2_or_3(shape):
+    simplices = np.eye(shape[1])[None] * np.ones(shape)
+    with pytest.raises(ValueError, match=f"n = {shape[1]} "):
+        CrackSurface(simplices)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_crack_surface_rejects_non_finite(value):
     simplices = np.array([[[0.5, 0.0], [0.5, 1.0]], [[0.1, 0.8], [0.9, 0.2]]])
@@ -352,6 +361,31 @@ def test_in_half_neighborhood():
     assert not in_half_neighborhood((0.45, 0.3), (0, 1), 0.1, VERT)
     # a step of 1e-6 across the crack is a valid query
     assert in_half_neighborhood((0.5 - 5e-7, 0.3), (1, 0), 1e-6, VERT)
+
+
+@pytest.mark.parametrize("p,q", [((np.nan, 0.2), (0.7, 0.2)), ((0.2, 0.2), (np.inf, 0.2)),
+                                 ((0.2, -np.inf), (0.7, 0.2))])
+def test_segment_hits_crack_rejects_non_finite_ends(p, q):
+    with pytest.raises(ValueError, match="finite"):
+        segment_hits_crack(p, q, VERT)
+
+
+@pytest.mark.parametrize("p,e,h", [((0.45, 0.3), (1, 0), np.nan),
+                                   ((0.45, 0.3), (1, 0), np.inf),
+                                   ((np.nan, 0.3), (1, 0), 0.1),
+                                   ((0.45, 0.3), (np.inf, 0), 0.1)])
+def test_in_half_neighborhood_rejects_non_finite_input(p, e, h):
+    with pytest.raises(ValueError, match="finite"):
+        in_half_neighborhood(p, e, h, VERT)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_segments_hit_crack_rejects_a_negative_or_non_finite_tol(tol):
+    # the segment crosses the crack; no tol may turn that into a miss
+    P, Q = np.array([[0.2, 0.2]]), np.array([[0.7, 0.2]])
+    assert segments_hit_crack(P, Q, VERT)[0]
+    with pytest.raises(ValueError, match="tol"):
+        segments_hit_crack(P, Q, VERT, tol)
 
 
 def _all_pairs_hits(P, Q, crack, tol):
@@ -487,6 +521,35 @@ def test_seg_tri_dist_matches_exact_oracle(scene):
     for tri in crack.simplices:
         got = _seg_tri_dist(P, Q, np.broadcast_to(tri, (len(P),) + tri.shape)) <= tol
         assert np.array_equal(got, _exact_hits(P, Q, tri, tol))
+
+
+# row entries: signed zeros, subnormals and magnitudes up to 1e150, whose
+# products and their sums of three stay finite, and entries of one scale,
+# whose sums round
+_ENTRY = st.one_of(st.floats(-1e150, 1e150), st.floats(-4.0, 4.0),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310,
+                                    1e150, -1e150]))
+
+
+@st.composite
+def _row_pair(draw):
+    shape = (draw(st.integers(0, 12)), draw(st.integers(2, 3)))
+    return tuple(draw(hnp.arrays(float, shape, elements=_ENTRY)) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_pair())
+# sums whose value depends on the order of their terms
+@example((np.array([[1.0, 1e-16, 1e-16], [1e-16, 1e-16, 1.0]]), np.ones((2, 3))))
+@example((np.array([[1.0, 1e-16], [1e-16, 1.0]]), np.array([[0.1, 3.0], [7.0, 0.3]])))
+def test_column_kernels_equal_numpy_reductions(rows):
+    # the column-wise forms sum in numpy's order; only the sign of a zero may
+    # differ (np.sum starts from +0.0), which == does not see
+    u, v = rows
+    assert np.array_equal(_dot(u, v), np.sum(u * v, axis=1))
+    assert np.array_equal(np.sqrt(_dot(u, u)), np.linalg.norm(u, axis=1))
+    if u.shape[1] == 3:
+        assert np.array_equal(_cross(u, v), np.cross(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +798,21 @@ def test_jump_energy_queries_each_undirected_segment_once(crack, h, y, monkeypat
     ends = [np.rint(X / h - g.offset).astype(int) for X in (P, Q)]
     segments = {frozenset((tuple(p), tuple(q))) for p, q in zip(*ends)}
     assert len(segments) == len(P)
+
+
+@pytest.mark.parametrize("crack,h,y,energy,num_bad", [
+    (_arc(64), 1.0 / 64, (0.0, 0.0), "0x1.875861810018bp+1", 80),
+    (_arc(64), 1.0 / 64, (0.3, 0.6), "0x1.7fee579a9824fp+1", 77),
+    (FLAT3, 1.0 / 16, (0.0, 0.0, 0.0), "0x1.0b53a6bc06f6fp+4", 648),
+    (FLAT3, 1.0 / 16, (0.3, 0.6, 0.2), "0x1.49df453456feap+2", 289),
+])
+def test_lattice_outputs_are_pinned(crack, h, y, energy, num_bad):
+    # values of the row-reduction kernels (np.sum, np.cross, np.linalg.norm),
+    # which the column-wise kernels reproduce bit for bit
+    n = crack.n
+    g = ShiftedGrid(n, h, y, (0.0,) * n, (1.0,) * n)
+    assert discrete_jump_energy(g, crack) == float.fromhex(energy)
+    assert classify_cubes(g, crack).num_bad == num_bad
 
 
 def test_jump_energy_memory_stays_bounded():
