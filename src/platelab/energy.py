@@ -85,10 +85,18 @@ def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
     g = v.grid
-    d = _apply_stencil(_derivative_operator(g.shape, g.spacings, v.broken, g.n), v.values)
+    return _rescaled_energy(v, _form(p, rho), rho,
+                            _derivative_operator(g.shape, g.spacings, v.broken, g.n))
+
+
+def _rescaled_energy(v: PlateField, Q: np.ndarray, rho: float, stencil) -> EnergyBreakdown:
+    """`rescaled_energy` with its form Q = _form(p, rho) and the
+    `_derivative_operator` blocks of v's grid and breaks given."""
+    g = v.grid
+    d = _apply_stencil(stencil, v.values)
     surface = sum(np.count_nonzero(v.broken[a]) * v.broken_face_area(a) * phi_rho(rho, nu)
                   for a, nu in enumerate(np.eye(g.n)))
-    return EnergyBreakdown(_bulk(d, _form(p, rho), g.cell_volume), float(surface))
+    return EnergyBreakdown(_bulk(d, Q, g.cell_volume), float(surface))
 
 
 def rescale_plate_field(u: PlateField, rho: float) -> PlateField:
@@ -124,14 +132,19 @@ def limit_energy(s: KLState, p: LameParams, layers: int | None = None) -> Energy
     """
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
-    m = s.n - 1
     ps, h = tuple(s.plan_shape), s.plan_h
-    dm = _apply_stencil(_derivative_operator(ps, h, s.crack_cols, m), s.ubar)
+    return _limit_energy(s, _form(p), _derivative_operator(ps, h, s.crack_cols, s.n - 1),
+                         lambda: _hessian_operator(ps, h, s.crack_cols), layers)
+
+
+def _limit_energy(s: KLState, Q: np.ndarray, membrane, bending,
+                  layers: int | None = None) -> EnergyBreakdown:
+    """`limit_energy` with its form Q = _form(p) and the membrane stencil
+    of s's plan and cracks given; bending() returns the Hessian stencil."""
+    dm = _apply_stencil(membrane, s.ubar)
     # a zero deflection has zero rows; its stencil is not built, as in the solver
-    dh = (_apply_stencil(_hessian_operator(ps, h, s.crack_cols), s.un) if np.any(s.un)
-          else np.zeros_like(dm))
-    Q = _form(p)
-    area = float(np.prod(h))
+    dh = _apply_stencil(bending(), s.un) if np.any(s.un) else np.zeros_like(dm)
+    area = float(np.prod(s.plan_h))
     if layers is None:
         bulk = _bulk(dm, Q, area) + _bulk(dh, Q, area / 12.0)
     else:
@@ -189,27 +202,34 @@ def boundary_penalty(obj, g: BoundaryDatum) -> float:
     if not isinstance(obj, (PlateField, KLState)):
         raise TypeError("expected PlateField or KLState")
     plan = obj.grid if isinstance(obj, PlateField) else obj
-    return _trace_penalty(obj, g.state(plan.plan_shape, plan.omega_lo, plan.omega_hi))
+    d = g.state(plan.plan_shape, plan.omega_lo, plan.omega_hi)
+    return _trace_penalty(obj, _lift(d, obj.grid.z_centers()) if isinstance(obj, PlateField)
+                          else _kl_trace(d))
 
 
-def _trace_penalty(obj, d: KLState) -> float:
-    """Lateral-boundary area where the trace of obj differs from the datum state d.
+def _kl_trace(s: KLState) -> np.ndarray:
+    """The trace rows (ubar, un, grad_un) of s, shape (*plan_shape, 2n - 1)."""
+    return np.concatenate([s.ubar, s.un[..., None], s.grad_un], axis=-1)
 
-    d is a datum sampled on obj's plan (`BoundaryDatum.state`), so a search
-    that samples its datum once can charge every state against it.  The
-    trace has one row per plan cell: a PlateField's values over all layers
-    against the lifted datum state, or a KLState's (ubar, un, grad_un)
-    against d's.  Every side is charged, released or not: this function only
-    measures mismatch.  A cell differs when some entry of its row is off by
-    more than _TRACE_TOL times max(1, max |trace|); each side is charged its
+
+def _trace_penalty(obj, datum: np.ndarray) -> float:
+    """Lateral-boundary area where the trace of obj differs from the datum rows.
+
+    The trace has one row per plan cell: a PlateField's values over all
+    layers, or a KLState's `_kl_trace`.  datum holds the same rows of a
+    datum state sampled on obj's plan (`BoundaryDatum.state`): that state
+    lifted to obj's layers (`_lift`), or its `_kl_trace`.  So a search that
+    samples and lifts its datum once charges every state against it.
+    Every side is charged, released or not: this function only measures
+    mismatch.  A cell differs when some entry of its row is off by more
+    than _TRACE_TOL times max(1, max |trace|); each side is charged its
     area times its fraction of differing cells.
     """
     if isinstance(obj, PlateField):
-        trace, datum = obj.values, _lift(d, obj.grid.z_centers())
+        trace, plan = obj.values, obj.grid
     else:
-        trace, datum = (np.concatenate([x.ubar, x.un[..., None], x.grad_un], axis=-1)
-                        for x in (obj, d))
-    ps, h = d.plan_shape, d.plan_h
+        trace, plan = _kl_trace(obj), obj
+    ps, h = tuple(plan.plan_shape), plan.plan_h
     trace = trace.reshape(ps + (-1,))
     scale = max(1.0, float(np.max(np.abs(trace))))
     gap = np.max(np.abs(trace - datum.reshape(trace.shape)), axis=-1)

@@ -9,6 +9,7 @@ points lying exactly on a crack count as hits (closed-set convention).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,6 +285,29 @@ def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+
+
+# The distance kernels round a crossing query's distance by about
+# eps |q - p| / sin(angle to the crack); a query of at most
+# tol / (_LENGTH_ROUNDING eps) in each coordinate is resolved at tol for
+# crossing angles down to about 1 / _LENGTH_ROUNDING.
+_LENGTH_ROUNDING = 16.0
+
+
+def _check_query_length(span: float, tol: float) -> None:
+    """ValueError unless a query whose ends differ by at most `span` in every
+    coordinate is short enough for the distance kernels to resolve at tol.
+    At tol = 0 they resolve no length."""
+    longest = tol / (_LENGTH_ROUNDING * float(np.finfo(float).eps))
+    if not span <= longest:
+        raise ValueError(f"query segment spans {span!r} in a coordinate, longer than "
+                         f"{longest!r}, the length the distance kernels resolve at "
+                         f"tol = {tol!r}")
+
+
 def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
                        tol: float = 1e-12) -> np.ndarray:
     """Boolean array: does segment [P_i, Q_i] come within tol of the crack.
@@ -295,12 +319,20 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     so the answer equals the all-pairs one while the cost follows the
     queries near each simplex rather than queries x simplices.
     """
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+    _check_tol(tol)
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if P.ndim != 2 or Q.ndim != 2 or P.shape[1] != crack.n or Q.shape[1] != crack.n:
+        raise ValueError(f"query ends must be rows of {crack.n} coordinates, the crack's "
+                         f"dimension; got shapes {P.shape} and {Q.shape}")
+    if P.shape[0] != Q.shape[0]:
+        raise ValueError(f"P has {P.shape[0]} rows but Q has {Q.shape[0]}")
     lo = np.minimum(P, Q) - tol
     hi = np.maximum(P, Q) + tol
+    # a nan end makes its row's lo and hi nan, an infinite one its lo or hi
+    # infinite: one check of the two extremes sees every non-finite end
+    if not (math.isfinite(lo.min(initial=0.0)) and math.isfinite(hi.max(initial=0.0))):
+        raise ValueError("query segment ends must be finite")
     # Lattice batches arrive sorted in x: their rows run z_0-major, and a
     # row's low x is its start's plus one shift per batch, or, in a hit
     # table block, whose steps have x part 0 or 1, its start's.  On one
@@ -335,13 +367,22 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
 
 
 def segment_hits_crack(p, q, crack: CrackSurface, tol: float = 1e-12) -> bool:
-    """True iff the closed segment [p, q] intersects the crack (within tol)."""
+    """True iff the closed segment [p, q] intersects the crack (within tol).
+
+    A segment longer than the kernels resolve at tol (`_check_query_length`)
+    is an input error, not a miss.
+    """
+    _check_tol(tol)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise ValueError("query segment ends must be finite")
+    if p.shape != q.shape:
+        raise ValueError(f"query ends of shapes {p.shape} and {q.shape}")
     if np.array_equal(p, q):
         raise ValueError("degenerate query segment")
+    with np.errstate(over="ignore"):  # an overflowing span is too long
+        _check_query_length(float(np.max(np.abs(q - p))), tol)
     return bool(segments_hit_crack(p[None, :], q[None, :], crack, tol)[0])
 
 
@@ -349,12 +390,18 @@ def in_half_neighborhood(p, e, h: float, crack: CrackSurface,
                          tol: float = 1e-12) -> bool:
     """True iff p lies in the directional half-neighborhood J^{he} of the crack.
 
-    Equivalent formulation: the segment [p, p + h e] meets the crack.
+    Equivalent formulation: the segment [p, p + h e] meets the crack.  A
+    step h e longer than `segment_hits_crack` resolves is an input error.
     """
     if not 0.0 < h < np.inf:
         raise ValueError("h must be positive and finite")
+    _check_tol(tol)
     p = np.asarray(p, dtype=float)
     e = np.asarray(e, dtype=float)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(e))):
+        raise ValueError("p and e must be finite")
+    with np.errstate(over="ignore"):
+        _check_query_length(float(h * np.max(np.abs(e), initial=0.0)), tol)
     return segment_hits_crack(p, p + h * e, crack, tol)
 
 

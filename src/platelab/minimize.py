@@ -13,7 +13,11 @@ piece holds two clamp columns after any move, so every move's total is
 the energy of its rigid state: each piece zero, or its clamp column's
 datum continued rigidly at zero strain.  The round's winner takes that
 rigid state, certified a minimizer of the bulk, with no solve; so such a
-search factors only its starting state.
+search factors only its starting state.  A search builds each crack
+pattern's stencils once (`_StencilCache`): a state's solve and its
+energies share them, a round's releases read the pattern of the state
+they leave, and a 1D round's winner reads its cut kind's.  It samples and
+lifts its datum once, for every clamp and every penalty.
 """
 
 from __future__ import annotations
@@ -22,15 +26,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elasticity import LameParams
-from .energy import (BoundaryDatum, EnergyBreakdown, _form, _trace_penalty, limit_energy,
-                     rescaled_energy)
+from .elasticity import LameParams, validate_lame
+from .energy import (BoundaryDatum, EnergyBreakdown, _form, _kl_trace, _limit_energy,
+                     _rescaled_energy, _trace_penalty)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
                              _empty_breaks, _hessian_operator, _lift, _side,
                              reduced_gradient)
 # unused here; bench/tracer.py wraps these names in this module
 from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
-from .energy import boundary_penalty, penalized_energies  # noqa: F401
+from .energy import boundary_penalty, limit_energy, penalized_energies  # noqa: F401
 from .kirchhoff_love import _face_blocked  # noqa: F401
 
 
@@ -42,6 +46,9 @@ _TIE_SLACK = 1e-12
 _CHECK_SLACK = 1e-10
 # relative residual of a singular block's least-squares minimizer
 _RESIDUAL_SLACK = 1e-9
+# crack patterns a search's stencil cache keeps: the current state's and
+# one per through-cut kind of a 1D round (`_line_scores`)
+_STENCIL_PATTERNS = 4
 
 
 @dataclass
@@ -67,6 +74,47 @@ class CrackIndicator:
 
 def empty_cracks(shape: tuple) -> CrackIndicator:
     return CrackIndicator(_empty_breaks(shape))
+
+
+class _StencilCache:
+    """The stencil blocks of one search's crack patterns, each built once.
+
+    `builders` maps a kind ("derivative", "hessian") to a function of the
+    broken arrays that builds that kind's blocks.  A pattern is keyed by
+    the bytes of its broken arrays, so a state's solve and its energies,
+    and every state of one pattern, share its blocks.  The
+    _STENCIL_PATTERNS patterns read last are kept; a new one evicts the
+    one read longest ago.  The blocks are read-only.
+    """
+
+    def __init__(self, **builders):
+        self._builders = builders
+        self._patterns = {}  # key -> {kind: blocks}, read longest ago first
+
+    def __call__(self, kind: str, broken):
+        key = tuple(b.tobytes() for b in broken)
+        blocks = self._patterns.pop(key, {})
+        self._patterns[key] = blocks
+        while len(self._patterns) > _STENCIL_PATTERNS:
+            del self._patterns[next(iter(self._patterns))]
+        if kind not in blocks:
+            blocks[kind] = self._builders[kind](broken)
+            for x in blocks[kind]:
+                x.flags.writeable = False
+        return blocks[kind]
+
+
+def _film_stencils(grid: PlateGrid) -> _StencilCache:
+    """A stencil cache of the film's derivative blocks on `grid`."""
+    return _StencilCache(derivative=lambda broken: _derivative_operator(
+        grid.shape, grid.spacings, broken, grid.n))
+
+
+def _limit_stencils(d: KLState) -> _StencilCache:
+    """A stencil cache of the membrane and bending blocks on d's plan."""
+    ps, h = d.plan_shape, d.plan_h
+    return _StencilCache(derivative=lambda broken: _derivative_operator(ps, h, broken, len(ps)),
+                         hessian=lambda broken: _hessian_operator(ps, h, broken))
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +326,27 @@ def _clamped_cells(shape: tuple, plan_axes: int, released) -> np.ndarray:
 
 
 def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
-                  p: LameParams, rho: float) -> PlateField:
+                  p: LameParams, rho: float, *, stencils: _StencilCache | None = None
+                  ) -> PlateField:
     """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased
-    sides; g is a BoundaryDatum or its state on the grid's plan (`g.state`)."""
+    sides.  g is a BoundaryDatum, its state on the grid's plan (`g.state`),
+    or that state lifted to the grid's layers (`_lift`), as a search passes
+    it.  stencils: the cache a search reads its derivative blocks from; a
+    call without one builds its own."""
     n = grid.n
-    shape = grid.shape
-    d = g if isinstance(g, KLState) else g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
-    gv = _lift(d, grid.z_centers())
-    fixed_cells = _clamped_cells(shape, n - 1, cracks.released)
-    x = _fixed_crack_solve(
-        lambda: _derivative_operator(shape, grid.spacings, cracks.broken, n),
-        _form(p, rho), grid.cell_volume,
-        np.repeat(fixed_cells.ravel(), n), gv.reshape(-1))
-    return PlateField(grid, x.reshape(shape + (n,)),
+    if isinstance(g, np.ndarray):
+        gv = g
+    else:
+        d = g if isinstance(g, KLState) else g.state(grid.plan_shape, grid.omega_lo,
+                                                     grid.omega_hi)
+        gv = _lift(d, grid.z_centers())
+    if stencils is None:
+        stencils = _film_stencils(grid)
+    fixed_cells = _clamped_cells(grid.shape, n - 1, cracks.released)
+    x = _fixed_crack_solve(lambda: stencils("derivative", cracks.broken),
+                           _form(p, rho), grid.cell_volume,
+                           np.repeat(fixed_cells.ravel(), n), gv.reshape(-1))
+    return PlateField(grid, x.reshape(grid.shape + (n,)),
                       [b.copy() for b in cracks.broken])
 
 
@@ -378,23 +434,35 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
 
 
 class _FilmProblem:
-    """E_rho^g on a fixed grid, for `_greedy_search`; states are PlateFields."""
+    """E_rho^g on a fixed grid, for `_greedy_search`; states are PlateFields.
+
+    The datum is sampled and lifted once: the lift is every solve's clamp
+    values and every state's penalty datum.  Solves and energies read
+    their stencils from one `_StencilCache`.
+    """
 
     def __init__(self, grid: PlateGrid, g: BoundaryDatum, p: LameParams, rho: float):
         self.grid, self.p, self.rho = grid, p, rho
         self.plan_shape = grid.plan_shape
         self.datum = g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
+        self.Q = _form(p, rho)
+        if not validate_lame(p):
+            raise ValueError("invalid Lame parameters")
+        self.lifted = _lift(self.datum, grid.z_centers())
+        self.lifted.flags.writeable = False
+        self.stencils = _film_stencils(grid)
         # a vertical column adds grid.layers faces of this area (weight 1)
         self.column_area = [grid.layers * float(np.prod(np.delete(grid.spacings, a)))
                             for a in range(grid.n - 1)]
 
     def solve(self, cracks: CrackIndicator):
-        u = elastic_solve(self.grid, cracks, self.datum, self.p, self.rho)
+        u = elastic_solve(self.grid, cracks, self.lifted, self.p, self.rho,
+                          stencils=self.stencils)
         return u, self._energy(u)
 
     def _energy(self, u: PlateField) -> EnergyBreakdown:
-        return replace(rescaled_energy(u, self.p, self.rho),
-                       boundary_penalty=_trace_penalty(u, self.datum))
+        e = _rescaled_energy(u, self.Q, self.rho, self.stencils("derivative", u.broken))
+        return replace(e, boundary_penalty=_trace_penalty(u, self.lifted))
 
     def score_moves(self, cracks: CrackIndicator, moves):
         """Totals of `moves` by `_line_scores` (None on a 2D plan)."""
@@ -422,7 +490,7 @@ class _FilmProblem:
 
     def _clamp_pairs(self, u: PlateField):
         """(values, clamped datum values) of u, plan axes first."""
-        return [(u.values, _lift(self.datum, self.grid.z_centers()))]
+        return [(u.values, self.lifted)]
 
 
 def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
@@ -439,22 +507,26 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
 # reduced (limit) problem
 
 
-def _reduced_solve(d: KLState, cracks: CrackIndicator, Q: np.ndarray) -> KLState:
+def _reduced_solve(d: KLState, cracks: CrackIndicator, Q: np.ndarray,
+                   stencils: _StencilCache | None = None) -> KLState:
     """Minimize the bulk of E_0 at fixed cracks, clamped to the datum state d
-    on the unreleased sides; Q is the C0 form matrix."""
+    on the unreleased sides; Q is the C0 form matrix.  stencils: the cache
+    a search reads its blocks from; a call without one builds its own."""
     plan_shape, plan_h = d.plan_shape, d.plan_h
     nd = len(plan_shape)
     area = float(np.prod(plan_h))
     fixed_cells = _clamped_cells(plan_shape, nd, cracks.released)
+    if stencils is None:
+        stencils = _limit_stencils(d)
 
     # membrane solve for ubar
     ubar = _fixed_crack_solve(
-        lambda: _derivative_operator(plan_shape, plan_h, cracks.broken, nd),
+        lambda: stencils("derivative", cracks.broken),
         Q, area, np.repeat(fixed_cells.ravel(), nd), d.ubar.reshape(-1))
 
     # bending solve for un (weight 1/12 from the thickness integral)
     un = _fixed_crack_solve(
-        lambda: _hessian_operator(plan_shape, plan_h, cracks.broken),
+        lambda: stencils("hessian", cracks.broken),
         Q, area / 12.0, fixed_cells.ravel(), d.un.reshape(-1)).reshape(plan_shape)
 
     return replace(d, ubar=ubar.reshape(d.ubar.shape), un=un,
@@ -463,22 +535,33 @@ def _reduced_solve(d: KLState, cracks: CrackIndicator, Q: np.ndarray) -> KLState
 
 
 class _LimitProblem:
-    """E_0^g on a fixed plan grid, for `_greedy_search`; states are KLStates."""
+    """E_0^g on a fixed plan grid, for `_greedy_search`; states are KLStates.
+
+    The datum is sampled once, and its trace rows are every state's
+    penalty datum.  Solves and energies read their membrane and bending
+    stencils from one `_StencilCache`.
+    """
 
     def __init__(self, plan_shape, omega_lo, omega_hi, g: BoundaryDatum, p: LameParams):
+        if not validate_lame(p):
+            raise ValueError("invalid Lame parameters")
         self.p, self.Q = p, _form(p)
         self.datum = g.state(plan_shape, omega_lo, omega_hi)
         self.plan_shape = self.datum.plan_shape
+        self.datum_trace = _kl_trace(self.datum)
+        self.stencils = _limit_stencils(self.datum)
         # crack column measure: 1 for n=2, face length for n=3
         self.column_area = [float(np.prod(np.delete(self.datum.plan_h, a)))
                             for a in range(len(self.plan_shape))]
 
     def solve(self, cracks: CrackIndicator):
-        s = _reduced_solve(self.datum, cracks, self.Q)
+        s = _reduced_solve(self.datum, cracks, self.Q, self.stencils)
         return s, self._energy(s)
 
     def _energy(self, s: KLState) -> EnergyBreakdown:
-        return replace(limit_energy(s, self.p), boundary_penalty=_trace_penalty(s, self.datum))
+        e = _limit_energy(s, self.Q, self.stencils("derivative", s.crack_cols),
+                          lambda: self.stencils("hessian", s.crack_cols))
+        return replace(e, boundary_penalty=_trace_penalty(s, self.datum_trace))
 
     def score_moves(self, cracks: CrackIndicator, moves):
         """Totals of `moves` by `_line_scores`, by the membrane alone.

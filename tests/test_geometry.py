@@ -379,6 +379,66 @@ def test_in_half_neighborhood_rejects_non_finite_input(p, e, h):
         in_half_neighborhood(p, e, h, VERT)
 
 
+TRI = CrackSurface(np.array([[[0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5]]], dtype=float))
+
+
+def _answers_true_or_raises_length(query):
+    """True unless the query is rejected as too long for the kernels."""
+    try:
+        return query()
+    except ValueError as exc:
+        assert "resolve at tol" in str(exc)
+        return True
+
+
+# (crack, point on it, unit directions that cross it there)
+_CROSSINGS = [(VERT, (0.5, 0.3), [(1.0, 0.0), (0.6, 0.8), (-0.6, 0.8)]),
+              (TRI, (0.2, 0.3, 0.5), [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.48, 0.6, 0.64)])]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("crack, x, directions", _CROSSINGS, ids=["2d", "3d"])
+def test_long_crossing_queries_are_hits_or_input_errors(crack, x, directions):
+    # a query through a point of the crack crosses it at any length; beyond
+    # the length the kernels resolve at tol, the answer is a ValueError,
+    # never a miss, and no coordinate difference overflows
+    x = np.array(x)
+    hits = []
+    for length in 10.0 ** np.arange(2, 301):
+        for d in np.array(directions):
+            hits.append(_answers_true_or_raises_length(
+                lambda: segment_hits_crack(x + length * d, x - length * d, crack)))
+            # a step from just before the crack, long by h or by e, covers it
+            hits.append(_answers_true_or_raises_length(
+                lambda: in_half_neighborhood(x - 0.25 * d, length * d, 1.0, crack)))
+            hits.append(_answers_true_or_raises_length(
+                lambda: in_half_neighborhood(x - 0.25 * d, d, length, crack)))
+    assert all(hits)
+    # the examples of one horizontal query on the vertical crack
+    for length in (1e12, 1e20, 1e150, 1e300):
+        with pytest.raises(ValueError, match="resolve at tol"):
+            segment_hits_crack((length, 0.3), (-length, 0.3), VERT)
+    with pytest.raises(ValueError, match="resolve at tol"):
+        in_half_neighborhood((0.45, 0.3), (1e308, 0.0), 10.0, VERT)
+    # a query within the resolved length still answers
+    assert segment_hits_crack((100.0, 0.3), (-100.0, 0.3), VERT)
+    assert not segment_hits_crack((100.0, 1.3), (-100.0, 1.3), VERT)
+
+
+@pytest.mark.parametrize("P, Q, match", [
+    ([[0.2, 0.3], [np.nan, 0.3]], [[0.7, 0.3], [0.7, 0.3]], "finite"),
+    ([[0.2, 0.3], [0.2, 0.3]], [[0.7, 0.3], [0.7, -np.inf]], "finite"),
+    ([[0.2, 0.3], [0.1, 0.1]], [[0.7, 0.3]], "rows"),
+    ([[0.2, 0.3, 0.1]], [[0.7, 0.3, 0.1]], "dimension"),
+    ([[0.2, 0.3]], [[0.7, 0.3, 0.1]], "dimension"),
+])
+def test_segments_hit_crack_rejects_bad_rows(P, Q, match):
+    # a row with a non-finite end is no miss, and rows that do not pair up
+    # or do not match the crack's dimension are input errors
+    with pytest.raises(ValueError, match=match):
+        segments_hit_crack(np.array(P), np.array(Q), VERT)
+
+
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
 def test_segments_hit_crack_rejects_a_negative_or_non_finite_tol(tol):
     # the segment crosses the crack; no tol may turn that into a miss

@@ -4,10 +4,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
                                  quadratic_form_C0, rescale_strain)
-from platelab import minimize
+from platelab import energy, lab, minimize
 from platelab.energy import (BoundaryDatum, EnergyBreakdown, penalized_energies,
                              stretch_datum)
 from platelab.kirchhoff_love import PlateGrid, _apply_stencil
@@ -894,3 +895,164 @@ def test_limit_sweep_declines_bending_data():
     assert problem.score_moves(cracks, _offered_moves(cracks)) is None
     problem = minimize._LimitProblem((8,), (0.0,), (1.0,), stretch_datum(0.5, 2), P2)
     assert problem.score_moves(cracks, moves).shape == (9,)
+
+
+# ---------------------------------------------------------------------------
+# the stencil cache of a search
+
+
+@st.composite
+def _cache_case(draw):
+    """A film or limit problem maker, n = 2 or 3, under a stretch or a
+    bending datum, with a random crack: broken faces and released sides."""
+    kind = draw(st.sampled_from(["film", "limit"]))
+    n = draw(st.sampled_from([2, 3]))
+    plan = tuple(draw(st.lists(st.integers(2, 6 if n == 2 else 4),
+                               min_size=n - 1, max_size=n - 1)))
+    lo, hi = (0.0,) * (n - 1), (1.0,) * (n - 1)
+    p = LameParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0)), n)
+    t = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        g = stretch_datum(t, n)
+    else:
+        g = _bent_datum(t, 0.7) if n == 2 else _bent_plate_datum()
+    if kind == "film":
+        grid = PlateGrid(n, plan, draw(st.integers(1, 3)), lo, hi)
+        rho = draw(st.sampled_from([0.5, 0.1]))
+        make = lambda: minimize._FilmProblem(grid, g, p, rho)  # noqa: E731
+        cracks = empty_cracks(grid.shape)
+    else:
+        make = lambda: minimize._LimitProblem(plan, lo, hi, g, p)  # noqa: E731
+        cracks = empty_cracks(plan)
+    for b in cracks.broken:
+        b[...] = draw(hnp.arrays(bool, b.shape))
+    cracks.released |= draw(st.sets(st.sampled_from(
+        [(a, side) for a in range(n - 1) for side in (0, 1)])))
+    return make, g, p, cracks
+
+
+def _fields(state):
+    """The arrays of a search state, for a bitwise comparison."""
+    if isinstance(state, minimize.PlateField):
+        return [state.values] + list(state.broken)
+    return [state.ubar, state.un, state.grad_un] + list(state.crack_cols)
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cache_case())
+def test_stencil_cache_changes_no_result(case):
+    make, g, p, cracks = case
+    problem = make()
+    # the problem's solve and energy, twice (the second reads the cache),
+    # against the public functions, which build their own stencils
+    if isinstance(problem, minimize._FilmProblem):
+        fresh = elastic_solve(problem.grid, cracks, g, p, problem.rho)
+        e_fresh = penalized_energies(fresh, p, g, problem.rho)
+    else:
+        d = problem.datum
+        fresh = _reduced_solve(g.state(d.plan_shape, d.omega_lo, d.omega_hi), cracks,
+                               problem.Q)
+        e_fresh = penalized_energies(fresh, p, g)
+    for _ in range(2):
+        state, e = problem.solve(cracks)
+        assert _same(_fields(state), _fields(fresh))
+        assert e == e_fresh
+        assert problem._energy(fresh) == e_fresh
+    # a whole search from this crack, against the same search on a new
+    # problem whose every stencil read is a miss: the same result, or the
+    # same error (a start crack can leave a clamp column alone with a bulk
+    # that a winner's certificate does not accept)
+    search = _search_outcome(problem, cracks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimize, "_STENCIL_PATTERNS", 0)
+        missed = _search_outcome(make(), cracks)
+    if isinstance(search, str) or isinstance(missed, str):
+        assert search == missed
+        return
+    assert _same(_fields(search[0]), _fields(missed[0]))
+    assert _same(search[1].broken, missed[1].broken)
+    assert search[1].released == missed[1].released
+    assert search[2] == missed[2] and search[3] == missed[3]
+
+
+def _search_outcome(problem, cracks):
+    """Two rounds of the search from `cracks`, or the message it raised."""
+    try:
+        return minimize._greedy_search(problem, cracks, 2)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def _count_builds(mp):
+    """Per stencil kind, the list every build of it appends to."""
+    builds = {"derivative": [], "hessian": []}
+    for kind, name in (("derivative", "_derivative_operator"), ("hessian", "_hessian_operator")):
+        for owner in (minimize, energy):
+            f = getattr(owner, name)
+            mp.setattr(owner, name, lambda *a, f=f, calls=builds[kind]:
+                       calls.append(1) or f(*a))
+    return builds
+
+
+def test_limit_crossover_builds_each_pattern_once(monkeypatch):
+    # the 8 stretches of the crossover benchmark on (128,): a cracked search
+    # reads the start, 3 cut kinds and its winner's pattern (the winner is
+    # one kind), an elastic one only its start; 56 builds when every solve
+    # and every energy built its own
+    builds = _count_builds(monkeypatch)
+    for t in 0.5 + 0.1 * np.arange(8):
+        minimize_limit((128,), (0.0,), (1.0,), stretch_datum(t, 2), P2, SolverConfig())
+    assert len(builds["derivative"]) == 20 and not builds["hessian"]
+
+
+def test_film_sweep_builds_each_pattern_once(monkeypatch):
+    # the film benchmark's sweep: the film and the limit search build 4
+    # patterns each (20 at one build per solve and per energy)
+    builds = _count_builds(monkeypatch)
+    rows = lab.minima_sweep(stretch_datum(1.2, 2), P2, [0.1], (32,), (0.0,), (1.0,),
+                            layers=64, cfg=SolverConfig())
+    assert rows[0]["min_e_rho"] == pytest.approx(1.0, abs=1e-12)
+    assert len(builds["derivative"]) == 8
+
+
+def test_plate_candidates_build_their_stencil_once(monkeypatch):
+    # the n = 3 plate of `platelab minimize`'s CI config: every candidate is
+    # solved, and its solve and its energy share one build (622 builds for
+    # 311 solves when each built its own); a release shares the pattern of
+    # the state it leaves, which a round's cuts may have evicted once
+    builds = _count_builds(monkeypatch)
+    patterns = []
+    solve = minimize._reduced_solve
+    monkeypatch.setattr(minimize, "_reduced_solve", lambda d, c, *a: patterns.append(
+        b"".join(b.tobytes() for b in c.broken)) or solve(d, c, *a))
+    sizes = []
+    call = minimize._StencilCache.__call__
+    monkeypatch.setattr(minimize._StencilCache, "__call__", lambda self, *a: (
+        call(self, *a), sizes.append(len(self._patterns)))[0])
+    p3 = LameParams(1.0, 1.0, 3)
+    trace = minimize_limit((6, 6), (0.0, 0.0), (1.0, 1.0), stretch_datum(1.2, 3), p3,
+                           SolverConfig())[3]
+    assert len(patterns) == 311 and len(trace) == 5
+    assert len(set(patterns)) <= len(builds["derivative"]) <= len(set(patterns)) + len(trace)
+    assert not builds["hessian"]
+    assert max(sizes) == minimize._STENCIL_PATTERNS == 4
+
+
+@pytest.mark.parametrize("kind", ["film", "limit"])
+def test_cached_stencils_are_read_only(kind):
+    if kind == "film":
+        problem = minimize._FilmProblem(PlateGrid(2, (4,), 2, (0.0,), (1.0,)),
+                                        _bent_datum(1.2, 0.7), P2, 0.1)
+        broken = empty_cracks(problem.grid.shape).broken
+        arrays = [*problem.stencils("derivative", broken), problem.lifted]
+    else:
+        problem = minimize._LimitProblem((4,), (0.0,), (1.0,), _bent_datum(1.2, 0.7), P2)
+        broken = empty_cracks((4,)).broken
+        arrays = [*problem.stencils("derivative", broken), *problem.stencils("hessian", broken)]
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 1
