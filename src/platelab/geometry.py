@@ -237,6 +237,26 @@ def _seg_seg_dist(P: np.ndarray, Q: np.ndarray,
     return np.sqrt(_dot(d, d))
 
 
+def _planar_seg_dist(P: np.ndarray, Q: np.ndarray,
+                     a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between planar segments [P_i, Q_i] and [a_i, b_i], row by row.
+
+    A proper crossing, the ends of each segment strictly on opposite sides
+    of the other's line, is at distance 0; only the other rows need
+    `_seg_seg_dist`, whose closest points round a crossing nearly parallel
+    to [a, b] off it.
+    """
+    def side(o, d, X):  # sign of X against the line o + t d
+        return np.sign(d[:, 0] * (X[:, 1] - o[:, 1]) - d[:, 1] * (X[:, 0] - o[:, 0]))
+
+    d1, d2 = Q - P, b - a
+    cross = (side(P, d1, a) * side(P, d1, b) < 0.0) & (side(a, d2, P) * side(a, d2, Q) < 0.0)
+    out = np.zeros(P.shape[0])
+    miss = np.flatnonzero(~cross)
+    out[miss] = _seg_seg_dist(P[miss], Q[miss], a[miss], b[miss])
+    return out
+
+
 def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
     """Distance between segments [P_i, Q_i] and triangles tri_i (shape (k, 3, 3)), row by row."""
     v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
@@ -359,7 +379,7 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     hit = np.zeros(P.shape[0], dtype=bool)
     if q.size:
         if crack.n == 2:
-            d = _seg_seg_dist(P[q], Q[q], S[k, 0], S[k, 1])
+            d = _planar_seg_dist(P[q], Q[q], S[k, 0], S[k, 1])
         else:
             d = _seg_tri_dist(P[q], Q[q], S[k])
         hit[q[d <= tol]] = True
@@ -446,7 +466,7 @@ def _cube_segments(n: int) -> list:
 
 
 def _near_mask(grid: ShiftedGrid, crack: CrackSurface, tol: float, step,
-               zmin: np.ndarray, zmax: np.ndarray, tight: bool = False) -> np.ndarray:
+               zmin: np.ndarray, zmax: np.ndarray) -> np.ndarray:
     """The lattice points z of the index window [zmin, zmax] whose query may
     come within tol of the crack, as a mask over the window.
 
@@ -456,37 +476,25 @@ def _near_mask(grid: ShiftedGrid, crack: CrackSurface, tol: float, step,
     by tol and by that reach, becomes an integer index window, clipped to
     [zmin, zmax], that keeps every z whose query passes
     `segments_hit_crack`'s float box test: the real bounds are widened by
-    one index on each side, or, if `tight`, by 1e-6 of their magnitude
-    plus 1e-6, far above the rounding of either side of that test.  The
-    mask is the union of these windows.
+    1e-6 of their magnitude plus 1e-6, far above the rounding of either
+    side of that test.  The mask is the union of these windows; a query
+    outside it fails the box test, so it cannot hit.
     """
     near = np.zeros(tuple(zmax - zmin + 1), dtype=bool)
     step = np.asarray(step, dtype=float)
     S = crack.simplices
     lo = (S.min(axis=1) - tol) / grid.h - grid.offset - np.maximum(step, 0.0)
     hi = (S.max(axis=1) + tol) / grid.h - grid.offset - np.minimum(step, 0.0)
-    if tight:  # held just past the window first, so the slack stays finite
-        lo, hi = (np.clip(v, zmin - 2, zmax + 2) for v in (lo, hi))
-        lo = np.ceil(lo - 1e-6 * (1.0 + np.abs(lo)))
-        hi = np.floor(hi + 1e-6 * (1.0 + np.abs(hi)))
-    else:
-        lo = np.ceil(lo) - 1.0
-        hi = np.floor(hi) + 1.0
+    # held just past the window first, so the slack stays finite
+    lo, hi = (np.clip(v, zmin - 2, zmax + 2) for v in (lo, hi))
+    lo = np.ceil(lo - 1e-6 * (1.0 + np.abs(lo)))
+    hi = np.floor(hi + 1e-6 * (1.0 + np.abs(hi)))
     # clipped before the cast, so a window off the box stays empty: hi < lo
     lo = np.clip(lo, zmin, zmax + 1).astype(int) - zmin
     hi = np.clip(hi, zmin - 1, zmax).astype(int) - zmin + 1
     for a, b in zip(lo, hi):
         near[tuple(map(slice, a, b))] = True
     return near
-
-
-def _near_cubes(grid: ShiftedGrid, crack: CrackSurface, tol: float,
-                step) -> tuple[np.ndarray, np.ndarray]:
-    """`_near_mask` over the cube window, and the indices of its cubes,
-    shape (k, n), in the order of `cube_indices`."""
-    zmin, zmax = grid.cube_window()
-    near = _near_mask(grid, crack, tol, step, zmin, zmax)
-    return near, np.argwhere(near) + zmin
 
 
 # rows per `segments_hit_crack` call when a hit table is filled: the fill's
@@ -524,11 +532,9 @@ class _SegmentHits:
 
 
 def _segment_hits(grid: ShiftedGrid, crack: CrackSurface | None) -> _SegmentHits:
-    """The hit table of `grid`: each class's rows of its tight `_near_mask`
-    are queried, in blocks of `_HIT_BLOCK` rows, and every other segment
-    misses.  A whole index of slack would add a layer of rows on each side
-    of the crack to every class, more than doubling the rows of a crack
-    along a lattice plane."""
+    """The hit table of `grid`: each class's rows of its `_near_mask` over
+    the widened window are queried, in blocks of `_HIT_BLOCK` rows, and
+    every other segment misses."""
     D = np.array([d for d in direction_set(grid.n) if d[np.flatnonzero(d)[0]] > 0])
     zmin, zmax = grid.cube_window()
     wmin, wmax = zmin - 1, zmax + 1
@@ -536,7 +542,7 @@ def _segment_hits(grid: ShiftedGrid, crack: CrackSurface | None) -> _SegmentHits
     if crack is not None and crack.m > 0:
         tol = 1e-9 * grid.h
         for c, d in enumerate(D):  # the near rows first, then their hits
-            hit[..., c] = _near_mask(grid, crack, tol, d, wmin, wmax, tight=True)
+            hit[..., c] = _near_mask(grid, crack, tol, d, wmin, wmax)
         # flat order runs z_0-major, so every block is sorted in x
         rows = np.flatnonzero(hit)
         for i in range(0, rows.size, _HIT_BLOCK):
@@ -552,9 +558,9 @@ def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None,
     """Mark bad hyper-cubes: the crack meets one of the cube's edges or face diagonals.
 
     Given the grid's hit table `hits`, the mask is the OR of its views of
-    the cube segments.  Without it, only the cubes of `_near_cubes` are
-    queried, segment by segment, and a bad cube leaves the later queries;
-    every other cube is good.
+    the cube segments.  Without it, only the cubes of the `_near_mask` of
+    step (1, .., 1) over the cube window are queried, segment by segment,
+    and a bad cube leaves the later queries; every other cube is good.
     """
     zmin, zmax = grid.cube_window()
     shape = tuple(int(zmax[i] - zmin[i] + 1) for i in range(grid.n))
@@ -566,8 +572,8 @@ def classify_cubes(grid: ShiftedGrid, crack: CrackSurface | None,
     if crack is None or crack.m == 0:
         return CubeClassification(grid, crack, bad, zmin)
     tol = 1e-9 * grid.h
-    near, Z = _near_cubes(grid, crack, tol, np.ones(grid.n))
-    corners = grid.corner(Z)
+    near = _near_mask(grid, crack, tol, np.ones(grid.n), zmin, zmax)
+    corners = grid.corner(np.argwhere(near) + zmin)
     flat_bad = np.zeros(corners.shape[0], dtype=bool)
     for a, e in _cube_segments(grid.n):
         todo = ~flat_bad

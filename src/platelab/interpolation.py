@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
-                       _near_cubes, _shadow_pieces, classify_cubes,
-                       segments_hit_crack)
+from .geometry import (CrackSurface, CubeClassification, ShiftedGrid, _near_mask,
+                       _shadow_pieces, classify_cubes, segments_hit_crack)
 
 
 # lattice points `sample` covers beyond the cube window on each side
@@ -152,7 +151,11 @@ class DirectionalStrainField:
 
 
 def directional_strain(s: SampledField, e, crack: CrackSurface | None) -> DirectionalStrainField:
-    """Difference quotients (v(xi+he) - v(xi)) . e / h with crack cutoff."""
+    """Difference quotients (v(xi+he) - v(xi)) . e / h with crack cutoff.
+
+    Only the lattice points of the `_near_mask` of step e over the cube
+    window are queried; every other one lies outside J^{he}.
+    """
     grid = s.grid
     e = np.asarray(e, dtype=float)
     zmin, zmax = grid.cube_window()
@@ -163,10 +166,9 @@ def directional_strain(s: SampledField, e, crack: CrackSurface | None) -> Direct
     quot = ((v1 - v0) @ e) / (grid.h * 1.0)
     cut = np.ones(shape, dtype=bool)
     if crack is not None and crack.m > 0:
-        # only the lattice points of the crack's index windows can lie in J^{he}
         tol = 1e-9 * grid.h
-        near, Zn = _near_cubes(grid, crack, tol, e)
-        P = grid.corner(Zn)
+        near = _near_mask(grid, crack, tol, e, zmin, zmax)
+        P = grid.corner(np.argwhere(near) + zmin)
         cut[near] = ~segments_hit_crack(P, P + grid.h * e, crack, tol=tol)
     vals = np.where(cut, quot.reshape(shape), 0.0)
     return DirectionalStrainField(grid, e, zmin, vals, cut)

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .elasticity import LameParams, validate_lame
-from .energy import (BoundaryDatum, EnergyBreakdown, _form, _kl_trace, _limit_energy,
-                     _rescaled_energy, _trace_penalty)
-from .kirchhoff_love import (KLState, PlateField, PlateGrid, _derivative_operator,
-                             _empty_breaks, _hessian_operator, _lift, _side,
-                             reduced_gradient)
+from .energy import (BoundaryDatum, EnergyBreakdown, _bulk, _form, _kl_trace,
+                     _limit_energy, _rescaled_energy, _trace_penalty)
+from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil,
+                             _derivative_operator, _empty_breaks, _hessian_operator, _lift,
+                             _side, reduced_gradient)
 # unused here; bench/tracer.py wraps these names in this module
 from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
 from .energy import boundary_penalty, limit_energy, penalized_energies  # noqa: F401
@@ -42,7 +42,8 @@ from .kirchhoff_love import _face_blocked  # noqa: F401
 _DESCENT_SLACK = 1e-10
 # relative width of a tie between candidate totals: the earlier candidate wins
 _TIE_SLACK = 1e-12
-# relative slack of a scored winner's certificate: its bulk and |total - score|
+# relative slack of a scored winner's certificate: the bulk of its cells that
+# read a free dof, and |total - score|
 _CHECK_SLACK = 1e-10
 # relative residual of a singular block's least-squares minimizer
 _RESIDUAL_SLACK = 1e-9
@@ -355,10 +356,13 @@ def _solve_move(problem, cracks: CrackIndicator, move, score=None):
     where): `where` is a face index of that axis's broken array for a column
     and a side (0 or 1) for a release.  Only here is a candidate built.
 
-    An unscored move is solved.  A scored one takes problem._rigid_state:
-    the bulk is >= 0, so a state that holds the datum on the candidate's
-    clamped cells (problem._clamp_pairs) with zero bulk minimizes it.
-    RuntimeError unless so and its total is `score`, to _CHECK_SLACK relative.
+    An unscored move is solved.  A scored one takes problem._rigid_state.
+    The bulk sums a term >= 0 per stencil cell, and a cell that reads only
+    clamped dofs has one term in every state that holds the datum there.
+    So a state that holds the datum on the candidate's clamped cells
+    (problem._bulk_parts) minimizes the bulk when every cell that reads a
+    free dof adds zero.  RuntimeError unless so, those cells' bulk within
+    _CHECK_SLACK relative, and its total is `score`, to the same slack.
     """
     axis, where = move
     cand = cracks.copy()
@@ -371,11 +375,20 @@ def _solve_move(problem, cracks: CrackIndicator, move, score=None):
     state = problem._rigid_state(cand.broken, cand.released)
     e = problem._energy(state)
     clamped = _clamped_cells(problem.plan_shape, len(problem.plan_shape), cand.released)
+    held, loose = True, 0.0  # loose: the bulk of the cells that read a free dof
+    for x, d, stencil, Q, weight in problem._bulk_parts(state):
+        held &= np.array_equal(x[clamped], d[clamped])
+        if np.any(x):  # a zero field has zero rows; its stencil is not built
+            cols, vals = stencil()
+            fixed = np.zeros(x.shape, dtype=bool)
+            fixed[clamped] = True
+            free = np.any(~fixed.ravel()[cols] & (vals != 0.0), axis=(1, 2))
+            loose += _bulk(_apply_stencil((cols, vals), x)[free], Q, weight)
     slack = _CHECK_SLACK * max(1.0, abs(e.total))
-    if not (all(np.array_equal(x[clamped], d[clamped]) for x, d in problem._clamp_pairs(state))
-            and e.bulk <= slack and abs(e.total - score) <= slack):
+    if not (held and loose <= slack and abs(e.total - score) <= slack):
         raise RuntimeError(f"move {move!r} scored {float(score)!r}, but its rigid state "
-                           f"(bulk {e.bulk!r}, total {e.total!r}) is not certified")
+                           f"(bulk {loose!r} on cells that read a free dof, "
+                           f"total {float(e.total)!r}) is not certified")
     return cand, state, e
 
 
@@ -387,7 +400,7 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
     EnergyBreakdown), and score_moves(cracks, moves), the exact total of
     every offered move, or None where they have no closed form.  A problem
     that scores also has _rigid_state(broken, released), _energy(state) and
-    _clamp_pairs(state), with which `_solve_move` certifies a scored winner.
+    _bulk_parts(state), with which `_solve_move` certifies a scored winner.
 
     Each round offers moves: the open columns of each plan axis (a column
     is open unless every face in it is broken), in index order, then the
@@ -465,8 +478,14 @@ class _FilmProblem:
         return replace(e, boundary_penalty=_trace_penalty(u, self.lifted))
 
     def score_moves(self, cracks: CrackIndicator, moves):
-        """Totals of `moves` by `_line_scores` (None on a 2D plan)."""
-        return _line_scores(self, cracks, moves) if self.grid.n == 2 else None
+        """Totals of `moves` by `_line_scores`.  None on a 2D plan, and when
+        a broken face lies outside a whole vertical column: a cell it cuts
+        off along one axis strains a piece's rigid continuation."""
+        b = cracks.broken
+        if (self.grid.n != 2 or np.any(b[1])
+                or np.any(np.any(b[0], axis=1) != np.all(b[0], axis=1))):
+            return None
+        return _line_scores(self, cracks, moves)
 
     def _rigid_state(self, broken, released) -> PlateField:
         """The film on a 1D plan whose every piece holds at most one clamp column.
@@ -488,9 +507,11 @@ class _FilmProblem:
                        grid.z_centers())
         return PlateField(grid, np.where((clamp >= 0)[:, None, None], values, 0.0), broken)
 
-    def _clamp_pairs(self, u: PlateField):
-        """(values, clamped datum values) of u, plan axes first."""
-        return [(u.values, self.lifted)]
+    def _bulk_parts(self, u: PlateField):
+        """(values, datum values, stencil thunk, form, cell weight) of u's
+        one bulk quadratic, plan axes first."""
+        return [(u.values, self.lifted, lambda: self.stencils("derivative", u.broken),
+                 self.Q, self.grid.cell_volume)]
 
 
 def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
@@ -584,9 +605,14 @@ class _LimitProblem:
         return replace(d, ubar=ubar, un=np.zeros_like(d.un),
                        grad_un=np.zeros_like(d.grad_un), crack_cols=broken)
 
-    def _clamp_pairs(self, s: KLState):
-        """(values, clamped datum values) of s's ubar and un, plan axes first."""
-        return [(s.ubar, self.datum.ubar), (s.un, self.datum.un)]
+    def _bulk_parts(self, s: KLState):
+        """(values, datum values, stencil thunk, form, cell weight) of the
+        membrane (ubar) and the bending (un) quadratic of s, plan axes first."""
+        area = float(np.prod(s.plan_h))
+        return [(s.ubar, self.datum.ubar, lambda: self.stencils("derivative", s.crack_cols),
+                 self.Q, area),
+                (s.un, self.datum.un, lambda: self.stencils("hessian", s.crack_cols),
+                 self.Q, area / 12.0)]
 
 
 def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from platelab import geometry, lab
 from platelab.geometry import (CrackSurface, CubeClassification, ShiftedGrid,
-                               _cross, _dot, _seg_seg_dist, _seg_tri_dist,
-                               axis_plane_crack, bad_cube_boundary_measure,
+                               _cross, _dot, _planar_seg_dist, _seg_seg_dist,
+                               _seg_tri_dist, axis_plane_crack, bad_cube_boundary_measure,
                                classify_cubes, direction_set,
                                discrete_jump_energy, in_half_neighborhood,
                                projection_measure, segment_hits_crack,
@@ -454,7 +454,7 @@ def _all_pairs_hits(P, Q, crack, tol):
     m = crack.m
     A, B = np.repeat(P, m, axis=0), np.repeat(Q, m, axis=0)
     S = np.tile(crack.simplices, (len(P), 1, 1))  # the simplices on every query's rows
-    d = _seg_seg_dist(A, B, S[:, 0], S[:, 1]) if crack.n == 2 else _seg_tri_dist(A, B, S)
+    d = _planar_seg_dist(A, B, S[:, 0], S[:, 1]) if crack.n == 2 else _seg_tri_dist(A, B, S)
     return (d <= tol).reshape(len(P), m).any(axis=1)
 
 
@@ -583,6 +583,22 @@ def test_seg_tri_dist_matches_exact_oracle(scene):
         assert np.array_equal(got, _exact_hits(P, Q, tri, tol))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_lattice_scene(dims=(2,), shifts=(0.0, 0.5, -0.5, 2.5)))
+# a crossing, a touching end, a collinear overlap and a parallel near miss
+@example((np.array([[0.25, 0.5], [0.5, 1.0], [0.5, 0.25], [0.5 + 0.5e-12, 0.0]]),
+          np.array([[0.75, 0.5], [0.5, 1.5], [0.5, 0.75], [0.5 + 0.5e-12, 1.0]]),
+          VERT, 1e-12))
+def test_planar_seg_dist_matches_exact_oracle(scene):
+    # a proper crossing is 0 before the closest-point formula; every row
+    # agrees with the exact oracle within tol on the lattice, near misses
+    # shifted a fraction of tol or 2.5 tol off it included
+    P, Q, crack, tol = scene
+    for s in crack.simplices:
+        a, b = (np.broadcast_to(v, P.shape) for v in s)
+        assert np.array_equal(_planar_seg_dist(P, Q, a, b) <= tol, _exact_hits(P, Q, s, tol))
+
+
 # row entries: signed zeros, subnormals and magnitudes up to 1e150, whose
 # products and their sums of three stay finite, and entries of one scale,
 # whose sums round
@@ -660,6 +676,11 @@ def _recorded_queries(monkeypatch):
     return calls
 
 
+# oblique cracks whose first culled cube, in `cube_indices` order, is good
+_OBLIQUE = {2: CrackSurface(np.array([[[0.1, 0.8], [0.9, 0.2]]])),
+            3: CrackSurface(np.array([[[0.1, 0.8, 0.7], [0.9, 0.2, 0.3], [0.5, 0.5, 0.9]]]))}
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_classify_queries_each_edge_and_face_diagonal_once(n, monkeypatch):
     # the cubes of the crack's index windows are queried along each of their
@@ -667,7 +688,7 @@ def test_classify_queries_each_edge_and_face_diagonal_once(n, monkeypatch):
     # each once and in one batch call; no other cube is queried
     calls = _recorded_queries(monkeypatch)
     g = ShiftedGrid(n, 0.125, (0.3,) * n, (0.0,) * n, (1.0,) * n)
-    crack = axis_plane_crack(n, 0, 0.5, ((0.25, 0.75),) * (n - 1))
+    crack = _OBLIQUE[n]
     c = classify_cubes(g, crack)
     assert c.num_bad > 0
     corners = list(itertools.product((0, 1), repeat=n))
@@ -676,17 +697,26 @@ def test_classify_queries_each_edge_and_face_diagonal_once(n, monkeypatch):
     assert len(calls) == len(expect) == {2: 6, 3: 24}[n]
     # the first batch queries the culled cubes from their lower corners,
     # strictly fewer than the cubes of the box
-    _, Z = geometry._near_cubes(g, crack, 1e-9 * g.h, np.ones(n))
+    zmin, zmax = g.cube_window()
+    Z = np.argwhere(geometry._near_mask(g, crack, 1e-9 * g.h, np.ones(n), zmin, zmax)) + zmin
     assert np.array_equal(calls[0][0], g.corner(Z))
     assert len(Z) < len(g.cube_indices())
     assert {tuple(z) for z in c.bad_indices()} <= {tuple(z) for z in Z}
     # a bad cube leaves the later batches; the first culled cube stays good,
     # so it heads every batch and names each batch's segment
     assert not c.bad_mask[tuple(Z[0] - c.zmin)]
+    sizes = [len(P) for P, _ in calls]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1] >= len(Z) - c.num_bad
     first = g.corner(Z[:1])[0]
     segments = [frozenset(tuple(int(v) for v in np.rint((X - first) / g.h))
                           for X in (P[0], Q[0])) for P, Q in calls]
     assert set(segments) == expect
+    # a crack along a lattice plane, off the grid's lattice planes, culls to
+    # exactly its bad cubes
+    calls.clear()
+    flat = axis_plane_crack(n, 0, 0.5, ((0.25, 0.75),) * (n - 1))
+    c = classify_cubes(g, flat)
+    assert np.array_equal(calls[0][0], g.corner(c.bad_indices()))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -771,21 +801,33 @@ _FAR_Z = _FAR.cube_window()[0] + np.array([[[20, 3], [20, 40]], [[3, 3], [40, 41
 @example((_FAR, CrackSurface(_FAR.corner(_FAR_Z[:1]))))
 @example((_FAR, CrackSurface(_FAR.corner(_FAR_Z[1:]))))
 def test_tight_near_mask_keeps_every_row_the_box_test_passes(case):
-    # the hit table's rows: over the widened window and for every step,
-    # each lattice point whose query box meets a simplex box is kept
+    # every lattice query is culled by `_near_mask`; each lattice point whose
+    # query box meets a simplex box is kept, for the hit table's steps over
+    # the widened window, and over the cube window for the directional
+    # strains' steps and for every segment of a cube, at step (1, .., 1)
     grid, crack = case
     tol = 1e-9 * grid.h
-    zmin, zmax = grid.cube_window()
-    wmin, wmax = zmin - 1, zmax + 1
-    axes = np.meshgrid(*map(np.arange, wmin, wmax + 1), indexing="ij")
-    P = grid.corner(np.stack([a.ravel() for a in axes], axis=-1))
     s_lo, s_hi = crack.simplices.min(axis=1), crack.simplices.max(axis=1)
-    for d in direction_set(grid.n):
-        Q = P + grid.h * d
+
+    def box_meets(P, Q):
         lo, hi = (np.minimum(P, Q) - tol)[:, None], (np.maximum(P, Q) + tol)[:, None]
-        meets = np.any(np.all(lo <= s_hi, axis=2) & np.all(hi >= s_lo, axis=2), axis=1)
-        near = geometry._near_mask(grid, crack, tol, d, wmin, wmax, tight=True)
-        assert np.all(near.ravel()[meets])
+        return np.any(np.all(lo <= s_hi, axis=2) & np.all(hi >= s_lo, axis=2), axis=1)
+
+    def corners(wmin, wmax):
+        axes = np.meshgrid(*map(np.arange, wmin, wmax + 1), indexing="ij")
+        return grid.corner(np.stack([a.ravel() for a in axes], axis=-1))
+
+    zmin, zmax = grid.cube_window()
+    for wmin, wmax in ((zmin - 1, zmax + 1), (zmin, zmax)):
+        P = corners(wmin, wmax)
+        for d in direction_set(grid.n):
+            near = geometry._near_mask(grid, crack, tol, d, wmin, wmax)
+            assert np.all(near.ravel()[box_meets(P, P + grid.h * d)])
+    P = corners(zmin, zmax)
+    near = geometry._near_mask(grid, crack, tol, np.ones(grid.n), zmin, zmax).ravel()
+    for a, e in geometry._cube_segments(grid.n):
+        C = P + grid.h * a  # the queries of standalone `classify_cubes`
+        assert np.all(near[box_meets(C, C + grid.h * e)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -873,6 +915,34 @@ def test_lattice_outputs_are_pinned(crack, h, y, energy, num_bad):
     g = ShiftedGrid(n, h, y, (0.0,) * n, (1.0,) * n)
     assert discrete_jump_energy(g, crack) == float.fromhex(energy)
     assert classify_cubes(g, crack).num_bad == num_bad
+
+
+@pytest.mark.parametrize("crack,h,num_bad,exceed", [
+    (VERT, 1.0 / 32, 68, "0x1.6800000000000p-5"),
+    (FLAT3, 1.0 / 16, 648, "0x1.0000000000000p-7"),
+])
+def test_standalone_classification_outputs_are_pinned(crack, h, num_bad, exceed):
+    # `approximate_experiment` classifies without a hit table, by the
+    # per-segment loop over the culled cubes
+    n = crack.n
+    row, = lab.approximate_experiment(crack, [h], (0.0,) * n, (1.0,) * n)
+    assert row["num_bad_cubes"] == num_bad
+    assert row["exceed_measure"] == float.fromhex(exceed)
+
+
+def test_planar_kernel_hits_crossings_nearly_parallel_to_the_crack():
+    # seeded queries of length 1.78 through VERT at y ~ U(0, 1), their
+    # directions N(0, 1e-3) rad off the crack: every one crosses it, and
+    # the closest-point formula alone calls about 1.7% of them misses
+    rng = np.random.default_rng(0)
+    k = 200_000
+    y = rng.random(k)
+    th = np.pi / 2 + rng.normal(0.0, 1e-3, k)
+    d = 0.89 * np.stack([np.cos(th), np.sin(th)], axis=1)
+    c = np.stack([np.full(k, 0.5), y], axis=1)
+    assert np.all(segments_hit_crack(c - d, c + d, VERT))
+    a, b = (np.broadcast_to(v, (k, 2)) for v in VERT.simplices[0])
+    assert np.count_nonzero(_seg_seg_dist(c - d, c + d, a, b) > 1e-12) > 1000
 
 
 def test_jump_energy_memory_stays_bounded():

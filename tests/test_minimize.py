@@ -646,7 +646,9 @@ class _NearTieProblem:
     """One round on a 1D plan: cut totals that differ by less than the tie
     slack, and a total for releasing either side.  A rigid state is its
     (broken, released) pair; its bulk, an offset of its total from its
-    score and a gap from the datum on its clamped cells are set per test."""
+    score and a gap from the datum on its clamped cells are set per test.
+    Each cell's stencil reads its own value; the bulk sits on cell 2, which
+    no move clamps."""
 
     plan_shape = (5,)
     column_area = [0.0]
@@ -676,8 +678,12 @@ class _NearTieProblem:
         total = self._total(*state) + self.offset
         return EnergyBreakdown(self.bulk, total - self.bulk)
 
-    def _clamp_pairs(self, state):
-        return [(np.full(self.plan_shape, self.clamp_gap), np.zeros(self.plan_shape))]
+    def _bulk_parts(self, state):
+        x = np.full(self.plan_shape, self.clamp_gap)
+        x[2] = np.sqrt(2.0 * self.bulk)  # (1/2) x Q x on cell 2, Q = 1
+        cells = np.arange(x.size)[:, None, None]
+        return [(x, np.zeros(self.plan_shape), lambda: (cells, np.ones(cells.shape)),
+                 np.eye(1), 1.0)]
 
 
 def test_greedy_search_breaks_near_ties_by_candidate_order():
@@ -768,18 +774,52 @@ def test_search_builds_a_candidate_only_to_solve_it(monkeypatch, search):
 @pytest.mark.parametrize("attr, value", [("bulk", 1e-6), ("offset", -1e-6),
                                          ("offset", 1e-6), ("clamp_gap", 1e-300)])
 def test_winner_certificate_rejects_a_state_it_cannot_certify(attr, value):
-    # a rigid state with a nonzero bulk, a total off its score or a value off
-    # the datum on a clamped cell is not a certified minimizer: the search
-    # raises, naming the move; a total within the slack is kept as it is
+    # a rigid state with a nonzero bulk on a cell that reads a free dof, a
+    # total off its score or a value off the datum on a clamped cell is not
+    # a certified minimizer: the search raises, naming the move, in plain
+    # floats; a total within the slack is kept as it is
     problem = _NearTieProblem()
     setattr(problem, attr, value)
-    with pytest.raises(RuntimeError, match=r"move \(0, \(0,\)\) scored"):
+    with pytest.raises(RuntimeError, match=r"move \(0, \(0,\)\) scored") as err:
         minimize._greedy_search(problem, empty_cracks((5,)), 1)
+    assert "np." not in str(err.value)
     problem = _NearTieProblem()
     problem.offset = 1e-11
     state, cracks, e, trace = minimize._greedy_search(problem, empty_cracks((5,)), 1)
     assert np.flatnonzero(cracks.broken[0]).tolist() == [0]
     assert trace == [2.0, 1.0 + 5e-13 + 1e-11] and e.total == trace[-1]
+
+
+def test_winner_certificate_accepts_a_forced_bulk():
+    # a (2,) plan x 2 layers, its one column broken: releasing side 1 leaves
+    # column 0 alone and fully clamped, so the bulk of its bent datum is
+    # forced; the winner takes its rigid state, at the total a solve gives
+    grid = PlateGrid(2, (2,), 2, (0.0,), (1.0,))
+    problem = minimize._FilmProblem(grid, _bent_datum(1.0, 0.7), LameParams(0.0, 1.0, 2), 0.1)
+    cracks = empty_cracks(grid.shape)
+    cracks.broken[0][...] = True
+    state, cracks, e, trace = minimize._greedy_search(problem, cracks, 2)
+    assert cracks.released == {(0, 1)} and len(trace) == 2
+    assert e.bulk > 0.7
+    solved, e_solved = problem.solve(cracks)
+    assert e.total == trace[-1] == e_solved.total
+    assert np.array_equal(state.values, solved.values)
+
+
+def test_film_scores_no_move_of_a_crack_outside_whole_columns():
+    # a broken horizontal face, or a column broken in one layer only, cuts a
+    # cell off along one axis and strains a rigid continuation: the moves of
+    # such a crack are solved, and the search's winner is its solve
+    grid = PlateGrid(2, (2,), 2, (0.0,), (1.0,))
+    problem = minimize._FilmProblem(grid, _bent_datum(1.0, 0.7), LameParams(0.0, 1.0, 2), 0.1)
+    cracks = empty_cracks(grid.shape)
+    assert problem.score_moves(cracks, _offered_moves(cracks)) is not None
+    for axis in (0, 1):
+        cracks = empty_cracks(grid.shape)
+        cracks.broken[axis][0, 0] = True
+        assert problem.score_moves(cracks, _offered_moves(cracks)) is None
+    state, cracks, e, trace = minimize._greedy_search(problem, cracks, 2)
+    assert cracks.released and e.total == trace[-1] == problem.solve(cracks)[1].total
 
 
 class _ExhaustibleProblem:
@@ -962,29 +1002,16 @@ def test_stencil_cache_changes_no_result(case):
         assert _same(_fields(state), _fields(fresh))
         assert e == e_fresh
         assert problem._energy(fresh) == e_fresh
-    # a whole search from this crack, against the same search on a new
-    # problem whose every stencil read is a miss: the same result, or the
-    # same error (a start crack can leave a clamp column alone with a bulk
-    # that a winner's certificate does not accept)
-    search = _search_outcome(problem, cracks)
+    # two rounds of a whole search from this crack, against the same search
+    # on a new problem whose every stencil read is a miss: the same result
+    search = minimize._greedy_search(problem, cracks, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimize, "_STENCIL_PATTERNS", 0)
-        missed = _search_outcome(make(), cracks)
-    if isinstance(search, str) or isinstance(missed, str):
-        assert search == missed
-        return
+        missed = minimize._greedy_search(make(), cracks, 2)
     assert _same(_fields(search[0]), _fields(missed[0]))
     assert _same(search[1].broken, missed[1].broken)
     assert search[1].released == missed[1].released
     assert search[2] == missed[2] and search[3] == missed[3]
-
-
-def _search_outcome(problem, cracks):
-    """Two rounds of the search from `cracks`, or the message it raised."""
-    try:
-        return minimize._greedy_search(problem, cracks, 2)
-    except RuntimeError as exc:
-        return str(exc)
 
 
 def _count_builds(mp):
