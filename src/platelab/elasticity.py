@@ -6,6 +6,7 @@ Everything in this module is a pure function of small dense matrices
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,8 +27,16 @@ class LameParams:
 
 
 def validate_lame(p: LameParams) -> bool:
-    """True iff the elasticity tensor C is positive definite on symmetric matrices."""
-    return p.mu > 0.0 and 2.0 * p.mu + p.n * p.lam > 0.0
+    """True iff lam and mu are finite and the elasticity tensor C is
+    positive definite on symmetric matrices."""
+    return (math.isfinite(p.lam) and math.isfinite(p.mu)
+            and p.mu > 0.0 and 2.0 * p.mu + p.n * p.lam > 0.0)
+
+
+def _check_rho(rho: float) -> None:
+    """Raise ValueError unless 0 < rho < inf (a nan rho fails too)."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
 
 
 def _check_sym(E: np.ndarray, dim: int) -> np.ndarray:
@@ -128,8 +137,7 @@ def reduced_min_oracle(p: LameParams, E: np.ndarray) -> tuple[float, np.ndarray]
 
 def phi_rho(rho: float, nu: np.ndarray) -> float:
     """Anisotropic surface weight |(nu_1, ..., nu_{n-1}, nu_n / rho)|."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     nu = np.asarray(nu, dtype=float)
     w = nu.copy()
     w[-1] /= rho
@@ -142,8 +150,7 @@ def rescale_strain(E: np.ndarray, rho: float) -> np.ndarray:
     In-plane entries unchanged, (alpha, n) entries divided by rho and the
     (n, n) entry by rho^2.  E is one n x n matrix or a (..., n, n) stack.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     E = np.asarray(E, dtype=float)
     out = E.copy()
     out[..., :-1, -1] /= rho
@@ -173,13 +180,11 @@ def rescale_displacement(u, rho: float):
     v(x) = (u_1(psi(x)), ..., u_{n-1}(psi(x)), rho * u_n(psi(x)))
     with psi(x) = (x', rho * x_n).
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     return _scaled_transverse(u, lambda a: a * rho)
 
 
 def rescale_displacement_inverse(v, rho: float):
     """Inverse of :func:`rescale_displacement`: recover u on the thin domain."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     return _scaled_transverse(v, lambda a: a / rho)

@@ -5,7 +5,9 @@ minimizes: (1/2) w sum_c d_c . Q d_c, where d = S x, shape (ncell, k), are
 the per-cell rows that `_apply_stencil` reads off the stencil blocks S of
 :mod:`.kirchhoff_love` (`_derivative_operator` for displacements,
 `_hessian_operator` for the deflection) and Q is the cached form matrix
-`_form`.  Surface terms are sums of broken-face areas, weighted by the
+`_form`.  Those builders keep the blocks of the 4 crack patterns read
+last, so the energy of a state the solver has just solved reuses the
+solver's blocks.  Surface terms are sums of broken-face areas, weighted by the
 anisotropic factor phi_rho in the rescaled energy.
 """
 
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
+from .elasticity import (LameParams, _check_rho, form_matrix, phi_rho, quadratic_form_C,
                          quadratic_form_C0, rescale_strain, validate_lame)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil, _check_plan,
                              _derivative_operator, _hessian_operator, _lift, _plan_points,
@@ -80,23 +82,14 @@ def rescaled_strains(v: PlateField, rho: float) -> np.ndarray:
 
 def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown:
     """E_rho: (1/2) int C e^rho(v).e^rho(v) + int_{J_v} phi_rho(nu)."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
     g = v.grid
-    return _rescaled_energy(v, _form(p, rho), rho,
-                            _derivative_operator(g.shape, g.spacings, v.broken, g.n))
-
-
-def _rescaled_energy(v: PlateField, Q: np.ndarray, rho: float, stencil) -> EnergyBreakdown:
-    """`rescaled_energy` with its form Q = _form(p, rho) and the
-    `_derivative_operator` blocks of v's grid and breaks given."""
-    g = v.grid
-    d = _apply_stencil(stencil, v.values)
+    d = _apply_stencil(_derivative_operator(g.shape, g.spacings, v.broken, g.n), v.values)
     surface = sum(np.count_nonzero(v.broken[a]) * v.broken_face_area(a) * phi_rho(rho, nu)
                   for a, nu in enumerate(np.eye(g.n)))
-    return EnergyBreakdown(_bulk(d, Q, g.cell_volume), float(surface))
+    return EnergyBreakdown(_bulk(d, _form(p, rho), g.cell_volume), float(surface))
 
 
 def rescale_plate_field(u: PlateField, rho: float) -> PlateField:
@@ -132,19 +125,12 @@ def limit_energy(s: KLState, p: LameParams, layers: int | None = None) -> Energy
     """
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
-    ps, h = tuple(s.plan_shape), s.plan_h
-    return _limit_energy(s, _form(p), _derivative_operator(ps, h, s.crack_cols, s.n - 1),
-                         lambda: _hessian_operator(ps, h, s.crack_cols), layers)
-
-
-def _limit_energy(s: KLState, Q: np.ndarray, membrane, bending,
-                  layers: int | None = None) -> EnergyBreakdown:
-    """`limit_energy` with its form Q = _form(p) and the membrane stencil
-    of s's plan and cracks given; bending() returns the Hessian stencil."""
-    dm = _apply_stencil(membrane, s.ubar)
+    Q, ps, h = _form(p), tuple(s.plan_shape), s.plan_h
+    dm = _apply_stencil(_derivative_operator(ps, h, s.crack_cols, s.n - 1), s.ubar)
     # a zero deflection has zero rows; its stencil is not built, as in the solver
-    dh = _apply_stencil(bending(), s.un) if np.any(s.un) else np.zeros_like(dm)
-    area = float(np.prod(s.plan_h))
+    dh = (_apply_stencil(_hessian_operator(ps, h, s.crack_cols), s.un) if np.any(s.un)
+          else np.zeros_like(dm))
+    area = float(np.prod(h))
     if layers is None:
         bulk = _bulk(dm, Q, area) + _bulk(dh, Q, area / 12.0)
     else:
@@ -263,6 +249,7 @@ def compactness_check(v: PlateField, p: LameParams, rho: float) -> dict:
     displacement (recovered through the strain rescaling identity) together
     with the bounds rho * sqrt(2 E_rho) and rho^2 * sqrt(2 E_rho).
     """
+    _check_rho(rho)
     E = rescaled_strains(v, rho)
     n = v.grid.n
     vol = v.grid.cell_volume

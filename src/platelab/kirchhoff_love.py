@@ -7,6 +7,9 @@ the one discretization that the solver of :mod:`.minimize` and the
 energies of :mod:`.energy` share.  A stencil is a pair of blocks (cols,
 vals) of shape (ncell, k, w): row r of cell c is the sum over its w slots
 of vals[c, r, s] x[cols[c, r, s]], and `_apply_stencil` evaluates it.
+Both keep the read-only blocks of the _STENCIL_PATTERNS = 4 crack patterns
+read last (`_memo`), so a solve and the energies of its state, and every
+state of one pattern, share one build.
 The thickness layers use a midpoint layout symmetric about z = 0, so the
 x_n-odd part of a lifted field integrates to zero exactly.
 """
@@ -256,7 +259,7 @@ def _cell_blocks(cols: np.ndarray, vals: np.ndarray):
                  for x in (cols, vals))
 
 
-def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
+def _build_derivative(shape: tuple, spacings, broken: list, ncomp: int):
     """Stencil blocks (cols, vals), shape (ncell, ncomp*nd, 2), of the map
     from cell dofs to per-cell derivative matrices D[m, a] in row m*nd + a.
 
@@ -279,7 +282,7 @@ def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
     return _cell_blocks(cols, vals)
 
 
-def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
+def _build_hessian(plan_shape: tuple, plan_h, crack_cols: list):
     """Stencil blocks (cols, vals), shape (ncell, nd*nd, 4), of the map from
     un dofs to per-cell Hessian entries H[a, b] in row a*nd + b.
 
@@ -318,6 +321,49 @@ def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
                 cols[a, b, slot] = cols[b, a, slot] = corner
                 vals[a, b, slot] = vals[b, a, slot] = mixed * (0.25 * i * j / hab)
     return _cell_blocks(cols, vals)
+
+
+# crack patterns whose stencils the builders keep: a search's current
+# state's and one per through-cut kind of a 1D round
+_STENCIL_PATTERNS = 4
+_patterns = {}  # pattern key -> {(kind, ncomp): blocks}, read longest ago first
+
+
+def _memo(kind, build, shape: tuple, spacings, broken: list, *args):
+    """The stencil blocks build(shape, spacings, broken, *args), built once
+    per crack pattern and read-only.
+
+    A pattern is keyed by the shape, the bytes of the spacings and each
+    broken array's shape and bytes; its blocks of each kind (and ncomp)
+    are built on its first read.  The _STENCIL_PATTERNS patterns read last
+    are kept; a new one evicts the one read longest ago.
+    """
+    key = (tuple(shape), np.asarray(spacings, dtype=float).tobytes(),
+           *((b.shape, b.tobytes()) for b in broken))
+    blocks = _patterns.pop(key, {})
+    _patterns[key] = blocks
+    while len(_patterns) > _STENCIL_PATTERNS:
+        del _patterns[next(iter(_patterns))]
+    entry = (kind, *args)
+    if entry not in blocks:
+        blocks[entry] = build(shape, spacings, broken, *args)
+        for x in blocks[entry]:
+            x.flags.writeable = False
+    return blocks[entry]
+
+
+def _derivative_operator(shape: tuple, spacings, broken: list, ncomp: int):
+    """The read-only `_build_derivative` blocks of this grid and crack
+    pattern, built once while the pattern is among the last
+    _STENCIL_PATTERNS read (`_memo`)."""
+    return _memo("derivative", _build_derivative, shape, spacings, broken, ncomp)
+
+
+def _hessian_operator(plan_shape: tuple, plan_h, crack_cols: list):
+    """The read-only `_build_hessian` blocks of this plan and crack pattern,
+    built once while the pattern is among the last _STENCIL_PATTERNS read
+    (`_memo`)."""
+    return _memo("hessian", _build_hessian, plan_shape, plan_h, crack_cols)
 
 
 def _apply_stencil(stencil, x: np.ndarray) -> np.ndarray:

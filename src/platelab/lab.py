@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elasticity import LameParams, validate_lame
+from .elasticity import LameParams, _check_rho, validate_lame
 from .energy import (BoundaryDatum, compactness_check, limit_energy, rescaled_energy,
                      stretch_datum)
 # unused here; bench/tracer.py wraps these names in this module
@@ -75,6 +75,7 @@ def recovery_sequence(s: KLState, p: LameParams, rho: float,
     (forward differences, backward at breaks), so the lift's e_{alpha n}
     vanishes cell by cell and E_rho stays bounded as rho -> 0.
     """
+    _check_rho(rho)
     if smoothing_scale <= 0.0:
         raise ValueError("smoothing_scale must be positive")
     ph = s.plan_h
@@ -344,8 +345,7 @@ class ExperimentConfig:
                              "nonzero length, with omega_lo < omega_hi")
         if self.layers < 1:
             raise ValueError("layers must be at least 1")
-        if not (np.isfinite(self.lam) and np.isfinite(self.mu)
-                and validate_lame(self.lame)):
+        if not validate_lame(self.lame):
             raise ValueError("Lame parameters must be finite with mu > 0 "
                              "and 2 mu + n lam > 0")
 

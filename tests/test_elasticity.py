@@ -17,12 +17,28 @@ def test_validate_lame():
     assert validate_lame(LameParams(1.0, 1.0, 2))
     assert not validate_lame(LameParams(-1.0, 1.0, 3))
     assert not validate_lame(LameParams(0.0, 0.0, 2))
+    # an infinite lam or mu passes the sign tests alone
+    for lam, mu in ((1.0, np.inf), (np.inf, 1.0), (1.0, np.nan), (np.nan, 1.0)):
+        assert not validate_lame(LameParams(lam, mu, 3))
 
 
 def test_validate_lame_boundary():
     # 2 mu + n lam > 0 must be strict
     assert not validate_lame(LameParams(-1.0, 1.5, 3))
     assert validate_lame(LameParams(-0.9, 1.5, 3))
+
+
+@pytest.mark.parametrize("rho", [np.inf, np.nan, 0.0, -1.0])
+def test_rho_must_be_positive_and_finite(rho):
+    # at rho = inf the rescalings would drop the transverse strain and the
+    # vertical surface weight; at nan they would return nan
+    u = lambda x: np.asarray(x, dtype=float)  # noqa: E731
+    calls = [lambda: rescale_strain(np.eye(2), rho), lambda: phi_rho(rho, [0.0, 1.0]),
+             lambda: rescale_displacement(u, rho),
+             lambda: rescale_displacement_inverse(u, rho)]
+    for call in calls:
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            call()
 
 
 def test_apply_C_identity():

@@ -181,8 +181,10 @@ def test_rescaled_surface_weights():
 
 def test_rescaled_energy_validates_inputs():
     v = kl_lift(stretch_state(0.1), 4)
-    with pytest.raises(ValueError):
-        rescaled_energy(v, P2, 0.0)
+    for rho in (0.0, np.inf, np.nan):
+        for f in (rescaled_energy, compactness_check):
+            with pytest.raises(ValueError, match="rho must be positive and finite"):
+                f(v, P2, rho)
     with pytest.raises(ValueError):
         rescaled_energy(v, LameParams(0.0, 0.0, 2), 0.1)
 

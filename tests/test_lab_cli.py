@@ -56,6 +56,19 @@ def test_recovery_sequence_validates_smoothing():
         lab.recovery_sequence(s, P2, 0.1, 1.0 / 64)  # below grid resolution
 
 
+@pytest.mark.parametrize("rho", [np.inf, np.nan])
+def test_recovery_sequence_rejects_a_non_finite_rho(rho):
+    s = lab.membrane_crack_state(0.5, (16,), (0.0,), (1.0,))
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        lab.recovery_sequence(s, P2, rho, 0.25)
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, float("inf")), (float("inf"), 1.0)])
+def test_experiment_config_names_a_non_finite_lame_parameter(lam, mu):
+    with pytest.raises(ValueError, match="Lame parameters must be finite"):
+        lab.ExperimentConfig(lam=lam, mu=mu)
+
+
 def test_recovery_sweep_rows_and_gap():
     s = lab.membrane_crack_state(0.5, (64,), (0.0,), (1.0,))
     rows = lab.recovery_sweep(s, P2, [1e-1, 1e-2], layers=8)

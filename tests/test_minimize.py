@@ -8,10 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
                                  quadratic_form_C0, rescale_strain)
-from platelab import energy, lab, minimize
+from platelab import kirchhoff_love, lab, minimize
 from platelab.energy import (BoundaryDatum, EnergyBreakdown, penalized_energies,
                              stretch_datum)
-from platelab.kirchhoff_love import PlateGrid, _apply_stencil
+from platelab.kirchhoff_love import PlateGrid, _apply_stencil, _empty_breaks, _plan_h
 from platelab.minimize import (CrackIndicator, SolverConfig, _derivative_operator,
                                _hessian_operator, _clamped_cells, _reduced_solve,
                                _reduced_system, _solve_constrained,
@@ -112,6 +112,26 @@ def test_alternate_minimize_subcritical():
     assert not np.any(cracks.broken[0]) and not np.any(cracks.broken[1])
     assert e.surface == 0.0
     assert e.total == pytest.approx((4.0 / 3.0) * 0.09, rel=0.05)
+
+
+@pytest.mark.parametrize("rho", [np.inf, np.nan])
+def test_film_search_rejects_a_non_finite_rho(rho):
+    # at rho = inf the search returned a total (0.35337 on this grid)
+    grid = PlateGrid(2, (8,), 4, (0.0,), (1.0,))
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        alternate_minimize(grid, stretch_datum(0.5, 2), P2, rho, SolverConfig())
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        elastic_solve(grid, empty_cracks(grid.shape), stretch_datum(0.5, 2), P2, rho)
+
+
+@pytest.mark.parametrize("p", [LameParams(1.0, np.inf, 2), LameParams(np.inf, 1.0, 2)])
+def test_searches_reject_infinite_lame_parameters(p):
+    # an infinite mu was reported as a boundary datum too large
+    with pytest.raises(ValueError, match="invalid Lame parameters"):
+        minimize_limit((8,), (0.0,), (1.0,), stretch_datum(0.5, 2), p, SolverConfig())
+    with pytest.raises(ValueError, match="invalid Lame parameters"):
+        alternate_minimize(PlateGrid(2, (8,), 4, (0.0,), (1.0,)), stretch_datum(0.5, 2),
+                           p, 0.1, SolverConfig())
 
 
 def test_alternate_minimize_supercritical_cracks():
@@ -986,28 +1006,31 @@ def _same(a, b):
 @given(_cache_case())
 def test_stencil_cache_changes_no_result(case):
     make, g, p, cracks = case
-    problem = make()
-    # the problem's solve and energy, twice (the second reads the cache),
-    # against the public functions, which build their own stencils
-    if isinstance(problem, minimize._FilmProblem):
-        fresh = elastic_solve(problem.grid, cracks, g, p, problem.rho)
-        e_fresh = penalized_energies(fresh, p, g, problem.rho)
-    else:
-        d = problem.datum
-        fresh = _reduced_solve(g.state(d.plan_shape, d.omega_lo, d.omega_hi), cracks,
-                               problem.Q)
-        e_fresh = penalized_energies(fresh, p, g)
-    for _ in range(2):
-        state, e = problem.solve(cracks)
-        assert _same(_fields(state), _fields(fresh))
-        assert e == e_fresh
-        assert problem._energy(fresh) == e_fresh
-    # two rounds of a whole search from this crack, against the same search
-    # on a new problem whose every stencil read is a miss: the same result
-    search = minimize._greedy_search(problem, cracks, 2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minimize, "_STENCIL_PATTERNS", 0)
+        # every stencil read a miss: each solve and each energy builds its own
+        mp.setattr(kirchhoff_love, "_patterns", {})
+        mp.setattr(kirchhoff_love, "_STENCIL_PATTERNS", 0)
+        problem = make()
+        if isinstance(problem, minimize._FilmProblem):
+            fresh = elastic_solve(problem.grid, cracks, g, p, problem.rho)
+            e_fresh = penalized_energies(fresh, p, g, problem.rho)
+        else:
+            d = problem.datum
+            fresh = _reduced_solve(g.state(d.plan_shape, d.omega_lo, d.omega_hi), cracks,
+                                   problem.Q)
+            e_fresh = penalized_energies(fresh, p, g)
         missed = minimize._greedy_search(make(), cracks, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kirchhoff_love, "_patterns", {})
+        problem = make()
+        # the problem's solve and energy, twice: the second reads the memo
+        for _ in range(2):
+            state, e = problem.solve(cracks)
+            assert _same(_fields(state), _fields(fresh))
+            assert e == e_fresh
+            assert problem._energy(fresh) == e_fresh
+        # two rounds of a whole search from this crack: the same result
+        search = minimize._greedy_search(problem, cracks, 2)
     assert _same(_fields(search[0]), _fields(missed[0]))
     assert _same(search[1].broken, missed[1].broken)
     assert search[1].released == missed[1].released
@@ -1015,25 +1038,27 @@ def test_stencil_cache_changes_no_result(case):
 
 
 def _count_builds(mp):
-    """Per stencil kind, the list every build of it appends to."""
+    """Per stencil kind, the list every build of it appends to, from an
+    empty memo."""
+    mp.setattr(kirchhoff_love, "_patterns", {})
     builds = {"derivative": [], "hessian": []}
-    for kind, name in (("derivative", "_derivative_operator"), ("hessian", "_hessian_operator")):
-        for owner in (minimize, energy):
-            f = getattr(owner, name)
-            mp.setattr(owner, name, lambda *a, f=f, calls=builds[kind]:
-                       calls.append(1) or f(*a))
+    for kind in builds:
+        f = getattr(kirchhoff_love, f"_build_{kind}")
+        mp.setattr(kirchhoff_love, f"_build_{kind}", lambda *a, f=f, calls=builds[kind]:
+                   calls.append(1) or f(*a))
     return builds
 
 
 def test_limit_crossover_builds_each_pattern_once(monkeypatch):
-    # the 8 stretches of the crossover benchmark on (128,): a cracked search
-    # reads the start, 3 cut kinds and its winner's pattern (the winner is
-    # one kind), an elastic one only its start; 56 builds when every solve
-    # and every energy built its own
+    # the 8 stretches of the crossover benchmark on (128,): every search
+    # reads the start, the 3 cut kinds of its first round and its winner's
+    # pattern (the winner is one kind), and all 8 read the same 4 patterns;
+    # 20 builds when each search kept its own, 56 when every solve and every
+    # energy built its own
     builds = _count_builds(monkeypatch)
     for t in 0.5 + 0.1 * np.arange(8):
         minimize_limit((128,), (0.0,), (1.0,), stretch_datum(t, 2), P2, SolverConfig())
-    assert len(builds["derivative"]) == 20 and not builds["hessian"]
+    assert len(builds["derivative"]) == 4 and not builds["hessian"]
 
 
 def test_film_sweep_builds_each_pattern_once(monkeypatch):
@@ -1057,29 +1082,53 @@ def test_plate_candidates_build_their_stencil_once(monkeypatch):
     monkeypatch.setattr(minimize, "_reduced_solve", lambda d, c, *a: patterns.append(
         b"".join(b.tobytes() for b in c.broken)) or solve(d, c, *a))
     sizes = []
-    call = minimize._StencilCache.__call__
-    monkeypatch.setattr(minimize._StencilCache, "__call__", lambda self, *a: (
-        call(self, *a), sizes.append(len(self._patterns)))[0])
+    memo = kirchhoff_love._memo
+    monkeypatch.setattr(kirchhoff_love, "_memo", lambda *a: (
+        memo(*a), sizes.append(len(kirchhoff_love._patterns)))[0])
     p3 = LameParams(1.0, 1.0, 3)
     trace = minimize_limit((6, 6), (0.0, 0.0), (1.0, 1.0), stretch_datum(1.2, 3), p3,
                            SolverConfig())[3]
     assert len(patterns) == 311 and len(trace) == 5
-    assert len(set(patterns)) <= len(builds["derivative"]) <= len(set(patterns)) + len(trace)
-    assert not builds["hessian"]
-    assert max(sizes) == minimize._STENCIL_PATTERNS == 4
+    assert len(builds["derivative"]) == 296 and not builds["hessian"]
+    assert len(set(patterns)) <= 296 <= len(set(patterns)) + len(trace)
+    assert max(sizes) == kirchhoff_love._STENCIL_PATTERNS == 4
+
+
+def test_stencil_memo_keeps_grids_apart(monkeypatch):
+    # reads whose break arrays hold the same bytes: the film grids (4,) x 2
+    # and (2,) x 4 on square cells, the plan (4,) on omega (0, 1) and (0, 2),
+    # and on one plan both kinds and two ncomp; 4 patterns, so the second
+    # pass hits every time, and a hit or a miss is a fresh build
+    monkeypatch.setattr(kirchhoff_love, "_patterns", {})
+    reads = [(kirchhoff_love._build_derivative, shape, (0.5, 0.5), _empty_breaks(shape), 2)
+             for shape in ((4, 2), (2, 4))]
+    for hi in (1.0, 2.0):
+        h = _plan_h((4,), (0.0,), (hi,))
+        reads += [(kirchhoff_love._build_derivative, (4,), h, _empty_breaks((4,)), 1),
+                  (kirchhoff_love._build_derivative, (4,), h, _empty_breaks((4,)), 2),
+                  (kirchhoff_love._build_hessian, (4,), h, _empty_breaks((4,)))]
+    cached = {kirchhoff_love._build_derivative: _derivative_operator,
+              kirchhoff_love._build_hessian: _hessian_operator}
+    first = [cached[build](*args) for build, *args in reads]
+    for (build, *args), blocks in zip(reads, first):
+        assert cached[build](*args) is blocks
+        assert _same(blocks, build(*args))
+    assert len(kirchhoff_love._patterns) == 4
 
 
 @pytest.mark.parametrize("kind", ["film", "limit"])
-def test_cached_stencils_are_read_only(kind):
+def test_cached_stencils_are_read_only(kind, monkeypatch):
+    monkeypatch.setattr(kirchhoff_love, "_patterns", {})
     if kind == "film":
         problem = minimize._FilmProblem(PlateGrid(2, (4,), 2, (0.0,), (1.0,)),
                                         _bent_datum(1.2, 0.7), P2, 0.1)
-        broken = empty_cracks(problem.grid.shape).broken
-        arrays = [*problem.stencils("derivative", broken), problem.lifted]
+        g = problem.grid
+        arrays = [*_derivative_operator(g.shape, g.spacings, _empty_breaks(g.shape), 2),
+                  problem.lifted]
     else:
-        problem = minimize._LimitProblem((4,), (0.0,), (1.0,), _bent_datum(1.2, 0.7), P2)
-        broken = empty_cracks((4,)).broken
-        arrays = [*problem.stencils("derivative", broken), *problem.stencils("hessian", broken)]
+        h = _plan_h((4,), (0.0,), (1.0,))
+        arrays = [*_derivative_operator((4,), h, _empty_breaks((4,)), 1),
+                  *_hessian_operator((4,), h, _empty_breaks((4,)))]
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 1
