@@ -3,12 +3,15 @@
 Every bulk term is the quadratic form the solver of :mod:`.minimize`
 minimizes: (1/2) w sum_c d_c . Q d_c, where d = S x, shape (ncell, k), are
 the per-cell rows that `_apply_stencil` reads off the stencil blocks S of
-:mod:`.kirchhoff_love` (`_derivative_operator` for displacements,
-`_hessian_operator` for the deflection) and Q is the cached form matrix
-`_form`.  Those builders keep the blocks of the 4 crack patterns read
-last, so the energy of a state the solver has just solved reuses the
-solver's blocks.  Surface terms are sums of broken-face areas, weighted by the
-anisotropic factor phi_rho in the rescaled energy.
+:mod:`.kirchhoff_love` and Q is the cached form matrix `_form`, the one
+check of the Lame parameters and rho.  Each bulk quadratic of a crack
+pattern, (stencil thunk, form, cell weight), is declared once, for the
+energies and the solver: E_rho's in `_film_bulk`, E_0's membrane and
+bending in `_plate_bulk`; a zero value array builds no stencil.  The
+builders keep the blocks of the 4 crack patterns read last, so the energy
+of a state the solver has just solved reuses the solver's blocks.  Surface
+terms are sums of broken-face areas, weighted by the anisotropic factor
+phi_rho in the rescaled energy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elasticity import (LameParams, _check_rho, form_matrix, phi_rho, quadratic_form_C,
+from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
                          quadratic_form_C0, rescale_strain, validate_lame)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil, _check_plan,
                              _derivative_operator, _hessian_operator, _lift, _plan_points,
@@ -50,7 +53,11 @@ def _form(p: LameParams, rho: float | None = None) -> np.ndarray:
     limit energy.  rho > 0: C of the rescaled strain e^rho on n x n
     matrices (rho = 1 is the physical density).  Cached because the crack
     search solves and evaluates once per candidate with the same (p, rho).
+    The one check of the parameters: ValueError unless `validate_lame`
+    accepts p, and, through `rescale_strain`, unless 0 < rho < inf.
     """
+    if not validate_lame(p):
+        raise ValueError("invalid Lame parameters")
     if rho is None:
         Q = form_matrix(p.n - 1, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
     else:
@@ -69,6 +76,31 @@ def _bulk(d: np.ndarray, Q: np.ndarray, weight: float) -> float:
     return bulk
 
 
+def _rows(x: np.ndarray, stencil, Q: np.ndarray) -> np.ndarray:
+    """The per-cell rows of values x in a quadratic of stencil thunk `stencil`
+    and form Q.  A zero x builds no stencil: its rows are one zero row,
+    which broadcasts against any other rows."""
+    return _apply_stencil(stencil(), x) if x.any() else np.zeros((1, len(Q)))
+
+
+def _film_bulk(grid: PlateGrid, broken, p: LameParams, rho: float) -> list:
+    """E_rho's one bulk quadratic on the broken faces of grid, on the cell
+    values (plan axes, layer, component): [(stencil thunk, form, cell weight)]."""
+    return [(lambda: _derivative_operator(grid.shape, grid.spacings, broken, grid.n),
+             _form(p, rho), grid.cell_volume)]
+
+
+def _plate_bulk(plan_shape, plan_h, broken, p: LameParams) -> list:
+    """E_0's membrane quadratic, on ubar, and bending quadratic, on un, on the
+    crack columns `broken`: [(stencil thunk, form, cell weight)] * 2.  The
+    bending weight is the plan area times int x_n^2 = 1/12 over the unit
+    thickness, where the cross term of the two vanishes."""
+    Q, area = _form(p), float(np.prod(plan_h))
+    return [(lambda: _derivative_operator(plan_shape, plan_h, broken, len(plan_shape)),
+             Q, area),
+            (lambda: _hessian_operator(plan_shape, plan_h, broken), Q, area / 12.0)]
+
+
 def griffith_energy(u: PlateField, p: LameParams) -> EnergyBreakdown:
     """(1/2) int C e(u).e(u) over uncut cells + area of broken faces: E_rho
     at rho = 1, where e^rho = e and phi_rho = 1."""
@@ -82,14 +114,11 @@ def rescaled_strains(v: PlateField, rho: float) -> np.ndarray:
 
 def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown:
     """E_rho: (1/2) int C e^rho(v).e^rho(v) + int_{J_v} phi_rho(nu)."""
-    _check_rho(rho)
-    if not validate_lame(p):
-        raise ValueError("invalid Lame parameters")
-    g = v.grid
-    d = _apply_stencil(_derivative_operator(g.shape, g.spacings, v.broken, g.n), v.values)
+    [(stencil, Q, weight)] = _film_bulk(v.grid, v.broken, p, rho)
+    bulk = _bulk(_rows(v.values, stencil, Q), Q, weight)
     surface = sum(np.count_nonzero(v.broken[a]) * v.broken_face_area(a) * phi_rho(rho, nu)
-                  for a, nu in enumerate(np.eye(g.n)))
-    return EnergyBreakdown(_bulk(d, _form(p, rho), g.cell_volume), float(surface))
+                  for a, nu in enumerate(np.eye(v.grid.n)))
+    return EnergyBreakdown(bulk, float(surface))
 
 
 def rescale_plate_field(u: PlateField, rho: float) -> PlateField:
@@ -116,23 +145,17 @@ def change_of_variables_check(u: PlateField, p: LameParams, rho: float) -> float
 def limit_energy(s: KLState, p: LameParams, layers: int | None = None) -> EnergyBreakdown:
     """E_0: (1/2) int C_0 (ebar - x_n Hess un) + measure of crack_cols x thickness.
 
-    ebar is read through `_derivative_operator` of ubar and Hess un through
-    `_hessian_operator` of un, the solver's own stencils; grad_un is not
-    read.  The thickness integral is done analytically by default (cross
-    term vanishes, int x_n^2 = 1/12), so the bulk is that of the solver's
-    membrane and bending quadratics; pass `layers` to use midpoint
-    quadrature over that many layers instead.
+    ebar and Hess un are the rows of ubar and un in the solver's membrane
+    and bending quadratics (`_plate_bulk`); grad_un is not read.  The
+    thickness integral is done analytically by default, so the bulk is the
+    sum of the two quadratics; pass `layers` to use midpoint quadrature
+    over that many layers instead.
     """
-    if not validate_lame(p):
-        raise ValueError("invalid Lame parameters")
-    Q, ps, h = _form(p), tuple(s.plan_shape), s.plan_h
-    dm = _apply_stencil(_derivative_operator(ps, h, s.crack_cols, s.n - 1), s.ubar)
-    # a zero deflection has zero rows; its stencil is not built, as in the solver
-    dh = (_apply_stencil(_hessian_operator(ps, h, s.crack_cols), s.un) if np.any(s.un)
-          else np.zeros_like(dm))
-    area = float(np.prod(h))
+    (membrane, Q, area), (bending, _, bending_weight) = _plate_bulk(
+        s.plan_shape, s.plan_h, s.crack_cols, p)
+    dm, dh = _rows(s.ubar, membrane, Q), _rows(s.un, bending, Q)
     if layers is None:
-        bulk = _bulk(dm, Q, area) + _bulk(dh, Q, area / 12.0)
+        bulk = _bulk(dm, Q, area) + _bulk(dh, Q, bending_weight)
     else:
         hz = 1.0 / layers
         z = -0.5 + hz * (np.arange(layers) + 0.5)
@@ -249,7 +272,6 @@ def compactness_check(v: PlateField, p: LameParams, rho: float) -> dict:
     displacement (recovered through the strain rescaling identity) together
     with the bounds rho * sqrt(2 E_rho) and rho^2 * sqrt(2 E_rho).
     """
-    _check_rho(rho)
     E = rescaled_strains(v, rho)
     n = v.grid.n
     vol = v.grid.cell_volume

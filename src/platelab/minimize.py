@@ -13,7 +13,11 @@ piece holds two clamp columns after any move, so every move's total is
 the energy of its rigid state: each piece zero, or its clamp column's
 datum continued rigidly at zero strain.  The round's winner takes that
 rigid state, certified a minimizer of the bulk, with no solve; so such a
-search factors only its starting state.  The stencil builders of
+search factors only its starting state.  The bulk quadratics are declared
+once in :mod:`.energy` (`_film_bulk`, `_plate_bulk`); both fixed-crack
+solves are one loop over them (`_clamped_solve`), which holds each value
+array to its datum on the plan cells of the unreleased sides
+(`_clamped_cells`, a mask of the leading plan axes).  The stencil builders of
 :mod:`.kirchhoff_love` keep the blocks of the 4 crack patterns read last,
 so a search builds each pattern's stencils once: a state's solve and its
 energies share them, a round's releases read the pattern of the state
@@ -27,12 +31,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elasticity import LameParams, _check_rho, validate_lame
-from .energy import (BoundaryDatum, EnergyBreakdown, _bulk, _form, _kl_trace,
-                     _trace_penalty, limit_energy, rescaled_energy)
-from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil,
-                             _derivative_operator, _empty_breaks, _hessian_operator, _lift,
-                             _side, reduced_gradient)
+from .elasticity import LameParams
+from .energy import (BoundaryDatum, EnergyBreakdown, _bulk, _film_bulk, _kl_trace,
+                     _plate_bulk, _trace_penalty, limit_energy, rescaled_energy)
+from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil, _empty_breaks,
+                             _lift, _side, reduced_gradient)
 # unused here; bench/tracer.py wraps these names in this module
 from .elasticity import quadratic_form_C, quadratic_form_C0, rescale_strain  # noqa: F401
 from .energy import boundary_penalty, penalized_energies  # noqa: F401
@@ -202,19 +205,33 @@ def _solve_block(A, rhs):
     return lu.solve(rhs)
 
 
-def _fixed_crack_solve(operator, Q: np.ndarray, weight: float, fixed_mask, fixed_vals):
-    """Minimize the bulk quadratic with x = fixed_vals on the fixed dofs.
+def _clamped_cells(plan_shape: tuple, released) -> np.ndarray:
+    """Plan cells on the lateral sides of the plan, except the sides in
+    `released`; the mask indexes the leading plan axes of a value array."""
+    fixed = np.zeros(plan_shape, dtype=bool)
+    for axis in range(len(plan_shape)):
+        for side in (0, 1):
+            if (axis, side) not in released:
+                fixed[_side(plan_shape, axis, side)] = True
+    return fixed
 
-    operator() builds the stencil blocks (cols, vals) that
-    `_reduced_system` assembles; it is not called when every clamped value
-    is zero, since the zero field is then the minimizer.
-    """
-    x = np.where(fixed_mask, fixed_vals, 0.0)
-    if not np.any(x):
-        return x
-    Kff, b = _reduced_system(operator(), Q, weight, fixed_mask, fixed_vals)
-    x[~fixed_mask] = _solve_constrained(Kff, b)
-    return x
+
+def _clamped_solve(quadratics, data, clamped) -> list:
+    """Minimize each bulk quadratic (stencil thunk, form, cell weight), its
+    values held to its datum array on the clamped plan cells.  A quadratic
+    whose clamped values are all zero has the zero minimizer: its stencil
+    is not built."""
+    out = []
+    for (stencil, Q, weight), datum in zip(quadratics, data):
+        fixed = np.zeros(datum.shape, dtype=bool)
+        fixed[clamped] = True
+        fixed, vals = fixed.ravel(), datum.ravel()
+        x = np.where(fixed, vals, 0.0)
+        if x.any():
+            Kff, b = _reduced_system(stencil(), Q, weight, fixed, vals)
+            x[~fixed] = _solve_constrained(Kff, b)
+        out.append(x.reshape(datum.shape))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,37 +289,16 @@ def _line_scores(problem, cracks: CrackIndicator, moves) -> np.ndarray:
 # rescaled (full-thickness) problem
 
 
-def _clamped_cells(shape: tuple, plan_axes: int, released) -> np.ndarray:
-    """Cells on the lateral sides of the first `plan_axes` axes of `shape`,
-    except the sides in `released`."""
-    fixed = np.zeros(shape, dtype=bool)
-    for axis in range(plan_axes):
-        for side in (0, 1):
-            if (axis, side) not in released:
-                fixed[_side(shape, axis, side)] = True
-    return fixed
-
-
 def elastic_solve(grid: PlateGrid, cracks: CrackIndicator, g: BoundaryDatum,
                   p: LameParams, rho: float) -> PlateField:
-    """Minimize the bulk of E_rho at fixed cracks, datum clamped on unreleased
-    sides.  g is a BoundaryDatum, its state on the grid's plan (`g.state`),
-    or that state lifted to the grid's layers (`_lift`), as a search passes
-    it."""
-    n = grid.n
-    if isinstance(g, np.ndarray):
-        gv = g
-    else:
-        d = g if isinstance(g, KLState) else g.state(grid.plan_shape, grid.omega_lo,
-                                                     grid.omega_hi)
-        gv = _lift(d, grid.z_centers())
-    fixed_cells = _clamped_cells(grid.shape, n - 1, cracks.released)
-    x = _fixed_crack_solve(lambda: _derivative_operator(grid.shape, grid.spacings,
-                                                        cracks.broken, n),
-                           _form(p, rho), grid.cell_volume,
-                           np.repeat(fixed_cells.ravel(), n), gv.reshape(-1))
-    return PlateField(grid, x.reshape(grid.shape + (n,)),
-                      [b.copy() for b in cracks.broken])
+    """Minimize the bulk of E_rho (`_film_bulk`) at fixed cracks, datum
+    clamped on unreleased sides.  g is a BoundaryDatum or its state lifted
+    to the grid's layers (`_lift`), as a search passes it."""
+    quadratics = _film_bulk(grid, cracks.broken, p, rho)
+    if not isinstance(g, np.ndarray):
+        g = _lift(g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi), grid.z_centers())
+    [x] = _clamped_solve(quadratics, [g], _clamped_cells(grid.plan_shape, cracks.released))
+    return PlateField(grid, x, [b.copy() for b in cracks.broken])
 
 
 def _solve_move(problem, cracks: CrackIndicator, move, score=None):
@@ -328,7 +324,7 @@ def _solve_move(problem, cracks: CrackIndicator, move, score=None):
         return (cand, *problem.solve(cand))
     state = problem._rigid_state(cand.broken, cand.released)
     e = problem._energy(state)
-    clamped = _clamped_cells(problem.plan_shape, len(problem.plan_shape), cand.released)
+    clamped = _clamped_cells(problem.plan_shape, cand.released)
     held, loose = True, 0.0  # loose: the bulk of the cells that read a free dof
     for x, d, stencil, Q, weight in problem._bulk_parts(state):
         held &= np.array_equal(x[clamped], d[clamped])
@@ -408,13 +404,9 @@ class _FilmProblem:
     """
 
     def __init__(self, grid: PlateGrid, g: BoundaryDatum, p: LameParams, rho: float):
-        _check_rho(rho)
-        if not validate_lame(p):
-            raise ValueError("invalid Lame parameters")
         self.grid, self.p, self.rho = grid, p, rho
         self.plan_shape = grid.plan_shape
         self.datum = g.state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
-        self.Q = _form(p, rho)
         self.lifted = _lift(self.datum, grid.z_centers())
         self.lifted.flags.writeable = False
         # a vertical column adds grid.layers faces of this area (weight 1)
@@ -461,11 +453,9 @@ class _FilmProblem:
 
     def _bulk_parts(self, u: PlateField):
         """(values, datum values, stencil thunk, form, cell weight) of u's
-        one bulk quadratic, plan axes first."""
-        g = self.grid
-        return [(u.values, self.lifted,
-                 lambda: _derivative_operator(g.shape, g.spacings, u.broken, g.n),
-                 self.Q, g.cell_volume)]
+        one bulk quadratic (`_film_bulk`), plan axes first."""
+        return [(u.values, self.lifted, *q)
+                for q in _film_bulk(self.grid, u.broken, self.p, self.rho)]
 
 
 def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
@@ -482,26 +472,14 @@ def alternate_minimize(grid: PlateGrid, g: BoundaryDatum, p: LameParams,
 # reduced (limit) problem
 
 
-def _reduced_solve(d: KLState, cracks: CrackIndicator, Q: np.ndarray) -> KLState:
-    """Minimize the bulk of E_0 at fixed cracks, clamped to the datum state d
-    on the unreleased sides; Q is the C0 form matrix."""
-    plan_shape, plan_h = d.plan_shape, d.plan_h
-    nd = len(plan_shape)
-    area = float(np.prod(plan_h))
-    fixed_cells = _clamped_cells(plan_shape, nd, cracks.released)
-
-    # membrane solve for ubar
-    ubar = _fixed_crack_solve(
-        lambda: _derivative_operator(plan_shape, plan_h, cracks.broken, nd),
-        Q, area, np.repeat(fixed_cells.ravel(), nd), d.ubar.reshape(-1))
-
-    # bending solve for un (weight 1/12 from the thickness integral)
-    un = _fixed_crack_solve(
-        lambda: _hessian_operator(plan_shape, plan_h, cracks.broken),
-        Q, area / 12.0, fixed_cells.ravel(), d.un.reshape(-1)).reshape(plan_shape)
-
-    return replace(d, ubar=ubar.reshape(d.ubar.shape), un=un,
-                   grad_un=reduced_gradient(un, plan_h, cracks.broken),
+def _reduced_solve(d: KLState, cracks: CrackIndicator, p: LameParams) -> KLState:
+    """Minimize the bulk of E_0, its membrane and bending quadratics
+    (`_plate_bulk`), at fixed cracks, clamped to the datum state d on the
+    unreleased sides."""
+    h = d.plan_h
+    ubar, un = _clamped_solve(_plate_bulk(d.plan_shape, h, cracks.broken, p), [d.ubar, d.un],
+                              _clamped_cells(d.plan_shape, cracks.released))
+    return replace(d, ubar=ubar, un=un, grad_un=reduced_gradient(un, h, cracks.broken),
                    crack_cols=[b.copy() for b in cracks.broken])
 
 
@@ -513,9 +491,7 @@ class _LimitProblem:
     """
 
     def __init__(self, plan_shape, omega_lo, omega_hi, g: BoundaryDatum, p: LameParams):
-        if not validate_lame(p):
-            raise ValueError("invalid Lame parameters")
-        self.p, self.Q = p, _form(p)
+        self.p = p
         self.datum = g.state(plan_shape, omega_lo, omega_hi)
         self.plan_shape = self.datum.plan_shape
         self.datum_trace = _kl_trace(self.datum)
@@ -524,7 +500,7 @@ class _LimitProblem:
                             for a in range(len(self.plan_shape))]
 
     def solve(self, cracks: CrackIndicator):
-        s = _reduced_solve(self.datum, cracks, self.Q)
+        s = _reduced_solve(self.datum, cracks, self.p)
         return s, self._energy(s)
 
     def _energy(self, s: KLState) -> EnergyBreakdown:
@@ -539,7 +515,7 @@ class _LimitProblem:
         """
         if len(self.plan_shape) != 1:
             return None
-        if np.any(self.datum.un[_clamped_cells(self.plan_shape, 1, cracks.released)]):
+        if np.any(self.datum.un[_clamped_cells(self.plan_shape, cracks.released)]):
             return None
         return _line_scores(self, cracks, moves)
 
@@ -554,13 +530,12 @@ class _LimitProblem:
 
     def _bulk_parts(self, s: KLState):
         """(values, datum values, stencil thunk, form, cell weight) of the
-        membrane (ubar) and the bending (un) quadratic of s, plan axes first."""
-        ps, h = s.plan_shape, s.plan_h
-        area = float(np.prod(h))
-        return [(s.ubar, self.datum.ubar,
-                 lambda: _derivative_operator(ps, h, s.crack_cols, len(ps)), self.Q, area),
-                (s.un, self.datum.un, lambda: _hessian_operator(ps, h, s.crack_cols),
-                 self.Q, area / 12.0)]
+        membrane (ubar) and the bending (un) quadratic of s (`_plate_bulk`),
+        plan axes first."""
+        d = self.datum
+        return [(x, dx, *q) for x, dx, q in zip(
+            (s.ubar, s.un), (d.ubar, d.un),
+            _plate_bulk(s.plan_shape, s.plan_h, s.crack_cols, self.p))]
 
 
 def minimize_limit(plan_shape, omega_lo, omega_hi, g: BoundaryDatum,

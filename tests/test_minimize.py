@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,17 +10,30 @@ from hypothesis.extra import numpy as hnp
 
 from platelab.elasticity import (LameParams, form_matrix, quadratic_form_C,
                                  quadratic_form_C0, rescale_strain)
-from platelab import kirchhoff_love, lab, minimize
+from platelab import energy, kirchhoff_love, lab, minimize
 from platelab.energy import (BoundaryDatum, EnergyBreakdown, penalized_energies,
                              stretch_datum)
-from platelab.kirchhoff_love import PlateGrid, _apply_stencil, _empty_breaks, _plan_h
-from platelab.minimize import (CrackIndicator, SolverConfig, _derivative_operator,
-                               _hessian_operator, _clamped_cells, _reduced_solve,
+from platelab.kirchhoff_love import (KLState, PlateGrid, _apply_stencil,
+                                     _derivative_operator, _empty_breaks, _hessian_operator,
+                                     _plan_h, reduced_gradient)
+from platelab.minimize import (CrackIndicator, SolverConfig, _clamped_cells, _reduced_solve,
                                _reduced_system, _solve_constrained,
                                alternate_minimize, elastic_solve,
                                empty_cracks, minimize_limit)
 
 P2 = LameParams(1.0, 1.0, 2)
+
+
+def _clamp_dofs(shape, plan_axes, released, ncomp):
+    """A reference clamp mask in the solver's dof order: the cells of `shape`
+    on the unreleased sides of its first plan_axes axes, each repeated over
+    its ncomp components."""
+    fixed = np.zeros(shape, dtype=bool)
+    for axis in range(plan_axes):
+        for side in (0, 1):
+            if (axis, side) not in released:
+                fixed[(slice(None),) * axis + (-side,)] = True
+    return np.repeat(fixed.ravel(), ncomp)
 
 
 def test_solver_config_validation():
@@ -168,6 +183,72 @@ def test_released_side_drops_datum():
     assert boundary_penalty(u, g) > 0.0
 
 
+@pytest.mark.parametrize("p", [LameParams(-5.0, 1.0, 2), LameParams(0.0, -1.0, 2),
+                               LameParams(1.0, np.inf, 2)])
+def test_fixed_crack_solves_reject_invalid_lame_parameters(p):
+    # elastic_solve returned a field for the indefinite forms (max |u| 0.46875)
+    # and warned "invalid value encountered" for an infinite mu
+    grid = PlateGrid(2, (8,), 4, (0.0,), (1.0,))
+    g = stretch_datum(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="invalid Lame parameters"):
+            elastic_solve(grid, empty_cracks(grid.shape), g, p, 0.1)
+        with pytest.raises(ValueError, match="invalid Lame parameters"):
+            _reduced_solve(g.state((8,), (0.0,), (1.0,)), empty_cracks((8,)), p)
+
+
+def _reference_solve(stencil, Q, weight, fixed_mask, datum):
+    """The fixed-crack minimizer, assembled from a flat dof clamp mask."""
+    x = np.where(fixed_mask, datum.ravel(), 0.0)
+    if np.any(x):
+        Kff, b = _reduced_system(stencil, Q, weight, fixed_mask, datum.ravel())
+        x[~fixed_mask] = _solve_constrained(Kff, b)
+    return x.reshape(datum.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_fixed_crack_solves_match_a_dof_mask_reference(n, data):
+    # both solves, bit for bit, against the dof clamp mask np.repeat(cells,
+    # ncomp) over the grid's cells; each clamped plan cell holds its datum on
+    # every layer and component
+    draw = data.draw
+    plan = tuple(draw(st.integers(2, 5 if n == 2 else 3)) for _ in range(n - 1))
+    lo, hi = (0.0,) * (n - 1), (1.0,) * (n - 1)
+    grid = PlateGrid(n, plan, draw(st.integers(1, 3)), lo, hi)
+    released = draw(st.sets(st.tuples(st.integers(0, n - 2), st.integers(0, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    p, rho = LameParams(1.0, 0.5, n), draw(st.sampled_from([0.5, 0.1]))
+    cells = _clamped_cells(plan, released)
+
+    film = [rng.random(b.shape) < 0.3 for b in _empty_breaks(grid.shape)]
+    lifted = rng.standard_normal(grid.shape + (n,))
+    u = elastic_solve(grid, CrackIndicator(film, released), lifted, p, rho)
+    mask = _clamp_dofs(grid.shape, n - 1, released, n)
+    ref = _reference_solve(_derivative_operator(grid.shape, grid.spacings, film, n),
+                           energy._form(p, rho), grid.cell_volume, mask, lifted)
+    assert np.array_equal(u.values, ref)
+    assert np.array_equal(mask.reshape(lifted.shape), np.broadcast_to(
+        cells.reshape(plan + (1, 1)), lifted.shape))
+    assert np.array_equal(u.values[cells], lifted[cells])
+
+    cols = [rng.random(b.shape) < 0.3 for b in _empty_breaks(plan)]
+    d = KLState(n, plan, lo, hi, rng.standard_normal(plan + (n - 1,)),
+                rng.standard_normal(plan) * draw(st.sampled_from([0.0, 1.0])),
+                np.zeros(plan + (n - 1,)))
+    s = _reduced_solve(d, CrackIndicator(cols, released), p)
+    h, area, Q = d.plan_h, float(np.prod(d.plan_h)), energy._form(p)
+    ubar = _reference_solve(_derivative_operator(plan, h, cols, n - 1), Q, area,
+                            _clamp_dofs(plan, n - 1, released, n - 1), d.ubar)
+    un = _reference_solve(_hessian_operator(plan, h, cols), Q, area / 12.0,
+                          _clamp_dofs(plan, n - 1, released, 1), d.un)
+    assert np.array_equal(s.ubar, ubar) and np.array_equal(s.un, un)
+    assert np.array_equal(s.grad_un, reduced_gradient(un, h, cols))
+    assert np.array_equal(s.ubar[cells], d.ubar[cells])
+    assert np.array_equal(s.un[cells], d.un[cells])
+
+
 @st.composite
 def _stencil_case(draw):
     """A stencil, its form matrix Q and a clamp, for n = 2 or 3.
@@ -200,8 +281,7 @@ def _stencil_case(draw):
         stencil = (_hessian_operator(shape, h, broken) if kind == "hessian"
                    else _derivative_operator(shape, h, broken, nd))
         Q = form_matrix(nd, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
-    fixed_cells = _clamped_cells(shape, n - 1, released)
-    fixed_mask = np.repeat(fixed_cells.ravel(), ncomp)
+    fixed_mask = _clamp_dofs(shape, n - 1, released, ncomp)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     fixed_vals = rng.standard_normal(fixed_mask.size)
     weight = float(np.prod(h)) / (12.0 if kind == "hessian" else 1.0)
@@ -322,11 +402,11 @@ def _random_crack_blocks(kind, n, shape, rho, count, rng):
     p = LameParams(1.0, 1.0, n)
     h = [1.0 / s for s in shape]
     ncomp = n if kind == "film" else n - 1
-    Q = minimize._form(p, rho)
+    Q = energy._form(p, rho)
     for _ in range(count):
         broken = [rng.random(b.shape) < 0.3 for b in minimize._empty_breaks(shape)]
         released = {(a, s) for a in range(n - 1) for s in (0, 1) if rng.random() < 0.25}
-        fixed_mask = np.repeat(_clamped_cells(shape, n - 1, released).ravel(), ncomp)
+        fixed_mask = _clamp_dofs(shape, n - 1, released, ncomp)
         yield _reduced_system(_derivative_operator(shape, h, broken, ncomp), Q,
                               float(np.prod(h)), fixed_mask,
                               rng.standard_normal(fixed_mask.size))
@@ -336,10 +416,10 @@ def _stretch_film_block(n, plan, layers, rho):
     """(Kff, b) of the uncracked film on [0, 1]^(n-1) clamped to stretch 1.2."""
     grid = PlateGrid(n, plan, layers, (0.0,) * (n - 1), (1.0,) * (n - 1))
     d = stretch_datum(1.2, n).state(grid.plan_shape, grid.omega_lo, grid.omega_hi)
-    fixed_mask = np.repeat(_clamped_cells(grid.shape, n - 1, set()).ravel(), n)
+    fixed_mask = _clamp_dofs(grid.shape, n - 1, set(), n)
     return _reduced_system(
         _derivative_operator(grid.shape, grid.spacings, empty_cracks(grid.shape).broken, n),
-        minimize._form(LameParams(1.0, 1.0, n), rho), grid.cell_volume, fixed_mask,
+        energy._form(LameParams(1.0, 1.0, n), rho), grid.cell_volume, fixed_mask,
         minimize._lift(d, grid.z_centers()).reshape(-1))
 
 
@@ -455,22 +535,17 @@ def test_singular_loaded_bending_block_gives_the_minimum_norm_minimizer():
     assert e.total == pytest.approx(e_ref.total, rel=1e-12)
 
 
-def _c0_form(n):
-    p = LameParams(1.0, 1.0, n)
-    return form_matrix(n - 1, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
-
-
 def test_reduced_solve_skips_zero_bending_data(monkeypatch):
     # a stretch datum clamps un = 0; cracks at faces 2 and 5 leave cells 3-5
     # unclamped, yet the bending solve must not even build its stencil
     def no_stencil(*args):
         raise AssertionError("_hessian_operator called for zero clamp data")
 
-    monkeypatch.setattr(minimize, "_hessian_operator", no_stencil)
+    monkeypatch.setattr(energy, "_hessian_operator", no_stencil)
     broken = np.zeros(7, dtype=bool)
     broken[[2, 5]] = True
     s = _reduced_solve(stretch_datum(1.2, 2).state((8,), (0.0,), (1.0,)),
-                       CrackIndicator([broken]), _c0_form(2))
+                       CrackIndicator([broken]), P2)
     assert np.array_equal(s.un, np.zeros(8))
     assert np.array_equal(s.grad_un, np.zeros((8, 1)))
     # the membrane solve still runs: the clamped cells carry the stretch
@@ -483,17 +558,17 @@ def test_reduced_solve_runs_bending_for_nonzero_data(monkeypatch, c):
     # un = (x^2 - c^2) / 2 clamps nonzero values (with c = 1/16 the first
     # cell's value is zero, the last one's is not): the Hessian stencil is built
     calls = []
-    hessian = minimize._hessian_operator
+    hessian = energy._hessian_operator
 
     def spy(*args):
         calls.append(args)
         return hessian(*args)
 
-    monkeypatch.setattr(minimize, "_hessian_operator", spy)
+    monkeypatch.setattr(energy, "_hessian_operator", spy)
     g = BoundaryDatum(lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)),
                       lambda X: 0.5 * (np.atleast_2d(X)[:, 0] ** 2 - c * c),
                       lambda X: np.atleast_2d(X)[:, :1].copy(), 2)
-    s = _reduced_solve(g.state((8,), (0.0,), (1.0,)), empty_cracks((8,)), _c0_form(2))
+    s = _reduced_solve(g.state((8,), (0.0,), (1.0,)), empty_cracks((8,)), P2)
     assert len(calls) == 1
     x = (np.arange(8) + 0.5) / 8.0
     assert s.un[0] == 0.5 * (x[0] ** 2 - c * c)
@@ -1017,7 +1092,7 @@ def test_stencil_cache_changes_no_result(case):
         else:
             d = problem.datum
             fresh = _reduced_solve(g.state(d.plan_shape, d.omega_lo, d.omega_hi), cracks,
-                                   problem.Q)
+                                   problem.p)
             e_fresh = penalized_energies(fresh, p, g)
         missed = minimize._greedy_search(make(), cracks, 2)
     with pytest.MonkeyPatch.context() as mp:
