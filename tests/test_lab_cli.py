@@ -583,15 +583,82 @@ def test_cli_seed_sets_the_grid_offsets(tmp_path, capsys):
     assert all(a != b for a, b in zip(outs[0][1:], outs[1][1:]))
 
 
+def _midpoint_axes(n, h, lo, hi):
+    """The fine midpoint axes of `approximate_experiment` at step h, in full."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    V = (lo + 2 * n * h, hi - 2 * n * h)
+    m = 4 * int(round((hi[0] - lo[0]) / h))
+    return [np.linspace(V[0][a], V[1][a], m, endpoint=False) + (V[1][a] - V[0][a]) / (2 * m)
+            for a in range(n)]
+
+
+def _full_scan_rows(crack, h_list, lo, hi):
+    """`approximate_experiment` as a block scan of every midpoint: the
+    reference the restricted scan must reproduce bit for bit."""
+    from platelab.geometry import ShiftedGrid
+    from platelab.interpolation import build_approximant
+
+    n = crack.n
+    nu = crack.normals[0]
+    x0 = crack.simplices[0].mean(axis=0)
+
+    def beyond(coords):
+        return sum((x - x0[a]) * nu[a] for a, x in enumerate(coords)) > 0.0
+
+    def v(X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.zeros((X.shape[0], n))
+        out[:, 0] = X[:, 0] + beyond(X.T)
+        return out
+
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    rows = []
+    for h in h_list:
+        grid = ShiftedGrid(n, h, (0.0,) * n, tuple(lo), tuple(hi))
+        margin = 2 * n * h
+        V = (tuple(lo + margin), tuple(hi - margin))
+        vk = build_approximant(v, grid, crack, V)
+        axes = _midpoint_axes(n, h, lo, hi)
+        m = len(axes[0])
+        misses = 0
+        for block, vals in vk.blocks(axes):
+            grid_axes = np.ix_(axes[0][block], *axes[1:])
+            exceed = np.abs(vals[..., 0] - (grid_axes[0] + beyond(grid_axes))) > lab._EXCEED_TOL
+            for c in range(1, n):
+                exceed |= np.abs(vals[..., c]) > lab._EXCEED_TOL
+            misses += int(np.count_nonzero(exceed))
+        cellvol = float(np.prod([(V[1][a] - V[0][a]) / m for a in range(n)]))
+        bad_measure = float(misses) * cellvol
+        vol = float(np.prod([V[1][a] - V[0][a] for a in range(n)]))
+        rows.append({"h": h, "exceed_measure": bad_measure,
+                     "region_volume": vol,
+                     "exceed_fraction": bad_measure / vol,
+                     "num_bad_cubes": vk.classification.num_bad})
+    return rows
+
+
+def _bits(rows):
+    """Each row with its values as exact hex strings: equal means bitwise equal."""
+    return [{k: float(v).hex() for k, v in r.items()} for r in rows]
+
+
+def _simplex_crack(simplex):
+    from platelab.geometry import CrackSurface
+
+    return CrackSurface(np.array([simplex], dtype=float))
+
+
 @pytest.mark.parametrize("simplex", [[[0.1, 0.3], [0.8, 0.6]],
                                      [[0.2, 0.2, 0.2], [0.8, 0.3, 0.5], [0.4, 0.8, 0.6]]],
                          ids=["segment", "triangle"])
 def test_approximate_experiment_counts_misses_as_the_stacked_meshgrid_does(
         monkeypatch, simplex):
-    # the exact field, broadcast on the sample axes, against the field at
-    # every point of the stacked meshgrid (the crack planes miss the samples)
+    # the approximant at every point of the stacked meshgrid of the full
+    # midpoint axes, against the exact field there (the crack planes miss
+    # the samples); the blocks the experiment evaluates tile its axes
     from platelab import interpolation
-    from platelab.geometry import CrackSurface
 
     seen = []
     build = interpolation.build_approximant
@@ -601,8 +668,8 @@ def test_approximate_experiment_counts_misses_as_the_stacked_meshgrid_does(
         blocks = vk.blocks
 
         def recorded(axes):
-            seen.append((v, axes, list(blocks(axes))))
-            return iter(seen[-1][2])
+            seen.append((v, blocks, axes, list(blocks(axes))))
+            return iter(seen[-1][3])
 
         vk.blocks = recorded
         return vk
@@ -610,30 +677,113 @@ def test_approximate_experiment_counts_misses_as_the_stacked_meshgrid_does(
     monkeypatch.setattr(interpolation, "build_approximant", spy)
     # blocks small enough that each grid takes several, of one row in 3D
     monkeypatch.setattr(interpolation, "_BLOCK_POINTS", 1000)
-    crack = CrackSurface(np.array([simplex], dtype=float))
+    crack = _simplex_crack(simplex)
     n = crack.n
-    rows = lab.approximate_experiment(crack, [1.0 / 16, 1.0 / 32] if n == 2 else [1.0 / 16],
-                                      (0.0,) * n, (1.0,) * n)
+    hs = [1.0 / 16, 1.0 / 32] if n == 2 else [1.0 / 16]
+    rows = lab.approximate_experiment(crack, hs, (0.0,) * n, (1.0,) * n)
     assert len(seen) == len(rows)
-    for row, (v, axes, blocks) in zip(rows, seen):
+    for h, row, (v, blocks, axes, evaluated) in zip(hs, rows, seen):
         # the blocks tile axes[0] in order, each index once
-        assert len(blocks) > 1
-        assert np.array_equal(np.concatenate([np.arange(len(axes[0]))[r] for r, _ in blocks]),
+        assert len(evaluated) > 1
+        assert np.array_equal(np.concatenate([np.arange(len(axes[0]))[r] for r, _ in evaluated]),
                               np.arange(len(axes[0])))
-        vals = np.concatenate([b for _, b in blocks])
-        X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        full = _midpoint_axes(n, h, (0.0,) * n, (1.0,) * n)
+        # each evaluated axis is drawn from the full one
+        assert all(np.isin(a, f).all() for a, f in zip(axes, full))
+        vals = np.concatenate([b for _, b in blocks(full)])
+        X = np.stack([g.ravel() for g in np.meshgrid(*full, indexing="ij")], axis=-1)
         misses = np.any(np.abs(vals.reshape(X.shape) - v(X)) > lab._EXCEED_TOL, axis=1)
         assert 0 < np.count_nonzero(misses) < X.shape[0]
         assert round(row["exceed_fraction"] * X.shape[0]) == np.count_nonzero(misses)
 
 
-@pytest.mark.parametrize("n, h, lo, hi", [(2, 1.0 / 128, -0.5, 1.5), (3, 1.0 / 32, 0.0, 1.0)],
-                         ids=["vertical-2d", "flat-3d"])
-def test_approximate_experiment_memory_stays_bounded(n, h, lo, hi):
+@pytest.mark.parametrize("crack, hs, lo, hi", [
+    (axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)), [1.0 / 32, 1.0 / 64], -0.5, 1.5),
+    (axis_plane_crack(2, 1, 0.4, ((0.2, 0.9),)), [1.0 / 32], 0.0, 1.0),
+    # cube corners lie on the plane x = 0.5
+    (axis_plane_crack(2, 0, 0.5, ((0.25, 0.75),)), [1.0 / 16], 0.0, 1.0),
+    (_simplex_crack([[0.1, 0.3], [0.8, 0.6]]), [1.0 / 16, 1.0 / 32], 0.0, 1.0),
+    (_simplex_crack([[0.2, 0.2, 0.2], [0.8, 0.3, 0.5], [0.4, 0.8, 0.6]]), [1.0 / 16], 0.0, 1.0),
+    (axis_plane_crack(3, 0, 0.5, ((0.0, 1.0), (0.0, 1.0))), [1.0 / 16], 0.0, 1.0),
+    # the field jumps across x = 0.5 only; the second segment's bad cubes
+    # zero the approximant off that plane
+    (axis_plane_crack(2, 0, 0.5, ((0.1, 0.9),)).union(
+        axis_plane_crack(2, 1, 0.3, ((0.1, 0.4),))), [1.0 / 32], 0.0, 1.0),
+    # at coordinates near 1e13 the interpolant's rounding exceeds _EXCEED_TOL,
+    # so no midpoint may be skipped
+    (axis_plane_crack(2, 0, 1e13 + 5e4, ((1e13, 1e13 + 1e5),)), [3e3], 1e13, 1e13 + 1e5),
+], ids=["vertical", "horizontal", "lattice-plane", "segment", "triangle", "flat-3d",
+        "two-segments", "far-box"])
+def test_approximate_experiment_rows_equal_the_full_grid_scan(crack, hs, lo, hi):
+    n = crack.n
+    rows = lab.approximate_experiment(crack, hs, (lo,) * n, (hi,) * n)
+    assert _bits(rows) == _bits(_full_scan_rows(crack, hs, (lo,) * n, (hi,) * n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), axis=st.integers(0, 2),
+       value=st.floats(-0.4, 1.4), ends=st.tuples(st.floats(-0.4, 1.4), st.floats(-0.4, 1.4)),
+       lo=st.floats(-0.6, 0.2), width=st.floats(1.0, 1.6),
+       k=st.integers(4, 5))
+def test_approximate_experiment_rows_equal_the_full_grid_scan_on_random_flat_cracks(
+        n, axis, value, ends, lo, width, k):
+    # axis-aligned cracks, so the restriction skips midpoints; the h = 2^-k
+    # lattice puts corners on the plane whenever value is a multiple of h,
+    # and h <= 1/16 leaves the 2 n h margins a region inside the box
+    a, b = sorted(ends)
+    if b - a < 0.05:
+        b = a + 0.05
+    h = 2.0 ** -(k if n == 2 else 4)
+    crack = axis_plane_crack(n, axis % n, value, ((a, b),) * (n - 1))
+    box = ((lo,) * n, (lo + width,) * n)
+    rows = lab.approximate_experiment(crack, [h], *box)
+    assert _bits(rows) == _bits(_full_scan_rows(crack, [h], *box))
+
+
+def test_approximate_experiment_evaluates_only_midpoints_near_the_vertical_crack(monkeypatch):
+    # 1024^2 midpoints at h = 1/128; the plane x = 0.5 and the bad cubes
+    # project onto a few columns of axis 0
+    from platelab.interpolation import ApproximantField
+
+    counts = []
+    blocks = ApproximantField.blocks
+
+    def spy(self, axes):
+        counts.append(int(np.prod([len(a) for a in axes])))
+        return blocks(self, axes)
+
+    monkeypatch.setattr(ApproximantField, "blocks", spy)
+    crack = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
+    lab.approximate_experiment(crack, [1.0 / 128], (-0.5, -0.5), (1.5, 1.5))
+    assert len(counts) == 1 and 0 < counts[0] <= 0.02 * 1024 ** 2
+
+
+def test_approximate_experiment_rejects_an_empty_crack(monkeypatch):
+    from platelab import interpolation
+    from platelab.geometry import CrackSurface
+
+    def unreachable(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(interpolation, "build_approximant", unreachable)
+    monkeypatch.setattr(lab, "ShiftedGrid", unreachable)
+    with pytest.raises(ValueError, match="no simplices"):
+        lab.approximate_experiment(CrackSurface(np.zeros((0, 2, 2))), [1.0 / 16],
+                                   (0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("crack, h, lo, hi", [
+    (axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),)), 1.0 / 128, -0.5, 1.5),
+    (axis_plane_crack(3, 0, 0.5, ((0.0, 1.0), (0.0, 1.0))), 1.0 / 32, 0.0, 1.0),
+    # the plane x = y crosses cubes in every row and column: every midpoint
+    # is evaluated, so _BLOCK_POINTS alone bounds the working set
+    (_simplex_crack([[0.0, 0.0], [1.0, 1.0]]), 1.0 / 128, -0.5, 1.5),
+], ids=["vertical-2d", "flat-3d", "oblique-2d"])
+def test_approximate_experiment_memory_stays_bounded(crack, h, lo, hi):
     # the midpoint grid holds 1024^2 (2D) or 128^3 (3D) points; evaluated in
     # blocks, the traced peak stays far below one full-grid array of
     # components (16 MB in 2D, 50 MB in 3D)
-    crack = axis_plane_crack(n, 0, 0.5, ((0.0, 1.0),) * (n - 1))
+    n = crack.n
     tracemalloc.start()
     try:
         lab.approximate_experiment(crack, [h], (lo,) * n, (hi,) * n)
