@@ -2,11 +2,11 @@
 
 Modules
 -------
-elasticity      isotropic tensors, the reduced plate tensor, thin-film scalings
+elasticity      isotropic tensors, the reduced plate tensor, the thin-film strain scaling
 geometry        shifted grids, crack surfaces, bad-cube classification
 interpolation   lattice sampling, hat-kernel interpolants, crack-aware strains
 kirchhoff_love  reduced plate states, 3D lifts, structure verification
-energy          physical, rescaled, limit and penalized energies
+energy          rescaled, limit and penalized energies on the unit-thickness film
 minimize        alternating minimization (elastic solves + crack activation)
 lab             experiment drivers and CSV plumbing
 cli             command-line interface
@@ -14,7 +14,6 @@ cli             command-line interface
 
 from .elasticity import (LameParams, apply_C, phi_rho, quadratic_form_C,
                          quadratic_form_C0, reduced_min_oracle, rescale_strain,
-                         rescale_displacement, rescale_displacement_inverse,
                          validate_lame)
 from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
                        axis_plane_crack, bad_cube_boundary_measure,
@@ -29,8 +28,7 @@ from .kirchhoff_love import (KLState, PlateField, PlateGrid, cell_strains,
                              extract_psi, jump_decomposition_check, kl_average,
                              kl_lift, kl_verify, reduced_gradient)
 from .energy import (BoundaryDatum, EnergyBreakdown, boundary_penalty,
-                     change_of_variables_check, compactness_check,
-                     griffith_energy, limit_energy, penalized_energies,
+                     compactness_check, limit_energy, penalized_energies,
                      rescaled_energy, stretch_datum)
 from .minimize import (CrackIndicator, SolverConfig, alternate_minimize,
                        elastic_solve, empty_cracks, minimize_limit)

@@ -1,4 +1,4 @@
-"""Isotropic elasticity tensors, the reduced plate tensor, and thin-film rescalings.
+"""Isotropic elasticity tensors, the reduced plate tensor, and the thin-film strain scaling.
 
 Everything in this module is a pure function of small dense matrices
 (n <= 3), so no sparsity or caching is attempted.
@@ -158,33 +158,3 @@ def rescale_strain(E: np.ndarray, rho: float) -> np.ndarray:
     out[..., -1, -1] /= rho ** 2
     return out
 
-
-def _scaled_transverse(f, scale):
-    """x -> f(x) with scale applied to the last coordinate of x and of f(x)."""
-
-    def g(x):
-        y = np.array(x, dtype=float)
-        y[..., -1] = scale(y[..., -1])
-        out = np.array(f(y), dtype=float)
-        out[..., -1] = scale(out[..., -1])
-        return out
-
-    return g
-
-
-def rescale_displacement(u, rho: float):
-    """Rescale a displacement field from the thin domain to the unit-thickness one.
-
-    ``u`` is a callable accepting points of the thin domain; the result is a
-    callable on the rescaled domain:
-    v(x) = (u_1(psi(x)), ..., u_{n-1}(psi(x)), rho * u_n(psi(x)))
-    with psi(x) = (x', rho * x_n).
-    """
-    _check_rho(rho)
-    return _scaled_transverse(u, lambda a: a * rho)
-
-
-def rescale_displacement_inverse(v, rho: float):
-    """Inverse of :func:`rescale_displacement`: recover u on the thin domain."""
-    _check_rho(rho)
-    return _scaled_transverse(v, lambda a: a / rho)

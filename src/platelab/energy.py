@@ -1,4 +1,4 @@
-"""Bulk + surface energies: physical, rescaled, limit, and penalized variants.
+"""Bulk + surface energies on the unit-thickness film: rescaled, limit, and penalized.
 
 Every bulk term is the quadratic form the solver of :mod:`.minimize`
 minimizes: (1/2) w sum_c d_c . Q d_c, where d = S x, shape (ncell, k), are
@@ -26,7 +26,7 @@ from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
                          quadratic_form_C0, rescale_strain, validate_lame)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil, _check_plan,
                              _derivative_operator, _hessian_operator, _lift, _plan_points,
-                             _side, cell_strains)
+                             _side, _z_centers, cell_strains)
 # unused here; bench/tracer.py wraps these names in this module
 from .kirchhoff_love import cell_derivative, kl_lift  # noqa: F401
 
@@ -101,12 +101,6 @@ def _plate_bulk(plan_shape, plan_h, broken, p: LameParams) -> list:
             (lambda: _hessian_operator(plan_shape, plan_h, broken), Q, area / 12.0)]
 
 
-def griffith_energy(u: PlateField, p: LameParams) -> EnergyBreakdown:
-    """(1/2) int C e(u).e(u) over uncut cells + area of broken faces: E_rho
-    at rho = 1, where e^rho = e and phi_rho = 1."""
-    return rescaled_energy(u, p, 1.0)
-
-
 def rescaled_strains(v: PlateField, rho: float) -> np.ndarray:
     """Per-cell strains of v with the thin-film scaling applied."""
     return rescale_strain(cell_strains(v), rho)
@@ -121,35 +115,14 @@ def rescaled_energy(v: PlateField, p: LameParams, rho: float) -> EnergyBreakdown
     return EnergyBreakdown(bulk, float(surface))
 
 
-def rescale_plate_field(u: PlateField, rho: float) -> PlateField:
-    """Map a field on the thin grid (z extent ~ rho) to the unit-thickness grid."""
-    g = u.grid
-    zlo, zhi = g.z_extent
-    g1 = PlateGrid(g.n, g.plan_shape, g.layers, g.omega_lo, g.omega_hi,
-                   (zlo / rho, zhi / rho))
-    vals = u.values.copy()
-    vals[..., g.n - 1] *= rho
-    return PlateField(g1, vals, [b.copy() for b in u.broken])
-
-
-def change_of_variables_check(u: PlateField, p: LameParams, rho: float) -> float:
-    """Relative gap |F_rho(u) - rho * E_rho(v)| / F_rho(u), v the rescaled field."""
-    F = griffith_energy(u, p)
-    v = rescale_plate_field(u, rho)
-    E = rescaled_energy(v, p, rho)
-    if F.total == 0.0:
-        return abs(rho * E.total)
-    return abs(F.total - rho * E.total) / F.total
-
-
 def limit_energy(s: KLState, p: LameParams, layers: int | None = None) -> EnergyBreakdown:
     """E_0: (1/2) int C_0 (ebar - x_n Hess un) + measure of crack_cols x thickness.
 
     ebar and Hess un are the rows of ubar and un in the solver's membrane
     and bending quadratics (`_plate_bulk`); grad_un is not read.  The
     thickness integral is done analytically by default, so the bulk is the
-    sum of the two quadratics; pass `layers` to use midpoint quadrature
-    over that many layers instead.
+    sum of the two quadratics; pass `layers` to use the film's midpoint
+    quadrature over that many layers (`_z_centers`) instead.
     """
     (membrane, Q, area), (bending, _, bending_weight) = _plate_bulk(
         s.plan_shape, s.plan_h, s.crack_cols, p)
@@ -157,9 +130,7 @@ def limit_energy(s: KLState, p: LameParams, layers: int | None = None) -> Energy
     if layers is None:
         bulk = _bulk(dm, Q, area) + _bulk(dh, Q, bending_weight)
     else:
-        hz = 1.0 / layers
-        z = -0.5 + hz * (np.arange(layers) + 0.5)
-        bulk = sum(_bulk(dm - zk * dh, Q, area * hz) for zk in z)
+        bulk = sum(_bulk(dm - zk * dh, Q, area * (1.0 / layers)) for zk in _z_centers(layers))
     surface = s.crack_measure() * 1.0  # times unit thickness
     return EnergyBreakdown(bulk, surface)
 

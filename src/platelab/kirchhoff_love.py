@@ -1,6 +1,6 @@
 """Reduced plate states, their 3D lifts, and structure verification.
 
-Displacements live at cell centers of a tensor grid over omega x (z_lo, z_hi);
+Displacements live at cell centers of a tensor grid over omega x (-1/2, 1/2);
 cracks are unions of cell faces, encoded by per-axis break-indicator arrays.
 The break-aware stencils `_derivative_operator` and `_hessian_operator` are
 the one discretization that the solver of :mod:`.minimize` and the
@@ -23,14 +23,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PlateGrid:
-    """Cell-centered grid on omega x z_extent with uniform spacing per axis."""
+    """Cell-centered grid on omega x (-1/2, 1/2), the unit-thickness film,
+    with uniform spacing per axis."""
 
     n: int
     plan_shape: tuple
     layers: int
     omega_lo: tuple
     omega_hi: tuple
-    z_extent: tuple = (-0.5, 0.5)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -48,7 +48,7 @@ class PlateGrid:
 
     @property
     def hz(self) -> float:
-        return (self.z_extent[1] - self.z_extent[0]) / self.layers
+        return 1.0 / self.layers
 
     @property
     def shape(self) -> tuple:
@@ -63,7 +63,15 @@ class PlateGrid:
         return float(np.prod(self.spacings))
 
     def z_centers(self) -> np.ndarray:
-        return self.z_extent[0] + self.hz * (np.arange(self.layers) + 0.5)
+        return _z_centers(self.layers)
+
+
+def _z_centers(layers: int) -> np.ndarray:
+    """Midpoints of `layers` equal layers of the unit thickness (-1/2, 1/2),
+    each 1 / layers thick.  ValueError unless layers is a positive integer."""
+    if not isinstance(layers, (int, np.integer)) or layers < 1:
+        raise ValueError(f"layers must be a positive integer, got {layers!r}")
+    return -0.5 + (1.0 / layers) * (np.arange(layers) + 0.5)
 
 
 def _check_plan(n: int, plan_shape, omega_lo, omega_hi) -> None:
@@ -93,13 +101,29 @@ def _side(shape: tuple, axis: int, side: int) -> tuple:
     return tuple(sl)
 
 
+def _face_shapes(shape: tuple) -> list:
+    """Per axis, the shape of the interior faces of `shape` cells across it."""
+    return [tuple(k - (a == b) for b, k in enumerate(shape)) for a in range(len(shape))]
+
+
 def _empty_breaks(shape: tuple) -> list:
-    out = []
-    for a in range(len(shape)):
-        s = list(shape)
-        s[a] -= 1
-        out.append(np.zeros(tuple(s), dtype=bool))
-    return out
+    return [np.zeros(s, dtype=bool) for s in _face_shapes(shape)]
+
+
+def _checked_breaks(name: str, breaks, shape: tuple) -> list:
+    """breaks, or `_empty_breaks(shape)` for None.  ValueError unless breaks
+    holds one bool array per axis of `shape`, of exactly those shapes: a
+    broadcastable wrong shape would otherwise reach the stencils unnoticed."""
+    if breaks is None:
+        return _empty_breaks(shape)
+    faces = _face_shapes(shape)
+    if len(breaks) != len(faces):
+        raise ValueError(f"{name} needs {len(faces)} arrays, one per axis, got {len(breaks)}")
+    for a, (b, s) in enumerate(zip(breaks, faces)):
+        if getattr(b, "dtype", None) != bool or b.shape != s:
+            raise ValueError(f"{name}[{a}] must be a bool array of shape {s}, got "
+                             f"{getattr(b, 'dtype', type(b).__name__)} of shape {np.shape(b)}")
+    return breaks
 
 
 @dataclass
@@ -115,8 +139,7 @@ class PlateField:
         expect = self.grid.shape + (self.grid.n,)
         if self.values.shape != expect:
             raise ValueError(f"values shape {self.values.shape} != {expect}")
-        if self.broken is None:
-            self.broken = _empty_breaks(self.grid.shape)
+        self.broken = _checked_breaks("broken", self.broken, self.grid.shape)
 
     def broken_face_area(self, axis: int) -> float:
         """Area of one grid face orthogonal to the given axis."""
@@ -146,14 +169,11 @@ class KLState:
         self.grad_un = np.asarray(self.grad_un, dtype=float)
         _check_plan(self.n, self.plan_shape, self.omega_lo, self.omega_hi)
         ps = tuple(self.plan_shape)
-        if self.ubar.shape != ps + (self.n - 1,):
-            raise ValueError("ubar shape mismatch")
-        if self.un.shape != ps:
-            raise ValueError("un shape mismatch")
-        if self.grad_un.shape != ps + (self.n - 1,):
-            raise ValueError("grad_un shape mismatch")
-        if self.crack_cols is None:
-            self.crack_cols = _empty_breaks(ps)
+        vector = ps + (self.n - 1,)
+        for name, shape in (("ubar", vector), ("un", ps), ("grad_un", vector)):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape mismatch")
+        self.crack_cols = _checked_breaks("crack_cols", self.crack_cols, ps)
 
     @property
     def plan_h(self) -> np.ndarray:
@@ -166,53 +186,6 @@ class KLState:
         """(n-2)-measure of the crack lines (count for n=2, length for n=3)."""
         return float(sum(np.count_nonzero(c) * np.prod(np.delete(self.plan_h, a))
                          for a, c in enumerate(self.crack_cols)))
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(f"n {self.n}\n")
-            f.write("plan " + " ".join(str(s) for s in self.plan_shape) + "\n")
-            f.write("omega_lo " + " ".join(repr(float(v)) for v in self.omega_lo) + "\n")
-            f.write("omega_hi " + " ".join(repr(float(v)) for v in self.omega_hi) + "\n")
-            for name, arr in (("ubar", self.ubar), ("un", self.un),
-                              ("grad_un", self.grad_un)):
-                f.write(f"[{name}]\n")
-                for row in np.atleast_2d(arr.reshape(-1, arr.shape[-1] if arr.ndim > len(self.plan_shape) else 1)):
-                    f.write(" ".join(repr(float(v)) for v in row) + "\n")
-            for a, c in enumerate(self.crack_cols):
-                idx = np.argwhere(c)
-                f.write(f"[crack_axis{a}]\n")
-                for row in idx:
-                    f.write(" ".join(str(int(v)) for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "KLState":
-        with open(path) as f:
-            lines = [ln.rstrip("\n") for ln in f]
-        it = iter(lines)
-        n = int(next(it).split()[1])
-        plan_shape = tuple(int(t) for t in next(it).split()[1:])
-        omega_lo = tuple(float(t) for t in next(it).split()[1:])
-        omega_hi = tuple(float(t) for t in next(it).split()[1:])
-        sections = {}
-        current = None
-        for ln in it:
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln.startswith("["):
-                current = ln.strip("[]")
-                sections[current] = []
-            else:
-                sections[current].append([float(t) for t in ln.split()])
-        ps = plan_shape
-        ubar = np.array(sections["ubar"]).reshape(ps + (n - 1,))
-        un = np.array(sections["un"]).reshape(ps)
-        grad_un = np.array(sections["grad_un"]).reshape(ps + (n - 1,))
-        cracks = _empty_breaks(ps)
-        for a in range(n - 1):
-            for row in sections.get(f"crack_axis{a}", []):
-                cracks[a][tuple(int(v) for v in row)] = True
-        return cls(n, ps, omega_lo, omega_hi, ubar, un, grad_un, cracks)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,8 @@ def recovery_sequence(s: KLState, p: LameParams, rho: float,
     vanishes cell by cell and E_rho stays bounded as rho -> 0.
     """
     _check_rho(rho)
-    if smoothing_scale <= 0.0:
-        raise ValueError("smoothing_scale must be positive")
+    if not 0.0 < smoothing_scale < np.inf:
+        raise ValueError("smoothing_scale must be positive and finite")
     ph = s.plan_h
     if smoothing_scale < float(np.max(ph)):
         raise ValueError("smoothing radius below grid resolution")
@@ -186,7 +186,13 @@ def classify_experiment(crack: CrackSurface, h: float, lo, hi, seed: int = 0,
 
 def jump_energy_experiment(crack: CrackSurface, h: float, lo, hi,
                            samples: int = 200, seed: int = 0) -> list:
-    """Monte Carlo over grid offsets, with the flat-crack direction oracle."""
+    """Monte Carlo over grid offsets, with the flat-crack direction oracle.
+
+    One row per sample and a last row (sample -1) with their mean; ValueError
+    unless samples >= 1, since the mean of no samples is undefined.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     n = crack.n
     D = direction_set(n).astype(float)

@@ -374,7 +374,7 @@ def _greedy_search(problem, cracks: CrackIndicator, rounds: int):
         for axis, area in enumerate(problem.column_area):
             if e.surface + area < floor:
                 b = cracks.broken[axis]
-                open_cols = ~np.all(b.reshape(b.shape[:nd] + (-1,)), axis=-1)
+                open_cols = ~np.all(b, axis=tuple(range(nd, b.ndim)))
                 moves += [(axis, tuple(k)) for k in np.argwhere(open_cols).tolist()]
         moves += [(axis, side) for axis in range(nd) for side in (0, 1)
                   if (axis, side) not in cracks.released]

@@ -3,8 +3,7 @@ import pytest
 
 from platelab.elasticity import (LameParams, apply_C, phi_rho,
                                  quadratic_form_C, quadratic_form_C0,
-                                 reduced_min_oracle, rescale_displacement,
-                                 rescale_displacement_inverse, rescale_strain,
+                                 reduced_min_oracle, rescale_strain,
                                  validate_lame)
 
 
@@ -32,10 +31,7 @@ def test_validate_lame_boundary():
 def test_rho_must_be_positive_and_finite(rho):
     # at rho = inf the rescalings would drop the transverse strain and the
     # vertical surface weight; at nan they would return nan
-    u = lambda x: np.asarray(x, dtype=float)  # noqa: E731
-    calls = [lambda: rescale_strain(np.eye(2), rho), lambda: phi_rho(rho, [0.0, 1.0]),
-             lambda: rescale_displacement(u, rho),
-             lambda: rescale_displacement_inverse(u, rho)]
+    calls = [lambda: rescale_strain(np.eye(2), rho), lambda: phi_rho(rho, [0.0, 1.0])]
     for call in calls:
         with pytest.raises(ValueError, match="rho must be positive and finite"):
             call()
@@ -158,17 +154,3 @@ def test_rescale_strain_roundtrip():
         stack = np.array([[random_sym(rng, n) for _ in range(3)] for _ in range(2)])
         per_matrix = np.array([[rescale_strain(M, rho) for M in row] for row in stack])
         assert np.array_equal(rescale_strain(stack, rho), per_matrix)
-
-
-def test_rescale_displacement_composition():
-    rho = 0.5
-
-    def u(x):
-        return np.stack([np.zeros(x.shape[0]), x[:, 1]], axis=-1)
-
-    v = rescale_displacement(u, rho)
-    x = np.array([[0.2, 0.4], [0.7, -0.1]])
-    # u = (0, x_n): v = (0, rho * (rho x_n)) = (0, 0.25 x_n)
-    assert np.allclose(v(x)[:, 1], 0.25 * x[:, 1])
-    back = rescale_displacement_inverse(v, rho)
-    assert np.allclose(back(x), u(x), atol=1e-13)

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from platelab import energy
 from platelab.elasticity import LameParams
 from platelab.energy import (BoundaryDatum, EnergyBreakdown, _form,
-                             boundary_penalty, change_of_variables_check,
-                             compactness_check, griffith_energy, limit_energy,
-                             penalized_energies, rescale_plate_field,
-                             rescaled_energy, rescaled_strains, stretch_datum)
+                             boundary_penalty, compactness_check, limit_energy,
+                             penalized_energies, rescaled_energy,
+                             rescaled_strains, stretch_datum)
 from platelab.kirchhoff_love import (KLState, PlateField, PlateGrid,
                                      _derivative_operator, _hessian_operator,
                                      kl_lift, reduced_gradient)
@@ -130,11 +129,10 @@ def _bulk_case(draw):
         return limit_energy(s, p).bulk, [(Km, s.ubar.ravel()), (Kb, s.un.ravel())]
     g = PlateGrid(n, plan, draw(st.integers(2, 4)), lo, hi)
     v = PlateField(g, rng.standard_normal(g.shape + (n,)), _random_breaks(draw, g.shape))
-    rho = draw(st.one_of(st.none(), st.floats(1e-3, 1.0)))  # None: griffith_energy
+    rho = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
     K = _stiffness(_derivative_operator(g.shape, g.spacings, v.broken, n),
-                   _form(p, 1.0 if rho is None else rho), g.cell_volume, v.values.size)
-    e = griffith_energy(v, p) if rho is None else rescaled_energy(v, p, rho)
-    return e.bulk, [(K, v.values.ravel())]
+                   _form(p, rho), g.cell_volume, v.values.size)
+    return rescaled_energy(v, p, rho).bulk, [(K, v.values.ravel())]
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,6 +149,13 @@ def test_limit_energy_layers_quadrature_matches_analytic():
         eq = limit_energy(s, P2, layers=L)
         # midpoint quadrature of z^2 carries a (1 - 1/L^2) factor
         assert eq.bulk == pytest.approx(ea.bulk, rel=2.0 / L ** 2)
+
+
+@pytest.mark.parametrize("layers", [0, -1, 2.5, 2.0])
+def test_limit_energy_layers_must_be_a_positive_integer(layers):
+    # 0 divided by zero, -1 summed no layer and 2.5 integrated a thickness of 1.2
+    with pytest.raises(ValueError, match="layers must be a positive integer"):
+        limit_energy(bending_state(8), P2, layers=layers)
 
 
 def test_limit_energy_crack_surface_measure():
@@ -200,16 +205,6 @@ def test_rescaled_strains_scaling():
     assert np.allclose(E[..., 0, 0], E0[..., 0, 0])
     assert np.allclose(E[..., 0, 1], E0[..., 0, 1] / rho)
     assert np.allclose(E[..., 1, 1], E0[..., 1, 1] / rho ** 2)
-
-
-def test_change_of_variables_identity_is_exact():
-    rng = np.random.default_rng(1)
-    rho = 0.05
-    g = PlateGrid(2, (10,), 6, (0.0,), (1.0,), (-rho / 2, rho / 2))
-    u = PlateField(g, rng.standard_normal((10, 6, 2)))
-    u.broken[0][4, :] = True
-    u.broken[1][2, 3] = True
-    assert change_of_variables_check(u, P2, rho) == pytest.approx(0.0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +340,3 @@ def test_compactness_check_holds_on_lift():
     assert rep["e_an_norm"] <= rep["bound_an"] + 1e-14
     assert rep["e_nn_norm"] <= rep["bound_nn"] + 1e-14
 
-
-def test_rescale_plate_field_geometry():
-    rho = 0.1
-    g = PlateGrid(2, (6,), 4, (0.0,), (1.0,), (-rho / 2, rho / 2))
-    u = PlateField(g, np.ones((6, 4, 2)))
-    v = rescale_plate_field(u, rho)
-    assert v.grid.z_extent == (-0.5, 0.5)
-    assert np.allclose(v.values[..., 1], rho)
-    assert np.allclose(v.values[..., 0], 1.0)

@@ -80,19 +80,29 @@ def test_klstate_validation_and_crack_measure():
     assert s3.crack_measure() == pytest.approx(1.0)  # 4 faces of length 1/4
 
 
-def test_klstate_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    for n, plan in ((2, (9,)), (3, (5, 6))):
-        s = random_state(rng, plan=plan, n=n)
-        path = tmp_path / f"state{n}.txt"
-        s.save(path)
-        s2 = KLState.load(path)
-        assert s2.n == s.n and tuple(s2.plan_shape) == tuple(s.plan_shape)
-        assert np.array_equal(s.ubar, s2.ubar)
-        assert np.array_equal(s.un, s2.un)
-        assert np.array_equal(s.grad_un, s2.grad_un)
-        for a in range(n - 1):
-            assert np.array_equal(s.crack_cols[a], s2.crack_cols[a])
+@pytest.mark.parametrize("broken, match", [
+    # broadcastable over the 3 x 2 faces of axis 0, where the surface counted 2
+    ([np.ones((1, 2), bool), np.zeros((4, 1), bool)], r"broken\[0\] .* shape \(3, 2\)"),
+    ([np.zeros((3, 2), int), np.zeros((4, 1), bool)], r"broken\[0\] must be a bool array"),
+    ([np.zeros((3, 2), bool), np.zeros((4, 1), bool).tolist()], r"broken\[1\]"),
+    ([np.zeros((3, 2), bool)], "broken needs 2 arrays"),
+])
+def test_plate_field_rejects_broken_arrays_of_another_shape(broken, match):
+    g = PlateGrid(2, (4,), 2, (0.0,), (1.0,))
+    with pytest.raises(ValueError, match=match):
+        PlateField(g, np.zeros((4, 2, 2)), broken)
+
+
+@pytest.mark.parametrize("crack_cols, match", [
+    # broadcastable over the 7 faces of plan (8,), where the surface counted 1
+    ([np.ones((1,), bool)], r"crack_cols\[0\] .* shape \(7,\)"),
+    ([np.zeros((7,), np.int64)], r"crack_cols\[0\] must be a bool array"),
+    ([np.zeros((7,), bool)] * 2, "crack_cols needs 1 arrays"),
+])
+def test_klstate_rejects_crack_arrays_of_another_shape(crack_cols, match):
+    with pytest.raises(ValueError, match=match):
+        KLState(2, (8,), (0.0,), (1.0,), np.zeros((8, 1)), np.zeros(8),
+                np.zeros((8, 1)), crack_cols)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,14 @@ def test_recovery_sequence_rejects_a_non_finite_rho(rho):
         lab.recovery_sequence(s, P2, rho, 0.25)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+def test_recovery_sequence_rejects_a_bad_smoothing_scale(scale):
+    # inf overflowed the filter size and nan slipped past a sign test
+    s = lab.membrane_crack_state(0.5, (16,), (0.0,), (1.0,))
+    with pytest.raises(ValueError, match="smoothing_scale must be positive and finite"):
+        lab.recovery_sequence(s, P2, 0.1, scale)
+
+
 @pytest.mark.parametrize("lam, mu", [(1.0, float("inf")), (float("inf"), 1.0)])
 def test_experiment_config_names_a_non_finite_lame_parameter(lam, mu):
     with pytest.raises(ValueError, match="Lame parameters must be finite"):
@@ -125,6 +133,14 @@ def test_jump_energy_experiment_mean_row():
     mean = np.mean([r["jump_energy"] for r in rows[:-1]])
     assert rows[-1]["jump_energy"] == pytest.approx(mean)
     assert rows[0]["oracle"] == pytest.approx(1.0 + 3.0 / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_jump_energy_experiment_needs_a_sample(samples):
+    # no sample left the mean row nan, with a warning
+    crack = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        lab.jump_energy_experiment(crack, 1.0 / 16, (0.0, 0.0), (1.0, 1.0), samples=samples)
 
 
 def test_classify_experiment_deterministic_first_sample():

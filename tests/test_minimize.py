@@ -120,6 +120,18 @@ def test_minimize_limit_plate_trace_and_round_cap():
     assert not np.any(cracks.broken[1]) and not cracks.released
 
 
+@pytest.mark.parametrize("plan", [(2, 1), (3, 1)])
+def test_plate_searches_on_a_plan_one_cell_wide(plan):
+    # one cell along axis 1 leaves its broken array empty; its columns were
+    # once read through a reshape that fails on an empty array
+    g, p3, cfg = stretch_datum(1.2, 3), LameParams(1.0, 1.0, 3), SolverConfig()
+    *_, e, _ = minimize_limit(plan, (0.0, 0.0), (1.0, 1.0), g, p3, cfg)
+    assert np.isfinite(e.total)
+    *_, e, _ = alternate_minimize(PlateGrid(3, plan, 2, (0.0, 0.0), (1.0, 1.0)), g, p3,
+                                  0.1, cfg)
+    assert np.isfinite(e.total)
+
+
 def test_alternate_minimize_subcritical():
     grid = PlateGrid(2, (32,), 4, (0.0,), (1.0,))
     u, cracks, e, trace = alternate_minimize(grid, stretch_datum(0.3, 2), P2,
@@ -814,13 +826,15 @@ def test_scored_release_wins_without_a_solve(monkeypatch):
         minimize._greedy_search(problem, empty_cracks((5,)), 1)
 
 
-def test_thick_film_releases_a_side(monkeypatch):
-    # z extent 2: a column costs surface 2, a released side the penalty of
-    # its plan measure, 1; releasing side 0 (tied with side 1, so the first)
-    # frees the stretch, and the search solves only the start
+def test_bent_film_releases_a_side(monkeypatch):
+    # on a 2-cell plan every cut leaves a clamp column alone, strained across
+    # the thickness by the bend, so a cut costs more than its surface 1; a
+    # released side costs the penalty of its plan measure, 1, and releasing
+    # side 0 (tied with side 1, so the first) leaves one clamp column that
+    # continues rigidly; the search solves only the start
     solves = _count_solves(monkeypatch, minimize._FilmProblem)
-    grid = PlateGrid(2, (16,), 4, (0.0,), (1.0,), (-1.0, 1.0))
-    u, cracks, e, trace = alternate_minimize(grid, stretch_datum(1.2, 2), P2, 0.1,
+    grid = PlateGrid(2, (2,), 2, (0.0,), (1.0,))
+    u, cracks, e, trace = alternate_minimize(grid, _bent_datum(1.2, 0.7), P2, 0.1,
                                              SolverConfig())
     assert cracks.released == {(0, 0)} and not np.any(cracks.broken[0])
     assert len(trace) == 2 and trace[0] > 3.0
