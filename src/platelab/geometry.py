@@ -171,11 +171,9 @@ def axis_plane_crack(n: int, axis: int, value: float,
     """A flat crack {x_axis = value} spanning the given extents in the other axes."""
     if n == 2:
         (a, b), = extent
-        p = np.zeros(2)
-        q = np.zeros(2)
+        p, q = np.zeros(2), np.zeros(2)
         p[axis] = q[axis] = value
-        other = 1 - axis
-        p[other], q[other] = a, b
+        p[1 - axis], q[1 - axis] = a, b
         return CrackSurface(np.array([[p, q]]))
     (a0, b0), (a1, b1) = extent
     others = [i for i in range(3) if i != axis]
@@ -237,72 +235,56 @@ def _seg_seg_dist(P: np.ndarray, Q: np.ndarray,
     return np.sqrt(_dot(d, d))
 
 
-def _planar_seg_dist(P: np.ndarray, Q: np.ndarray,
-                     a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between planar segments [P_i, Q_i] and [a_i, b_i], row by row.
-
-    A proper crossing, the ends of each segment strictly on opposite sides
-    of the other's line, is at distance 0; only the other rows need
-    `_seg_seg_dist`, whose closest points round a crossing nearly parallel
-    to [a, b] off it.
-    """
-    def side(o, d, X):  # sign of X against the line o + t d
-        return np.sign(d[:, 0] * (X[:, 1] - o[:, 1]) - d[:, 1] * (X[:, 0] - o[:, 0]))
-
-    d1, d2 = Q - P, b - a
-    cross = (side(P, d1, a) * side(P, d1, b) < 0.0) & (side(a, d2, P) * side(a, d2, Q) < 0.0)
-    out = np.zeros(P.shape[0])
-    miss = np.flatnonzero(~cross)
-    out[miss] = _seg_seg_dist(P[miss], Q[miss], a[miss], b[miss])
-    return out
-
-
-def _seg_tri_dist(P: np.ndarray, Q: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Distance between segments [P_i, Q_i] and triangles tri_i (shape (k, 3, 3)), row by row."""
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    # Proper intersections via Moller-Trumbore.
+def _crosses(P: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Does [P_i, Q_i] cross simplex i, row by row, V[j][i] being its j-th vertex
+    (vertex-major, so each V[j] is contiguous): for n = 2 the ends of each lie
+    strictly on opposite sides of the other's line, for n = 3 Moller-Trumbore
+    meets the closed triangle.  A crossing is at distance 0, which
+    `_miss_dist` may round off one nearly parallel to the simplex."""
     d = Q - P
-    e1 = v1 - v0
-    e2 = v2 - v0
+    if len(V) == 2:
+        def side(o, d, X):  # sign of X against the line o + t d
+            return np.sign(d[:, 0] * (X[:, 1] - o[:, 1]) - d[:, 1] * (X[:, 0] - o[:, 0]))
+
+        a, b = V
+        ab = b - a
+        return (side(P, d, a) * side(P, d, b) < 0.0) & (side(a, ab, P) * side(a, ab, Q) < 0.0)
+    e1, e2, s = V[1] - V[0], V[2] - V[0], P - V[0]
     h = _cross(d, e2)
     det = _dot(h, e1)
     ok = np.abs(det) > 1e-14
     inv = np.where(ok, det, 1.0)
-    s = P - v0
-    u = _dot(s, h) / inv
     qv = _cross(s, e1)
-    v = _dot(qv, d) / inv
-    t = _dot(qv, e2) / inv
-    hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0) & (t <= 1.0)
+    u, v, t = _dot(s, h) / inv, _dot(qv, d) / inv, _dot(qv, e2) / inv
+    return ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0) & (t <= 1.0)
 
-    # A crossing row is at distance 0; only the other rows need the
-    # candidates below.
-    out = np.zeros(P.shape[0])
-    miss = np.flatnonzero(~hit)
-    P, Q, v0, v1, v2, e1, e2 = (x[miss] for x in (P, Q, v0, v1, v2, e1, e2))
-    dist = np.full(miss.size, np.inf)
+
+def _miss_dist(P: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Distance of [P_i, Q_i] to simplex i (V as in `_crosses`) for rows that
+    `_crosses` does not mark: `_seg_seg_dist` for n = 2, and for n = 3 the
+    least of the edge/edge and endpoint/interior candidates."""
+    if len(V) == 2:
+        return _seg_seg_dist(P, Q, *V)
+    v0, v1, v2 = V
+    e1, e2 = v1 - v0, v2 - v0
     # Edge/edge candidates.
-    for ea, eb in ((v0, v1), (v1, v2), (v2, v0)):
-        dist = np.minimum(dist, _seg_seg_dist(P, Q, ea, eb))
+    dist = np.minimum.reduce([_seg_seg_dist(P, Q, ea, eb)
+                              for ea, eb in ((v0, v1), (v1, v2), (v2, v0))])
     # Endpoint/interior candidates: project endpoints onto the plane and
     # test barycentric coordinates against the Gram matrix of (e1, e2).
     nvec = _cross(e1, e2)
     nn = _dot(nvec, nvec)
-    d00 = _dot(e1, e1)
-    d01 = _dot(e1, e2)
-    d11 = _dot(e2, e2)
+    d00, d01, d11 = _dot(e1, e1), _dot(e1, e2), _dot(e2, e2)
     den = d00 * d11 - d01 * d01
     for X in (P, Q):
         wn = _dot(X - v0, nvec)
         pw = X - (wn / nn)[:, None] * nvec - v0
-        d20 = _dot(pw, e1)
-        d21 = _dot(pw, e2)
+        d20, d21 = _dot(pw, e1), _dot(pw, e2)
         bu = (d11 * d20 - d01 * d21) / den
         bv = (d00 * d21 - d01 * d20) / den
         inside = (bu >= 0.0) & (bv >= 0.0) & (bu + bv <= 1.0)
         dist = np.where(inside, np.minimum(dist, np.abs(wn / np.sqrt(nn))), dist)
-    out[miss] = dist
-    return out
+    return dist
 
 
 def _check_tol(tol: float) -> None:
@@ -334,10 +316,11 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
 
     Sort-and-sweep broad phase (Ericson, Real-Time Collision Detection,
     ch. 7): the candidate (query, simplex) pairs of all simplices are the
-    pairs whose boxes, the query's inflated by tol, overlap, and one
-    distance-kernel call tests them all.  A pair within tol always passes,
-    so the answer equals the all-pairs one while the cost follows the
-    queries near each simplex rather than queries x simplices.
+    pairs whose boxes, the query's inflated by tol, overlap.  A pair within
+    tol always passes, so the answer equals the all-pairs one while the
+    cost follows the queries near each simplex rather than queries x
+    simplices.  One `_crosses` call marks the rows that cross a candidate;
+    one `_miss_dist` call measures only the other rows' pairs against tol.
     """
     _check_tol(tol)
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -347,8 +330,7 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
                          f"dimension; got shapes {P.shape} and {Q.shape}")
     if P.shape[0] != Q.shape[0]:
         raise ValueError(f"P has {P.shape[0]} rows but Q has {Q.shape[0]}")
-    lo = np.minimum(P, Q) - tol
-    hi = np.maximum(P, Q) + tol
+    lo, hi = np.minimum(P, Q) - tol, np.maximum(P, Q) + tol
     # a nan end makes its row's lo and hi nan, an infinite one its lo or hi
     # infinite: one check of the two extremes sees every non-finite end
     if not (math.isfinite(lo.min(initial=0.0)) and math.isfinite(hi.max(initial=0.0))):
@@ -362,8 +344,7 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     # first index where it reaches a simplex's low x ends left of it.
     reach_x = np.maximum.accumulate(hi[order, 0])
     S = crack.simplices
-    s_lo = S.min(axis=1)
-    s_hi = S.max(axis=1)
+    s_lo, s_hi = S.min(axis=1), S.max(axis=1)
     i0 = np.searchsorted(reach_x, s_lo[:, 0], side="left")
     i1 = np.searchsorted(lo[order, 0], s_hi[:, 0], side="right")
     # Simplex k's window is order[i0[k]:i1[k]]; list all windows' pairs at
@@ -378,11 +359,11 @@ def segments_hit_crack(P: np.ndarray, Q: np.ndarray, crack: CrackSurface,
     q, k = q[near], k[near]
     hit = np.zeros(P.shape[0], dtype=bool)
     if q.size:
-        if crack.n == 2:
-            d = _planar_seg_dist(P[q], Q[q], S[k, 0], S[k, 1])
-        else:
-            d = _seg_tri_dist(P[q], Q[q], S[k])
-        hit[q[d <= tol]] = True
+        A, B, V = P[q], Q[q], S.transpose(1, 0, 2)[:, k]
+        hit[q[_crosses(A, B, V)]] = True
+        rest = np.flatnonzero(~hit[q])  # the pairs of the rows left
+        if rest.size:
+            hit[q[rest[_miss_dist(A[rest], B[rest], V[:, rest]) <= tol]]] = True
     return hit
 
 
@@ -465,40 +446,59 @@ def _cube_segments(n: int) -> list:
             if np.count_nonzero(a != b) <= 2]
 
 
-def _near_mask(grid: ShiftedGrid, crack: CrackSurface, tol: float, step,
+# lattice points per `_near_mask` block: its temporaries stay a few MB on any grid
+_NEAR_BLOCK = 32768
+
+
+def _near_mask(grid: ShiftedGrid, crack: CrackSurface, tol: float, steps,
                zmin: np.ndarray, zmax: np.ndarray) -> np.ndarray:
     """The lattice points z of the index window [zmin, zmax] whose query may
-    come within tol of the crack, as a mask over the window.
+    come within tol of the crack: a mask over the window for one step, and
+    for a (C, n) stack of steps one mask per step on a trailing axis.
 
-    The query of z lies in the box of the lattice points h (z + y) and
-    h (z + y + step): the step h e's own segment, or with step (1, .., 1)
-    every edge and face diagonal of cube z.  Each simplex's box, inflated
-    by tol and by that reach, becomes an integer index window, clipped to
-    [zmin, zmax], that keeps every z whose query passes
-    `segments_hit_crack`'s float box test: the real bounds are widened by
-    1e-6 of their magnitude plus 1e-6, far above the rounding of either
-    side of that test.  The mask is the union of these windows; a query
-    outside it fails the box test, so it cannot hit.
+    The query of z lies in the box of h (z + y) and h (z + y + step): the
+    step h e's own segment, or with step (1, .., 1) every edge and face
+    diagonal of cube z.  Each (simplex, step) box, inflated by tol and by
+    that reach, becomes an integer index window, clipped to [zmin, zmax],
+    that keeps every z whose query passes `segments_hit_crack`'s float box
+    test: the real bounds are widened by 1e-6 of their magnitude plus 1e-6,
+    far above the rounding of either side of that test.  The mask is their
+    union, listed `_NEAR_BLOCK` points at a time; a query off it cannot hit.
     """
-    near = np.zeros(tuple(zmax - zmin + 1), dtype=bool)
-    step = np.asarray(step, dtype=float)
-    S = crack.simplices
-    lo = (S.min(axis=1) - tol) / grid.h - grid.offset - np.maximum(step, 0.0)
-    hi = (S.max(axis=1) + tol) / grid.h - grid.offset - np.minimum(step, 0.0)
+    steps = np.asarray(steps, dtype=float)
+    reach = steps.reshape(-1, 1, grid.n)  # (C, 1, n): each step on every simplex
+    S, y = crack.simplices, grid.offset
+    lo = (S.min(axis=1) - tol) / grid.h - y - np.maximum(reach, 0.0)
+    hi = (S.max(axis=1) + tol) / grid.h - y - np.minimum(reach, 0.0)
     # held just past the window first, so the slack stays finite
-    lo, hi = (np.clip(v, zmin - 2, zmax + 2) for v in (lo, hi))
+    lo, hi = (np.minimum(np.maximum(v, zmin - 2), zmax + 2) for v in (lo, hi))
     lo = np.ceil(lo - 1e-6 * (1.0 + np.abs(lo)))
     hi = np.floor(hi + 1e-6 * (1.0 + np.abs(hi)))
-    # clipped before the cast, so a window off the box stays empty: hi < lo
-    lo = np.clip(lo, zmin, zmax + 1).astype(int) - zmin
-    hi = np.clip(hi, zmin - 1, zmax).astype(int) - zmin + 1
-    for a, b in zip(lo, hi):
-        near[tuple(map(slice, a, b))] = True
-    return near
+    # clipped to the window before the cast; a box off it has no points
+    lo = np.maximum(lo, zmin).astype(int) - zmin
+    ext = np.maximum(np.minimum(hi, zmax).astype(int) - zmin + 1 - lo, 0).reshape(-1, grid.n)
+    near = np.zeros(tuple(zmax - zmin + 1) + (reach.shape[0],), dtype=bool)
+    stride = np.array(near.strides[:-1])
+    # box b (step-major) has its first point at flat index first[b], and
+    # points begin[b] .. end[b] - 1 of the listing of all boxes' points
+    first = (lo @ stride + np.arange(reach.shape[0])[:, None]).ravel()
+    size = ext.prod(axis=1)
+    end = np.cumsum(size)
+    begin = end - size
+    for p0 in range(0, int(end[-1]), _NEAR_BLOCK):
+        box = np.repeat(np.arange(end.size), np.maximum(
+            np.minimum(end, p0 + _NEAR_BLOCK) - np.maximum(begin, p0), 0))
+        r = np.arange(p0, p0 + box.size) - begin[box]  # row-major place in its box
+        idx = first[box]
+        for j in range(grid.n - 1, 0, -1):
+            r, off = np.divmod(r, ext[box, j])
+            idx += off * stride[j]
+        near.reshape(-1)[idx + r * stride[0]] = True
+    return near if steps.ndim == 2 else near[..., 0]
 
 
 # rows per `segments_hit_crack` call when a hit table is filled: the fill's
-# memory stays bounded on any grid (11 MB traced on the 3D flat crack at
+# memory stays bounded on any grid (8.4 MB traced on the 3D flat crack at
 # h = 1/64), and the benchmark's lattice grids take one call
 _HIT_BLOCK = 6144
 
@@ -532,17 +532,17 @@ class _SegmentHits:
 
 
 def _segment_hits(grid: ShiftedGrid, crack: CrackSurface | None) -> _SegmentHits:
-    """The hit table of `grid`: each class's rows of its `_near_mask` over
-    the widened window are queried, in blocks of `_HIT_BLOCK` rows, and
-    every other segment misses."""
+    """The hit table of `grid`: the rows of the `_near_mask` of all classes
+    over the widened window are queried, in blocks of `_HIT_BLOCK` rows,
+    and every other segment misses."""
     D = np.array([d for d in direction_set(grid.n) if d[np.flatnonzero(d)[0]] > 0])
     zmin, zmax = grid.cube_window()
     wmin, wmax = zmin - 1, zmax + 1
-    hit = np.zeros(tuple(wmax - wmin + 1) + (len(D),), dtype=bool)
-    if crack is not None and crack.m > 0:
+    if crack is None or crack.m == 0:
+        hit = np.zeros(tuple(wmax - wmin + 1) + (len(D),), dtype=bool)
+    else:  # the near rows first, then their hits
         tol = 1e-9 * grid.h
-        for c, d in enumerate(D):  # the near rows first, then their hits
-            hit[..., c] = _near_mask(grid, crack, tol, d, wmin, wmax)
+        hit = _near_mask(grid, crack, tol, D, wmin, wmax)
         # flat order runs z_0-major, so every block is sorted in x
         rows = np.flatnonzero(hit)
         for i in range(0, rows.size, _HIT_BLOCK):

@@ -36,8 +36,9 @@ class PlateGrid:
         if self.n not in (2, 3):
             raise ValueError("dimension must be 2 or 3")
         _check_plan(self.n, self.plan_shape, self.omega_lo, self.omega_hi)
-        if self.layers < 1 or any(s < 1 for s in self.plan_shape):
-            raise ValueError("grid sizes must be positive")
+        _check_count("layers", self.layers)
+        for s in self.plan_shape:
+            _check_count("plan size", s)
 
     @property
     def plan_h(self) -> np.ndarray:
@@ -69,9 +70,14 @@ class PlateGrid:
 def _z_centers(layers: int) -> np.ndarray:
     """Midpoints of `layers` equal layers of the unit thickness (-1/2, 1/2),
     each 1 / layers thick.  ValueError unless layers is a positive integer."""
-    if not isinstance(layers, (int, np.integer)) or layers < 1:
-        raise ValueError(f"layers must be a positive integer, got {layers!r}")
+    _check_count("layers", layers)
     return -0.5 + (1.0 / layers) * (np.arange(layers) + 0.5)
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless value is a positive integer."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_plan(n: int, plan_shape, omega_lo, omega_hi) -> None:

@@ -163,8 +163,16 @@ def minima_sweep(g: BoundaryDatum, p: LameParams, rho_list, plan_shape,
 # lattice experiments
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def classify_experiment(crack: CrackSurface, h: float, lo, hi, seed: int = 0,
                         samples: int = 1) -> list:
+    """One row per grid offset, the first at offset 0; ValueError unless
+    samples >= 1."""
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     n = crack.n
     rows = []
@@ -191,8 +199,7 @@ def jump_energy_experiment(crack: CrackSurface, h: float, lo, hi,
     One row per sample and a last row (sample -1) with their mean; ValueError
     unless samples >= 1, since the mean of no samples is undefined.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     n = crack.n
     D = direction_set(n).astype(float)

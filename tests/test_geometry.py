@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from platelab import geometry, lab
 from platelab.geometry import (CrackSurface, CubeClassification, ShiftedGrid,
-                               _cross, _dot, _planar_seg_dist, _seg_seg_dist,
-                               _seg_tri_dist, axis_plane_crack, bad_cube_boundary_measure,
+                               _cross, _crosses, _dot, _miss_dist, _seg_seg_dist,
+                               axis_plane_crack, bad_cube_boundary_measure,
                                classify_cubes, direction_set,
                                discrete_jump_energy, in_half_neighborhood,
                                projection_measure, segment_hits_crack,
@@ -448,6 +448,27 @@ def test_segments_hit_crack_rejects_a_negative_or_non_finite_tol(tol):
         segments_hit_crack(P, Q, VERT, tol)
 
 
+def _kernel_dist(P, Q, S):
+    """Reference: the distance of segment [P_i, Q_i] to simplex S_i as
+    `segments_hit_crack` takes it, 0 for a crossing and the miss distance
+    for every other row."""
+    out = np.zeros(len(P))
+    V = np.asarray(S).transpose(1, 0, 2)  # the kernels' vertex-major layout
+    miss = np.flatnonzero(~_crosses(P, Q, V))
+    out[miss] = _miss_dist(P[miss], Q[miss], V[:, miss])
+    return out
+
+
+def _planar_seg_dist(P, Q, a, b):
+    """`_kernel_dist` on planar segments [a_i, b_i]."""
+    return _kernel_dist(P, Q, np.stack([a, b], axis=1))
+
+
+def _seg_tri_dist(P, Q, tri):
+    """`_kernel_dist` on triangles tri_i, shape (k, 3, 3)."""
+    return _kernel_dist(P, Q, np.asarray(tri))
+
+
 def _all_pairs_hits(P, Q, crack, tol):
     """Reference: the distance kernel on every (query, simplex) pair, one row
     per pair (query-major) in one kernel call."""
@@ -830,6 +851,67 @@ def test_tight_near_mask_keeps_every_row_the_box_test_passes(case):
         assert np.all(near[box_meets(C, C + grid.h * e)])
 
 
+def _slice_union_near_mask(grid, crack, tol, step, zmin, zmax):
+    """Reference: `_near_mask` of one step as the union of one slice
+    assignment per simplex window."""
+    near = np.zeros(tuple(zmax - zmin + 1), dtype=bool)
+    step = np.asarray(step, dtype=float)
+    S = crack.simplices
+    lo = (S.min(axis=1) - tol) / grid.h - grid.offset - np.maximum(step, 0.0)
+    hi = (S.max(axis=1) + tol) / grid.h - grid.offset - np.minimum(step, 0.0)
+    lo, hi = (np.clip(v, zmin - 2, zmax + 2) for v in (lo, hi))
+    lo = np.ceil(lo - 1e-6 * (1.0 + np.abs(lo)))
+    hi = np.floor(hi + 1e-6 * (1.0 + np.abs(hi)))
+    lo = np.clip(lo, zmin, zmax + 1).astype(int) - zmin
+    hi = np.clip(hi, zmin - 1, zmax).astype(int) - zmin + 1
+    for a, b in zip(lo, hi):
+        near[tuple(map(slice, a, b))] = True
+    return near
+
+
+@st.composite
+def _near_case(draw):
+    """Up to 40 seeded random simplices of one size scale around [-0.2, 1.2]^n,
+    so often clipped by the box, and a dyadic grid over the unit box at
+    offset 0 or at a random offset."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([0.01, 0.2, 1.5]))
+    S = rng.random((m, 1, n)) * 1.4 - 0.2 + (rng.random((m, n, n)) - 0.5) * scale
+    h = 2.0 ** -draw(st.integers(2, 6 if n == 2 else 4))
+    y = draw(st.one_of(st.just((0.0,) * n),
+                       st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * n)))
+    return ShiftedGrid(n, h, y, (0.0,) * n, (1.0,) * n), CrackSurface(S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_near_case(), st.sampled_from([61, 32768]))
+@example((_FAR, CrackSurface(_FAR.corner(_FAR_Z))), 32768)
+@example((ShiftedGrid(3, 0.125, (0.0,) * 3, (0.0,) * 3, (1.0,) * 3), FLAT3), 5)
+def test_stacked_near_mask_equals_the_slice_union(case, block):
+    # a stack of steps gives, step by step on its trailing axis, the union of
+    # one slice per simplex window, and a single step gives that mask alone:
+    # the hit table's classes over the widened window, every direction and
+    # (1, .., 1) over the cube window; listed in blocks of 32768 points or of
+    # 61, which split the windows
+    grid, crack = case
+    tol = 1e-9 * grid.h
+    zmin, zmax = grid.cube_window()
+    D = direction_set(grid.n)
+    classes = D[[d[np.flatnonzero(d)[0]] > 0 for d in D]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_NEAR_BLOCK", block)
+        for wmin, wmax, steps in ((zmin - 1, zmax + 1, classes),
+                                  (zmin, zmax, np.vstack([D, np.ones(grid.n, int)]))):
+            near = geometry._near_mask(grid, crack, tol, steps, wmin, wmax)
+            assert near.shape == tuple(wmax - wmin + 1) + (len(steps),)
+            for c, d in enumerate(steps):
+                ref = _slice_union_near_mask(grid, crack, tol, d, wmin, wmax)
+                assert np.array_equal(near[..., c], ref)
+                assert np.array_equal(geometry._near_mask(grid, crack, tol, d, wmin, wmax), ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_cull_case(), st.integers(0, 2 ** 32 - 1))
 @example((ShiftedGrid(3, 0.125, (0.0,) * 3, (0.0,) * 3, (1.0,) * 3), FLAT3), 0)
@@ -851,39 +933,74 @@ def test_classify_experiment_rows_equal_the_standalone_functions(case, seed):
         assert row["jump_energy"] == discrete_jump_energy(g, crack)
 
 
-@pytest.mark.parametrize("crack,kernel", [(_arc(64), "_seg_seg_dist"),
-                                          (FLAT3, "_seg_tri_dist")])
-def test_each_query_batch_makes_one_kernel_call(crack, kernel, monkeypatch):
-    # the candidate pairs of all simplices go to the distance kernel at
-    # once: one call per batch that has a candidate pair, none otherwise
-    kernel_calls, batches = [], []
-    query, dist = geometry.segments_hit_crack, getattr(geometry, kernel)
+@pytest.mark.parametrize("crack", [_arc(64), FLAT3], ids=["arc", "flat3"])
+def test_each_query_batch_makes_one_kernel_call(crack, monkeypatch):
+    # the candidate pairs of all simplices go to `_crosses` at once, and the
+    # pairs of the rows left to `_miss_dist` at once: one crossing call and
+    # at most one miss call per batch that has a candidate pair, none otherwise
+    calls, batches = {"_crosses": [], "_miss_dist": []}, []
+    query = geometry.segments_hit_crack
 
     def counting_query(P, Q, crack, tol=1e-12):
-        before = len(kernel_calls)
+        before = {name: len(c) for name, c in calls.items()}
         hit = query(P, Q, crack, tol)
         lo, hi = np.minimum(P, Q)[:, None] - tol, np.maximum(P, Q)[:, None] + tol
         boxes_meet = (np.all(lo <= crack.simplices.max(axis=1), axis=2)
                       & np.all(hi >= crack.simplices.min(axis=1), axis=2))
-        batches.append((len(kernel_calls) - before, bool(np.any(boxes_meet))))
+        batches.append(tuple(len(c) - before[name] for name, c in calls.items())
+                       + (bool(np.any(boxes_meet)),))
         return hit
 
-    def counting_kernel(P, *args):
-        kernel_calls.append(len(P))
-        return dist(P, *args)
+    def counting(name):
+        kernel = getattr(geometry, name)
+
+        def counted(P, *args):
+            calls[name].append(len(P))
+            return kernel(P, *args)
+        return counted
 
     monkeypatch.setattr(geometry, "segments_hit_crack", counting_query)
-    monkeypatch.setattr(geometry, kernel, counting_kernel)
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counting(name))
     n = crack.n
     g = ShiftedGrid(n, 2.0 ** -(8 - n), (0.37, 0.11, 0.62)[:n], (0.0,) * n, (1.0,) * n)
     assert classify_cubes(g, crack).num_bad > 0
     assert discrete_jump_energy(g, crack) > 0.0
-    assert all(calls == int(candidates) for calls, candidates in batches)
-    if n == 2:  # every arc batch has candidates: one call each, and the
-        # jump energy's whole hit table is one batch
-        assert len(kernel_calls) == len(batches) == 6 + 1
+    assert all(crossing == int(candidates) and miss <= int(candidates)
+               for crossing, miss, candidates in batches)
+    if n == 2:  # every arc batch has candidates: one crossing call each, and
+        # the jump energy's whole hit table is one batch
+        assert len(calls["_crosses"]) == len(batches) == 6 + 1
     else:  # batches parallel to the plane and off it have none
-        assert {candidates for _, candidates in batches} == {False, True}
+        assert {candidates for *_, candidates in batches} == {False, True}
+
+
+def test_rows_that_cross_skip_the_miss_distance(monkeypatch):
+    # off the lattice planes, each row through FLAT3 crosses one triangle
+    # while its box meets both: none of its pairs reaches `_miss_dist`, which
+    # receives fewer pairs than the broad phase's candidates
+    received, candidates = [], []
+    query, miss = geometry.segments_hit_crack, geometry._miss_dist
+
+    def counting_query(P, Q, crack, tol=1e-12):
+        lo, hi = np.minimum(P, Q)[:, None] - tol, np.maximum(P, Q)[:, None] + tol
+        candidates.append(np.count_nonzero(np.all(lo <= crack.simplices.max(axis=1), axis=2)
+                                           & np.all(hi >= crack.simplices.min(axis=1), axis=2)))
+        return query(P, Q, crack, tol)
+
+    def recording_miss(P, Q, S):
+        received.append((P, Q))
+        return miss(P, Q, S)
+
+    monkeypatch.setattr(geometry, "segments_hit_crack", counting_query)
+    monkeypatch.setattr(geometry, "_miss_dist", recording_miss)
+    g = ShiftedGrid(3, 1.0 / 16, (0.3, 0.6, 0.2), (0.0,) * 3, (1.0,) * 3)
+    assert discrete_jump_energy(g, FLAT3) > 0.0
+    assert classify_cubes(g, FLAT3).num_bad > 0
+    P, Q = (np.concatenate(X) for X in zip(*received))
+    assert 0 < len(P) < sum(candidates)
+    for tri in FLAT3.simplices:
+        assert not np.any(_crosses(P, Q, np.broadcast_to(tri[:, None], (3,) + P.shape)))
 
 
 @pytest.mark.parametrize("crack,h", [(_arc(64), 1.0 / 64), (FLAT3, 1.0 / 16)])

@@ -46,6 +46,22 @@ def test_plate_grid_validation():
         PlateGrid(2, (8,), 0, (0,), (1,))
 
 
+@pytest.mark.parametrize("plan,layers,match", [
+    ((4,), 2.5, "layers must be a positive integer, got 2.5"),
+    ((4,), 2.0, "layers must be a positive integer, got 2.0"),
+    ((4.0,), 2, "plan size must be a positive integer, got 4.0"),
+    ((4, 0), 2, "plan size must be a positive integer, got 0"),
+])
+def test_plate_grid_sizes_must_be_positive_integers(plan, layers, match):
+    # a float count made a grid of shape (4, 2.5), which failed only later
+    n = len(plan) + 1
+    with pytest.raises(ValueError, match=match):
+        PlateGrid(n, plan, layers, (0.0,) * (n - 1), (1.0,) * (n - 1))
+    g = PlateGrid(n, tuple(np.int64(4) for _ in plan), np.int64(2),
+                  (0.0,) * (n - 1), (1.0,) * (n - 1))
+    assert g.shape == (4,) * len(plan) + (2,)
+
+
 def test_plate_grid_centers_and_volume():
     g = make_grid(plan=(4,), layers=2)
     assert np.allclose(g.plan_points()[:, 0], [0.125, 0.375, 0.625, 0.875])

@@ -143,6 +143,14 @@ def test_jump_energy_experiment_needs_a_sample(samples):
         lab.jump_energy_experiment(crack, 1.0 / 16, (0.0, 0.0), (1.0, 1.0), samples=samples)
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_classify_experiment_needs_a_sample(samples):
+    # no sample returned [] with no error
+    crack = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        lab.classify_experiment(crack, 1.0 / 16, (0.0, 0.0), (1.0, 1.0), samples=samples)
+
+
 def test_classify_experiment_deterministic_first_sample():
     crack = axis_plane_crack(2, 0, 0.5, ((0.0, 1.0),))
     r1 = lab.classify_experiment(crack, 1.0 / 16, (0.0, 0.0), (1.0, 1.0))
