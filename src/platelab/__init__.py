@@ -12,9 +12,8 @@ lab             experiment drivers and CSV plumbing
 cli             command-line interface
 """
 
-from .elasticity import (LameParams, apply_C, phi_rho, quadratic_form_C,
-                         quadratic_form_C0, reduced_min_oracle, rescale_strain,
-                         validate_lame)
+from .elasticity import (LameParams, phi_rho, quadratic_form_C, quadratic_form_C0,
+                         rescale_strain, validate_lame)
 from .geometry import (CrackSurface, CubeClassification, ShiftedGrid,
                        axis_plane_crack, bad_cube_boundary_measure,
                        classify_cubes, direction_set, discrete_jump_energy,

@@ -3,11 +3,13 @@
 Every bulk term is the quadratic form the solver of :mod:`.minimize`
 minimizes: (1/2) w sum_c d_c . Q d_c, where d = S x, shape (ncell, k), are
 the per-cell rows that `_apply_stencil` reads off the stencil blocks S of
-:mod:`.kirchhoff_love` and Q is the cached form matrix `_form`, the one
-check of the Lame parameters and rho.  Each bulk quadratic of a crack
-pattern, (stencil thunk, form, cell weight), is declared once, for the
-energies and the solver: E_rho's in `_film_bulk`, E_0's membrane and
-bending in `_plate_bulk`; a zero value array builds no stencil.  The
+:mod:`.kirchhoff_love` and Q is the cached form matrix `_form`, written in
+closed form, the one check of the Lame parameters and rho.  Each bulk
+quadratic of a crack pattern, (stencil thunk, form, cell weight), is
+declared once, for the energies and the solver: E_rho's in `_film_bulk`,
+E_0's membrane and bending in `_plate_bulk`, which check that the Lame
+parameters have the state's dimension; a zero value array builds no
+stencil.  The
 builders keep the blocks of the 4 crack patterns read last, so the energy
 of a state the solver has just solved reuses the solver's blocks.  Surface
 terms are sums of broken-face areas, weighted by the anisotropic factor
@@ -22,12 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elasticity import (LameParams, form_matrix, phi_rho, quadratic_form_C,
-                         quadratic_form_C0, rescale_strain, validate_lame)
+from .elasticity import (LameParams, _check_rho, _reduced_lam, phi_rho, rescale_strain,
+                         validate_lame)
 from .kirchhoff_love import (KLState, PlateField, PlateGrid, _apply_stencil, _check_plan,
                              _derivative_operator, _hessian_operator, _lift, _plan_points,
                              _side, _z_centers, cell_strains)
 # unused here; bench/tracer.py wraps these names in this module
+from .elasticity import quadratic_form_C, quadratic_form_C0  # noqa: F401
 from .kirchhoff_love import cell_derivative, kl_lift  # noqa: F401
 
 # relative tolerance of the trace comparison in `boundary_penalty`
@@ -51,18 +54,28 @@ def _form(p: LameParams, rho: float | None = None) -> np.ndarray:
 
     rho None: the reduced density C0 on (n-1) x (n-1) matrices, for the
     limit energy.  rho > 0: C of the rescaled strain e^rho on n x n
-    matrices (rho = 1 is the physical density).  Cached because the crack
-    search solves and evaluates once per candidate with the same (p, rho).
-    The one check of the parameters: ValueError unless `validate_lame`
-    accepts p, and, through `rescale_strain`, unless 0 < rho < inf.
+    matrices (rho = 1 is the physical density).  Written in closed form,
+    Q = S (lam' vec(I) vec(I)^T + mu (I + T)) S, with T the transpose
+    permutation on vec(D), S the diagonal of vec(s s^T) and lam' the lam of
+    the tensor: for C0, lam' = `_reduced_lam` and s = 1; for e^rho, lam' =
+    lam and s = (1, ..., 1, 1/rho), applied as divisions by rho, so every
+    entry is a few roundings from the exact form and every zero is 0.0.
+    Cached because the crack search solves and evaluates once per
+    candidate with the same (p, rho).  The one check of the parameters:
+    ValueError unless `validate_lame` accepts p and, for rho given, unless
+    0 < rho < inf.
     """
     if not validate_lame(p):
         raise ValueError("invalid Lame parameters")
     if rho is None:
-        Q = form_matrix(p.n - 1, lambda D: quadratic_form_C0(p, 0.5 * (D + D.T)))
+        dim, lam, t = p.n - 1, _reduced_lam(p), np.ones(p.n - 1)
     else:
-        Q = form_matrix(p.n, lambda D: quadratic_form_C(
-            p, rescale_strain(0.5 * (D + D.T), rho)))
+        _check_rho(rho)
+        dim, lam, t = p.n, p.lam, np.append(np.ones(p.n - 1), rho)
+    k, eye = dim * dim, np.eye(dim)
+    transpose = np.einsum("il,jk->ijkl", eye, eye).reshape(k, k)
+    w = np.outer(t, t).ravel()  # 1 / S
+    Q = (lam * np.outer(eye, eye) + p.mu * (np.eye(k) + transpose)) / w[:, None] / w
     Q.flags.writeable = False
     return Q
 
@@ -83,9 +96,16 @@ def _rows(x: np.ndarray, stencil, Q: np.ndarray) -> np.ndarray:
     return _apply_stencil(stencil(), x) if x.any() else np.zeros((1, len(Q)))
 
 
+def _check_n(p: LameParams, n: int) -> None:
+    """Raise ValueError unless p is a tensor of the state's dimension n."""
+    if p.n != n:
+        raise ValueError(f"LameParams of dimension {p.n} for a state of dimension {n}")
+
+
 def _film_bulk(grid: PlateGrid, broken, p: LameParams, rho: float) -> list:
     """E_rho's one bulk quadratic on the broken faces of grid, on the cell
     values (plan axes, layer, component): [(stencil thunk, form, cell weight)]."""
+    _check_n(p, grid.n)
     return [(lambda: _derivative_operator(grid.shape, grid.spacings, broken, grid.n),
              _form(p, rho), grid.cell_volume)]
 
@@ -95,6 +115,7 @@ def _plate_bulk(plan_shape, plan_h, broken, p: LameParams) -> list:
     crack columns `broken`: [(stencil thunk, form, cell weight)] * 2.  The
     bending weight is the plan area times int x_n^2 = 1/12 over the unit
     thickness, where the cross term of the two vanishes."""
+    _check_n(p, len(plan_shape) + 1)
     Q, area = _form(p), float(np.prod(plan_h))
     return [(lambda: _derivative_operator(plan_shape, plan_h, broken, len(plan_shape)),
              Q, area),

@@ -30,6 +30,8 @@ class ShiftedGrid:
     hi: tuple
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
         if not 0.0 < self.h < np.inf:
             raise ValueError("grid spacing must be positive and finite")
         y = np.asarray(self.y, dtype=float)

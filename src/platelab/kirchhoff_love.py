@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elasticity import _check_dim
+
 
 @dataclass(frozen=True)
 class PlateGrid:
@@ -33,8 +35,7 @@ class PlateGrid:
     omega_hi: tuple
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
+        _check_dim(self.n)
         _check_plan(self.n, self.plan_shape, self.omega_lo, self.omega_hi)
         _check_count("layers", self.layers)
         for s in self.plan_shape:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elasticity import LameParams, _check_rho, validate_lame
+from .elasticity import LameParams, _check_dim, _check_rho, validate_lame
 from .energy import (BoundaryDatum, compactness_check, limit_energy, rescaled_energy,
                      stretch_datum)
 # unused here; bench/tracer.py wraps these names in this module
@@ -396,8 +396,7 @@ class ExperimentConfig:
             raise ValueError("stretch must be finite")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.n not in (2, 3):
-            raise ValueError("dimension n must be 2 or 3")
+        _check_dim(self.n)
         if not self.plan or min(self.plan) < 1:
             raise ValueError("plan must be nonempty with every entry at least 1")
         lo = np.asarray(self.omega_lo, dtype=float)

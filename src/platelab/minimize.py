@@ -4,25 +4,26 @@ At fixed crack the bulk term is a convex quadratic in the cell values.  A
 piece of the stiffness's graph that the clamped values do not load stays
 zero; the loaded pieces are minimized by one direct solve, factored in this
 order: a banded Cholesky in reverse Cuthill-McKee order; a symmetric-mode
-sparse LU when the Cholesky meets a non-positive pivot; a dense
-minimum-norm least squares when the LU factor is exactly singular.  Each
-round of crack activation offers moves, every open vertical face column
-and every unreleased side, and keeps the best strict improvement.  One greedy
-search loop serves the rescaled and the limit problem.  On a 1D plan no
-piece holds two clamp columns after any move, so every move's total is
-the energy of its rigid state: each piece zero, or its clamp column's
-datum continued rigidly at zero strain.  The round's winner takes that
-rigid state, certified a minimizer of the bulk, with no solve; so such a
-search factors only its starting state.  The bulk quadratics are declared
-once in :mod:`.energy` (`_film_bulk`, `_plate_bulk`); both fixed-crack
-solves are one loop over them (`_clamped_solve`), which holds each value
-array to its datum on the plan cells of the unreleased sides
-(`_clamped_cells`, a mask of the leading plan axes).  The stencil builders of
-:mod:`.kirchhoff_love` keep the blocks of the 4 crack patterns read last,
-so a search builds each pattern's stencils once: a state's solve and its
-energies share them, a round's releases read the pattern of the state
-they leave, and a 1D round's winner reads its cut kind's.  A search
-samples and lifts its datum once, for every clamp and every penalty.
+sparse LU when the Cholesky meets a pivot that is non-positive or at
+rounding level; a dense minimum-norm least squares when the LU factor is
+exactly singular.  Each round of crack activation offers moves, every open
+vertical face column and every unreleased side, and keeps the best strict
+improvement.  One greedy search loop serves the rescaled and the limit
+problem.  On a 1D plan no piece holds two clamp columns after any move, so
+every move's total is the energy of its rigid state: each piece zero, or
+its clamp column's datum continued rigidly at zero strain.  The round's
+winner takes that rigid state, certified a minimizer of the bulk, with no
+solve; so such a search factors only its starting state.  The bulk
+quadratics are declared once in :mod:`.energy` (`_film_bulk`,
+`_plate_bulk`); both fixed-crack solves are one loop over them
+(`_clamped_solve`), which holds each value array to its datum on the plan
+cells of the unreleased sides (`_clamped_cells`, a mask of the leading plan
+axes).  The stencil builders of :mod:`.kirchhoff_love` keep the blocks of
+the 4 crack patterns read last, so a search builds each pattern's stencils
+once: a state's solve and its energies share them, a round's releases read
+the pattern of the state they leave, and a 1D round's winner reads its cut
+kind's.  A search samples and lifts its datum once, for every clamp and
+every penalty.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ def _solve_block(A, rhs):
     2. When the Cholesky meets a non-positive pivot (A singular, or too
        ill-conditioned, as the film is at rho <= 1e-4): a symmetric-mode
        sparse LU (``scipy.sparse.linalg.splu``, minimum degree on A^T + A,
-       diagonal pivots).
+       diagonal pivots).  A pivot p with p^2 <= n eps max diag(A) counts as
+       non-positive: an exactly singular A meets one at rounding level.
     3. When that factor is exactly singular: the dense minimum-norm
        least-squares solution, and RuntimeError when it misses the load.
     """
@@ -180,8 +182,11 @@ def _solve_block(A, rhs):
     # LAPACK's upper band storage ab[width + r - c, c], column-major
     ab = np.zeros(n * (width + 1))
     ab[(c + 1) * width + r] = A.data[upper]
+    # the bound under which a squared pivot counts as non-positive, from
+    # A's diagonal (row `width` of the band) before dpbtrf overwrites it
+    floor = n * np.finfo(float).eps * ab[width::width + 1].max()
     cb, info = dpbtrf(ab.reshape(n, width + 1).T, overwrite_ab=1)
-    if info == 0:  # info > 0: a non-positive pivot
+    if info == 0 and np.min(cb[width] ** 2) > floor:  # info > 0: a non-positive pivot
         def solve(v):
             return dpbtrs(cb, v)[0] if perm is None else dpbtrs(cb, v[perm])[0][rank]
 

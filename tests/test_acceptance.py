@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from elastic_oracle import reduced_min_oracle
 from platelab import lab
-from platelab.elasticity import (LameParams, quadratic_form_C0,
-                                 reduced_min_oracle, validate_lame)
+from platelab.elasticity import LameParams, quadratic_form_C0, validate_lame
 from platelab.energy import stretch_datum
 from platelab.geometry import (CrackSurface, ShiftedGrid, axis_plane_crack,
                                classify_cubes, projection_measure)

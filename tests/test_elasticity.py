@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from platelab.elasticity import (LameParams, apply_C, phi_rho,
-                                 quadratic_form_C, quadratic_form_C0,
-                                 reduced_min_oracle, rescale_strain,
-                                 validate_lame)
+from elastic_oracle import apply_C, reduced_min_oracle
+from platelab.elasticity import (LameParams, phi_rho, quadratic_form_C,
+                                 quadratic_form_C0, rescale_strain, validate_lame)
 
 
 def random_sym(rng, dim):
@@ -19,6 +18,13 @@ def test_validate_lame():
     # an infinite lam or mu passes the sign tests alone
     for lam, mu in ((1.0, np.inf), (np.inf, 1.0), (1.0, np.nan), (np.nan, 1.0)):
         assert not validate_lame(LameParams(lam, mu, 3))
+
+
+@pytest.mark.parametrize("n", [2.0, 4, "2"])
+def test_lame_params_dimension_must_be_the_integer_2_or_3(n):
+    # n = 2.0 passed the test n in (2, 3) and failed later with a TypeError
+    with pytest.raises(ValueError, match="spatial dimension must be the integer 2 or 3"):
+        LameParams(1.0, 1.0, n)
 
 
 def test_validate_lame_boundary():

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elastic_oracle import exact_form
 from platelab import energy
-from platelab.elasticity import LameParams
+from platelab.elasticity import LameParams, validate_lame
 from platelab.energy import (BoundaryDatum, EnergyBreakdown, _form,
                              boundary_penalty, compactness_check, limit_energy,
                              penalized_energies, rescaled_energy,
@@ -192,6 +195,41 @@ def test_rescaled_energy_validates_inputs():
                 f(v, P2, rho)
     with pytest.raises(ValueError):
         rescaled_energy(v, LameParams(0.0, 0.0, 2), 0.1)
+
+
+def test_form_is_the_exact_form_to_a_few_roundings():
+    # the closed form against exact polarization in Fractions, for 300
+    # random valid (lam, mu), n = 2 and 3, rho None (C0), 1 and 10^U(-8, 0):
+    # every nonzero entry within 4 eps relative, every exact zero 0.0.
+    # Polarization in floats lost the rho^-2 lam coupling to cancellation
+    # against rho^-4 values and left rounding residue where Q is 0
+    rng = np.random.default_rng(37)
+    eps = Fraction(np.finfo(float).eps)
+    forms = 0
+    while forms < 300:
+        p = LameParams(rng.uniform(-1.0, 3.0), rng.uniform(0.1, 3.0), int(rng.integers(2, 4)))
+        if not validate_lame(p):
+            continue
+        rho = [None, 1.0, float(10.0 ** rng.uniform(-8.0, 0.0))][rng.integers(3)]
+        Q, exact = _form(p, rho), exact_form(p, rho)
+        for (a, b), q in np.ndenumerate(Q):
+            e = exact[a][b]
+            assert q == 0.0 if e == 0 else abs(Fraction(q) - e) <= 4 * eps * abs(e), (p, rho, a, b)
+        forms += 1
+
+
+_MISMATCHED_ENERGIES = {
+    "limit_energy": lambda p: limit_energy(stretch_state(0.5, N=4), p),
+    "rescaled_energy": lambda p: rescaled_energy(kl_lift(stretch_state(0.5, N=4), 2), p, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MISMATCHED_ENERGIES))
+def test_energies_reject_lame_parameters_of_another_dimension(entry):
+    # limit_energy gave an n = 2 state's bulk 1.3333 under an n = 3 tensor (0.3333
+    # under n = 2), by broadcasting its rows against the 4 x 4 form
+    with pytest.raises(ValueError, match="LameParams of dimension 3 for a state of dimension 2"):
+        _MISMATCHED_ENERGIES[entry](LameParams(1.0, 1.0, 3))
 
 
 def test_rescaled_strains_scaling():

@@ -241,6 +241,12 @@ def test_grid_rejects_non_finite_inverted_or_overflowing_windows(h, y, lo, hi):
         ShiftedGrid(2, h, y, lo, hi)
 
 
+def test_grid_dimension_must_be_an_integer():
+    # n = 2.0 matched the offset's shape (2,) and failed later with a TypeError
+    with pytest.raises(ValueError, match="dimension n must be a positive integer, got 2.0"):
+        ShiftedGrid(2.0, 0.25, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
+
+
 def test_grid_window_holds_large_indices():
     zmin, zmax = ShiftedGrid(1, 2.0 ** -60, (0.0,), (0.0,), (1.0,)).cube_window()
     assert zmin[0] == -1 and zmax[0] == 2 ** 60 - 1

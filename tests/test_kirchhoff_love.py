@@ -62,6 +62,13 @@ def test_plate_grid_sizes_must_be_positive_integers(plan, layers, match):
     assert g.shape == (4,) * len(plan) + (2,)
 
 
+def test_plate_grid_dimension_must_be_an_integer():
+    # n = 2.0 passed the test n in (2, 3) and failed later with a TypeError
+    with pytest.raises(ValueError, match="spatial dimension must be the integer 2 or 3"):
+        PlateGrid(2.0, (4,), 2, (0.0,), (1.0,))
+    assert PlateGrid(np.int64(2), (4,), 2, (0.0,), (1.0,)).shape == (4, 2)
+
+
 def test_plate_grid_centers_and_volume():
     g = make_grid(plan=(4,), layers=2)
     assert np.allclose(g.plan_points()[:, 0], [0.125, 0.375, 0.625, 0.875])
